@@ -5,16 +5,17 @@ optimize (vertex enumeration + volume minimization over configured orders),
 integrate (log integral, L_p norms, layer-cake comparison), experiment
 (riemann, stirling), cutgen (tableau row to cutting plane).
 
-Exit codes: 0 success, 2 a certified identity failed its check, 3 bad input.
+Exit codes: 0 success, 2 a certified identity failed its check, 3 bad input
+(usage errors included).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from .criteria import score_function
 from .errors import GroupCutError, ValidationFailure
@@ -45,11 +46,28 @@ from .torus import (
 __all__ = ["main"]
 
 
-def _read_json(path: str) -> dict:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input, exit 3; argparse's own 2 is taken by a
+    failed certified identity."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _load(from_dict, path: str):
+    """Read a JSON file, or stdin for '-', into an object; a value of the
+    wrong JSON type, such as a float or a boolean where an exact rational
+    belongs, is bad input."""
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as handle:
-        return json.load(handle)
+        data = json.load(sys.stdin)
+    else:
+        with open(path) as handle:
+            data = json.load(handle)
+    try:
+        return from_dict(data)
+    except TypeError as exc:
+        raise ValueError(f"bad input in {path}: {exc}") from exc
 
 
 def _function_from_dict(data: dict) -> FiniteGroupFunction | PwlTorusFunction:
@@ -83,7 +101,7 @@ def _verdict_dict(verdict) -> dict:
 
 
 def _cmd_check(args) -> int:
-    fn = _function_from_dict(_read_json(args.path))
+    fn = _load(_function_from_dict, args.path)
     if isinstance(fn, FiniteGroupFunction):
         verdict = is_minimal(fn, b=args.b)
     else:
@@ -93,7 +111,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
-    fn = _function_from_dict(_read_json(args.path))
+    fn = _load(_function_from_dict, args.path)
     if isinstance(fn, FiniteGroupFunction):
         if args.tilde:
             raise ValueError("--tilde applies to circle functions only")
@@ -110,62 +128,33 @@ def _cmd_rearrange(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        base = ExperimentConfig.from_file(args.config)
-    else:
-        base = ExperimentConfig()
-    overrides: dict = {}
-    if args.primes is not None:
-        overrides["prime_list"] = tuple(args.primes)
-    if args.b_policy is not None:
-        overrides["b_policy"] = args.b_policy
-    if args.fixed_b is not None:
-        overrides["fixed_b"] = args.fixed_b
-    if args.output_csv is not None:
-        overrides["output_csv"] = args.output_csv
-    if args.output_json is not None:
-        overrides["output_json"] = args.output_json
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if not overrides:
-        return base
-    merged = {
-        "prime_list": base.prime_list,
-        "b_policy": base.b_policy,
-        "fixed_b": base.fixed_b,
-        "tolerances": base.tolerances,
-        "output_csv": base.output_csv,
-        "output_json": base.output_json,
-        "workers": base.workers,
+    base = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    overrides = {
+        "prime_list": None if args.primes is None else tuple(args.primes),
+        "b_policy": args.b_policy,
+        "fixed_b": args.fixed_b,
+        "output_csv": args.output_csv,
+        "output_json": args.output_json,
     }
-    merged.update(overrides)
-    return ExperimentConfig(**merged)
+    return dataclasses.replace(
+        base, **{key: value for key, value in overrides.items() if value is not None}
+    )
 
 
 def _cmd_optimize(args) -> int:
     config = _config_from_args(args)
     report = optimize_and_report(config, force=args.force, max_order=args.cap)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["q", "b", "status", "n_vertices", "min_product", "unique"])
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.q,
-                    "" if row.b is None else row.b,
-                    row.status,
-                    "" if row.n_vertices is None else row.n_vertices,
-                    "" if row.min_product is None else str(row.min_product),
-                    "" if row.unique is None else str(row.unique).lower(),
-                ]
-            )
+        report.write_csv(
+            sys.stdout, ("q", "b", "status", "n_vertices", "min_product", "unique")
+        )
     else:
         print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.ok else 2
 
 
 def _cmd_integrate(args) -> int:
-    fn = _function_from_dict(_read_json(args.path))
+    fn = _load(_function_from_dict, args.path)
     ps = tuple(args.p) if args.p else (1, 2, 3)
     if isinstance(fn, FiniteGroupFunction):
         payload = score_function(fn, ps=ps).to_dict()
@@ -209,7 +198,7 @@ def _parse_h(spec_text: str) -> PwlTorusFunction:
         b = as_fraction(spec_text[len("gmi:") :])
         return tilde_fn(gmi(b))
     if spec_text.startswith("file:"):
-        return PwlTorusFunction.from_dict(_read_json(spec_text[len("file:") :]))
+        return _load(PwlTorusFunction.from_dict, spec_text[len("file:") :])
     raise ValueError(
         f"unknown profile {spec_text!r}: use identity, gmi:<b>, or file:<path>"
     )
@@ -259,8 +248,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_cutgen(args) -> int:
-    row = TableauRow.from_dict(_read_json(args.row))
-    fn = _function_from_dict(_read_json(args.function))
+    row = _load(TableauRow.from_dict, args.row)
+    fn = _load(_function_from_dict, args.function)
     cut = emit_cut(row, fn)
     if args.format == "text":
         print(str(cut))
@@ -270,7 +259,7 @@ def _cmd_cutgen(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    fn = FiniteGroupFunction.from_dict(_read_json(args.path))
+    fn = _load(FiniteGroupFunction.from_dict, args.path)
     result = gomory_decomposition(fn)
     _emit(
         {
@@ -284,7 +273,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupcut",
         description="Exact construction, certification, rearrangement and "
         "scoring of cut-generating functions on cyclic groups and the circle.",
@@ -322,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=31, help="largest allowed order")
     p.add_argument("--output-csv", default=None)
     p.add_argument("--output-json", default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_optimize)
 

@@ -47,10 +47,6 @@ class OutOfRange(GroupCutError):
     """Index or coordinate outside its admissible range."""
 
 
-class ZeroCoordinate(GroupCutError):
-    """A right-hand-side coordinate of zero has no associated profile."""
-
-
 class NotInClassG(GroupCutError):
     """Function is not nondecreasing, subadditive and wrap-symmetric."""
 

@@ -8,8 +8,7 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -25,11 +24,12 @@ from .errors import (
 )
 from .finite_functions import (
     FiniteGroupFunction,
+    compose,
     gom,
     is_minimal,
     rearrange_finite,
 )
-from .group_core import is_prime
+from .group_core import CyclicGroup, automorphism_sending, is_prime
 from .polytope import minimize_volume
 from .rationals import as_fraction, ln_fraction
 from .torus import MODE_RHS, MODE_WRAP, PwlTorusFunction, integral_ln, is_minimal_pwl, is_nondecreasing
@@ -63,10 +63,8 @@ class ExperimentConfig:
     prime_list: tuple[int, ...] = ()
     b_policy: str = "canonical"
     fixed_b: int | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
     output_csv: str | None = None
     output_json: str | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if any(q < 2 for q in self.prime_list):
@@ -76,18 +74,11 @@ class ExperimentConfig:
         if self.b_policy == "fixed":
             if self.fixed_b is None or self.fixed_b < 1:
                 raise ValueError("fixed b_policy needs fixed_b >= 1")
-        if any(tol <= 0 for tol in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-
-    def tolerance(self, name: str, default: float) -> float:
-        return self.tolerances.get(name, default)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         """Parse a flat `key = value` file; '#' starts a comment."""
-        fields: dict = {"tolerances": {}}
+        fields: dict = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -103,12 +94,8 @@ class ExperimentConfig:
                 fields["b_policy"] = value
             elif key == "fixed_b":
                 fields["fixed_b"] = int(value)
-            elif key.startswith("tolerance."):
-                fields["tolerances"][key[len("tolerance.") :]] = float(value)
             elif key in ("output_csv", "output_json"):
                 fields[key] = value
-            elif key == "workers":
-                fields["workers"] = int(value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         return cls(**fields)
@@ -314,6 +301,19 @@ STATUS_SKIPPED = "SKIPPED_NOT_PRIME"
 STATUS_EXPERIMENTAL = "EXPERIMENTAL"
 
 
+CSV_COLUMNS = (
+    "q", "b", "status", "n_vertices", "min_product", "argmin", "unique", "wall_time_ms"
+)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
 @dataclass(frozen=True)
 class OptimizationRow:
     q: int
@@ -323,6 +323,7 @@ class OptimizationRow:
     min_product: Fraction | None = None
     argmin: FiniteGroupFunction | None = None
     unique: bool | None = None
+    # a prime order's one enumeration is timed in the first row of that order
     wall_time_ms: float = 0.0
 
     def to_dict(self) -> dict:
@@ -339,6 +340,22 @@ class OptimizationRow:
             "wall_time_ms": self.wall_time_ms,
         }
 
+    def csv_cells(self, columns: Sequence[str] = CSV_COLUMNS) -> list[str]:
+        """The named columns as CSV text: '' for None, lowercase booleans."""
+        cells = {
+            "q": self.q,
+            "b": self.b,
+            "status": self.status,
+            "n_vertices": self.n_vertices,
+            "min_product": self.min_product,
+            "argmin": None
+            if self.argmin is None
+            else " ".join(str(v) for v in self.argmin.values),
+            "unique": self.unique,
+            "wall_time_ms": f"{self.wall_time_ms:.3f}",
+        }
+        return [_csv_cell(cells[name]) for name in columns]
+
 
 @dataclass(frozen=True)
 class Report:
@@ -348,85 +365,110 @@ class Report:
     def to_dict(self) -> dict:
         return {"ok": self.ok, "rows": [row.to_dict() for row in self.rows]}
 
+    def write_csv(self, handle, columns: Sequence[str] = CSV_COLUMNS) -> None:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(row.csv_cells(columns) for row in self.rows)
 
-def _optimize_single(
-    q: int, b: int, force: bool, max_order: int
-) -> OptimizationRow:
+
+def _carried_rows(q: int, bs: Sequence[int], max_order: int) -> list[OptimizationRow]:
+    """Enumerate order q once, at rhs q-1, and carry the optimum to each b.
+
+    The automorphism x -> (q-1) b^-1 x maps the vertices for rhs b one to one
+    onto those for rhs q-1 and keeps every value product, so the vertex count
+    and uniqueness carry over.  Each carried argmin is still certified on its
+    own: its product must be the floor, it must be minimal at b, and it must
+    sort to gom(q, q-1).
+    """
     started = time.perf_counter()
-    result = minimize_volume(q, b, max_order=max_order, force=force)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if result.experimental:
-        status = STATUS_EXPERIMENTAL
-    else:
-        matches = (
-            result.value == expected_min_product(q)
-            and result.unique
-            and result.argmin is not None
-            and rearrange_finite(result.argmin) == gom(q, q - 1)
+    base = minimize_volume(q, q - 1, max_order=max_order)
+    floor = expected_min_product(q)
+    shape = gom(q, q - 1)
+    group = CyclicGroup(q)
+    rows = []
+    for b in bs:
+        argmin = compose(
+            base.argmin, automorphism_sending(group.element(b), group.element(q - 1))
         )
-        status = STATUS_OK if matches else STATUS_MISMATCH
+        product = volume_product(argmin)
+        matches = (
+            base.unique
+            and product == floor
+            and is_minimal(argmin, b=b, early_exit=True).is_minimal
+            and rearrange_finite(argmin) == shape
+        )
+        now = time.perf_counter()
+        rows.append(
+            OptimizationRow(
+                q=q,
+                b=b,
+                status=STATUS_OK if matches else STATUS_MISMATCH,
+                n_vertices=base.n_vertices,
+                min_product=product,
+                argmin=argmin,
+                unique=base.unique,
+                wall_time_ms=(now - started) * 1000.0,
+            )
+        )
+        started = now
+    return rows
+
+
+def _forced_row(q: int, b: int, max_order: int) -> OptimizationRow:
+    """A composite order has no automorphism to carry along: enumerate rhs b."""
+    started = time.perf_counter()
+    result = minimize_volume(q, b, max_order=max_order, force=True)
     return OptimizationRow(
         q=q,
         b=b,
-        status=status,
+        status=STATUS_EXPERIMENTAL,
         n_vertices=result.n_vertices,
         min_product=result.value,
         argmin=result.argmin,
         unique=result.unique,
-        wall_time_ms=elapsed_ms,
+        wall_time_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
-def _tasks_for(config: ExperimentConfig) -> tuple[list[tuple[int, int]], list[int]]:
-    tasks: list[tuple[int, int]] = []
-    skipped: list[int] = []
+def _tasks_for(
+    config: ExperimentConfig, force: bool
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(q, rhs values to report) in ascending q; no rhs values means skipped."""
+    tasks = []
     for q in sorted(set(config.prime_list)):
-        if not is_prime(q):
-            skipped.append(q)
-            continue
-        if config.b_policy == "all":
-            bs = range(1, q)
+        if not (force or is_prime(q)):
+            tasks.append((q, ()))
+        elif config.b_policy == "all":
+            tasks.append((q, tuple(range(1, q))))
         elif config.b_policy == "fixed":
             if not 1 <= config.fixed_b < q:
                 raise OutOfRange(f"fixed_b={config.fixed_b} is outside 1..{q - 1}")
-            bs = (config.fixed_b,)
+            tasks.append((q, (config.fixed_b,)))
         else:
-            bs = (q - 1,)
-        tasks.extend((q, b) for b in bs)
-    return tasks, skipped
+            tasks.append((q, (q - 1,)))
+    return tasks
 
 
 def optimize_and_report(
     config: ExperimentConfig, *, force: bool = False, max_order: int = 31
 ) -> Report:
-    """Enumerate vertices for every configured (q, b), minimize the value
-    product, and check each optimum against the predicted floor and shape.
+    """Minimize the value product for every configured (q, b) and check each
+    optimum against the predicted floor and shape.
 
-    Non-prime orders are reported as skipped rather than computed, unless
-    force is set, in which case they come back marked experimental and do not
-    count against the report's ok flag.
+    A prime order is enumerated once, at rhs q-1, and its optimum is carried
+    to every requested b by an automorphism.  Non-prime orders are reported
+    as skipped rather than computed, unless force is set, in which case each
+    rhs is enumerated directly and the rows come back marked experimental and
+    do not count against the report's ok flag.
     """
-    tasks, skipped = _tasks_for(config)
-    if force:
-        for q in skipped:
-            tasks.extend((q, b) for b in _forced_bs(config, q))
-        skipped = []
-    rows = [OptimizationRow(q=q, b=None, status=STATUS_SKIPPED) for q in skipped]
-    if config.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            computed = list(
-                pool.map(
-                    _optimize_single,
-                    [q for q, _b in tasks],
-                    [b for _q, b in tasks],
-                    [force] * len(tasks),
-                    [max_order] * len(tasks),
-                )
-            )
-    else:
-        computed = [_optimize_single(q, b, force, max_order) for q, b in tasks]
-    rows.extend(computed)
-    rows.sort(key=lambda row: (row.q, row.b if row.b is not None else 0))
+    rows = []
+    for q, bs in _tasks_for(config, force):
+        if not bs:
+            rows.append(OptimizationRow(q=q, b=None, status=STATUS_SKIPPED))
+        elif is_prime(q):
+            rows.extend(_carried_rows(q, bs, max_order))
+        else:
+            rows.extend(_forced_row(q, b, max_order) for b in bs)
     ok = all(row.status != STATUS_MISMATCH for row in rows)
     report = Report(rows=tuple(rows), ok=ok)
     if config.output_csv:
@@ -436,34 +478,6 @@ def optimize_and_report(
     return report
 
 
-def _forced_bs(config: ExperimentConfig, q: int) -> tuple[int, ...]:
-    if config.b_policy == "all":
-        return tuple(range(1, q))
-    if config.b_policy == "fixed":
-        if not 1 <= config.fixed_b < q:
-            raise OutOfRange(f"fixed_b={config.fixed_b} is outside 1..{q - 1}")
-        return (config.fixed_b,)
-    return (q - 1,)
-
-
 def write_report_csv(report: Report, path) -> None:
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["q", "b", "status", "n_vertices", "min_product", "argmin", "unique", "wall_time_ms"]
-        )
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.q,
-                    "" if row.b is None else row.b,
-                    row.status,
-                    "" if row.n_vertices is None else row.n_vertices,
-                    "" if row.min_product is None else str(row.min_product),
-                    ""
-                    if row.argmin is None
-                    else " ".join(str(v) for v in row.argmin.values),
-                    "" if row.unique is None else str(row.unique).lower(),
-                    f"{row.wall_time_ms:.3f}",
-                ]
-            )
+        report.write_csv(handle)

@@ -18,6 +18,7 @@ from .errors import (
     ZeroElement,
 )
 from .finite_functions import FiniteGroupFunction, gom, is_minimal
+from .group_core import is_prime
 
 __all__ = [
     "MinimalFunctionPolytope",
@@ -368,8 +369,6 @@ def minimize_volume(
     the enumerated vertex set.
     """
     experimental = False
-    from .group_core import is_prime
-
     if not is_prime(q):
         if not force:
             raise NotPrime(f"q={q} is composite; pass force=True to scan anyway")

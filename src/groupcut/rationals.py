@@ -7,10 +7,11 @@ from fractions import Fraction
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and exact strings like ``'3/4'``; floats are rejected."""
+    """Coerce ints, Fractions and exact strings like ``'3/4'``; floats and
+    booleans are rejected."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import (
-    NotMinimal,
-    NotNondecreasing,
-    OutOfRange,
-    ZeroCoordinate,
-)
+from .errors import NotMinimal, NotNondecreasing, OutOfRange
 from .finite_functions import FiniteGroupFunction, MinimalityVerdict, Violation
 from .rationals import as_fraction, ln_fraction, nth_root_float
 
@@ -31,7 +26,6 @@ __all__ = [
     "MODE_RHS",
     "MODE_WRAP",
     "gmi",
-    "gmi_n",
     "scaled_gmi",
     "identity_fn",
     "md2_torus",
@@ -66,7 +60,6 @@ class PwlTorusFunction:
     point_values: tuple[Fraction, ...] | None = None  # default: right limits
     b: Fraction | None = None  # rhs for MODE_RHS symmetry
     mode: str = MODE_RHS
-    label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         bps = tuple(as_fraction(x) for x in self.breakpoints)
@@ -196,27 +189,6 @@ def gmi(b) -> PwlTorusFunction:
         pieces=((1 / b, Fraction(0)), (-1 / (1 - b), 1 / (1 - b))),
         b=b,
         mode=MODE_RHS,
-    )
-
-
-def gmi_n(b_vector: Sequence, i: int) -> PwlTorusFunction:
-    """Coordinate i (1-based) of the n-row profile: identical to gmi(b_i)."""
-    bs = [as_fraction(x) for x in b_vector]
-    if not 1 <= i <= len(bs):
-        raise OutOfRange(f"coordinate {i} outside 1..{len(bs)}")
-    bi = bs[i - 1]
-    if bi == 0:
-        raise ZeroCoordinate(f"coordinate {i} has b_i = 0; no profile there")
-    if not 0 < bi < 1:
-        raise OutOfRange(f"b_{i} must lie in [0, 1), got {bi}")
-    fn = gmi(bi)
-    return PwlTorusFunction(
-        breakpoints=fn.breakpoints,
-        pieces=fn.pieces,
-        point_values=fn.point_values,
-        b=fn.b,
-        mode=fn.mode,
-        label=f"gmi[{i}/{len(bs)}]",
     )
 
 

@@ -4,10 +4,15 @@ formats, stdin handling, and file outputs."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import groupcut
 from groupcut import gmi, gom, identity_fn, md2
 from groupcut.cli import main
 
@@ -80,6 +85,17 @@ class TestCheck:
         path.write_text('{"q": 5}')
         code, _out, err = run(capsys, "check", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "values", ["[0, 0.25, 0.5, 0.75, 1]", "[0, true, true, true, true]"]
+    )
+    def test_inexact_values_exit_3(self, capsys, tmp_path, values):
+        path = tmp_path / "inexact.json"
+        path.write_text('{"q": 5, "b": 4, "values": %s}' % values)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        assert "expected an exact rational" in err
 
 
 class TestRearrange:
@@ -171,6 +187,48 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(out)
         assert payload["rows"][0]["status"] == "EXPERIMENTAL"
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--workers", "2"],
+            ["optimize", "--primes", "x"],
+        ],
+    )
+    def test_usage_errors_exit_3(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+class TestImport:
+    def test_import_loads_no_process_machinery(self):
+        src = Path(groupcut.__file__).resolve().parents[1]
+        code = (
+            "import sys, groupcut.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestIntegrate:

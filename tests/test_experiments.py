@@ -8,9 +8,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from groupcut import experiments
 from groupcut import (
     CutInequality,
     ExperimentConfig,
+    FiniteGroupFunction,
     GridMismatch,
     MODE_WRAP,
     NotInClassG,
@@ -31,6 +33,7 @@ from groupcut import (
     gom,
     identity_fn,
     md2_torus,
+    minimize_volume,
     optimize_and_report,
     riemann_experiment,
     stirling_table,
@@ -44,7 +47,6 @@ class TestExperimentConfig:
         config = ExperimentConfig()
         assert config.prime_list == ()
         assert config.b_policy == "canonical"
-        assert config.workers == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -53,18 +55,11 @@ class TestExperimentConfig:
             dict(b_policy="everything"),
             dict(b_policy="fixed"),
             dict(b_policy="fixed", fixed_b=0),
-            dict(tolerances={"riemann": -1.0}),
-            dict(workers=0),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
-
-    def test_tolerance_lookup_with_default(self):
-        config = ExperimentConfig(tolerances={"riemann": 1e-9})
-        assert config.tolerance("riemann", 1e-12) == 1e-9
-        assert config.tolerance("other", 1e-12) == 1e-12
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -72,16 +67,12 @@ class TestExperimentConfig:
             "# comment line\n"
             "prime_list = 3, 5, 7\n"
             "b_policy = all  # trailing comment\n"
-            "tolerance.riemann = 1e-9\n"
             "output_csv = out.csv\n"
-            "workers = 2\n"
         )
         config = ExperimentConfig.from_file(path)
         assert config.prime_list == (3, 5, 7)
         assert config.b_policy == "all"
-        assert config.tolerances == {"riemann": 1e-9}
         assert config.output_csv == "out.csv"
-        assert config.workers == 2
 
     def test_from_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -270,17 +261,32 @@ class TestOptimizeAndReport:
         with pytest.raises(OutOfRange):
             optimize_and_report(config)
 
-    def test_worker_pool_matches_serial_run(self):
-        base = dict(prime_list=(3, 5), b_policy="all")
-        serial = optimize_and_report(ExperimentConfig(**base))
-        pooled = optimize_and_report(ExperimentConfig(**base, workers=2))
+    def test_carried_rows_match_direct_enumeration(self):
+        config = ExperimentConfig(prime_list=(3, 5, 7, 11, 13), b_policy="all")
+        report = optimize_and_report(config)
+        assert [(row.q, row.b) for row in report.rows] == [
+            (q, b) for q in (3, 5, 7, 11, 13) for b in range(1, q)
+        ]
+        for row in report.rows:
+            direct = minimize_volume(row.q, row.b)
+            assert row.n_vertices == direct.n_vertices
+            assert row.min_product == direct.value
+            assert row.unique is direct.unique
+            assert row.argmin == direct.argmin
 
-        def key(report):
-            return [
-                (r.q, r.b, r.status, r.min_product, r.unique) for r in report.rows
-            ]
+    def test_carried_row_certification_can_fail(self, monkeypatch):
+        # the uncarried optimum, relabelled to the new rhs: its product is the
+        # floor and it sorts to gom, but it is not symmetric about the new rhs
+        def relabel(pi, phi):
+            return FiniteGroupFunction(pi.group, phi.inverse().apply(pi.b), pi.values)
 
-        assert key(serial) == key(pooled)
+        monkeypatch.setattr(experiments, "compose", relabel)
+        report = optimize_and_report(
+            ExperimentConfig(prime_list=(7,), b_policy="fixed", fixed_b=3)
+        )
+        (row,) = report.rows
+        assert row.status == STATUS_MISMATCH
+        assert report.ok is False
 
     def test_csv_and_json_outputs(self, tmp_path):
         csv_path = tmp_path / "report.csv"

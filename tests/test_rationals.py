@@ -21,6 +21,11 @@ class TestAsFraction:
         with pytest.raises(TypeError):
             as_fraction(0.5)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_booleans(self, flag):
+        with pytest.raises(TypeError):
+            as_fraction(flag)
+
 
 class TestLnFraction:
     def test_matches_math_log_on_moderate_values(self):

@@ -14,10 +14,8 @@ from groupcut import (
     NotNondecreasing,
     OutOfRange,
     PwlTorusFunction,
-    ZeroCoordinate,
     from_finite_function,
     gmi,
-    gmi_n,
     gom,
     identity_fn,
     integral_ln,
@@ -64,21 +62,6 @@ class TestConstructors:
             gmi(0)
         with pytest.raises(OutOfRange):
             gmi(1)
-
-    def test_gmi_n_projects_one_coordinate(self):
-        fn = gmi_n([F(1, 4), F(0), F(1, 2)], 1)
-        assert fn.label == "gmi[1/3]"
-        assert fn == gmi(F(1, 4))  # label is excluded from equality
-
-    def test_gmi_n_zero_coordinate(self):
-        with pytest.raises(ZeroCoordinate):
-            gmi_n([F(1, 4), F(0)], 2)
-
-    def test_gmi_n_coordinate_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            gmi_n([F(1, 4)], 0)
-        with pytest.raises(OutOfRange):
-            gmi_n([F(1, 4)], 2)
 
     def test_scaled_gmi_with_one_period_is_gmi(self):
         for b in (F(1, 4), F(1, 2), F(7, 10)):
