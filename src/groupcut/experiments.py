@@ -220,8 +220,11 @@ def riemann_experiment(
 
     Raises ValidationFailure if any certified identity fails: the discretized
     function must be minimal and its value product can be no smaller than
-    (q-1)!/(q-1)^(q-1).
+    (q-1)!/(q-1)^(q-1).  The float slack ``tolerance`` must be finite and
+    nonnegative.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if h.mode != MODE_WRAP:

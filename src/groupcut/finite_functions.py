@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .errors import IdenticallyZero, NotPrime, NotSubadditive, ZeroElement
 from .group_core import Automorphism, CyclicGroup, GroupElement
@@ -28,7 +30,7 @@ __all__ = [
 class Violation:
     """One failed minimality condition, with the exact amount by which it fails."""
 
-    kind: str  # origin | subadditivity | symmetry | negativity
+    kind: str  # origin | subadditivity | symmetry; circle functions add negativity
     witness: tuple[int, ...]
     amount: Fraction
 
@@ -85,9 +87,11 @@ class FiniteGroupFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteGroupFunction":
-        return cls.from_values(
-            int(data["q"]), int(data["b"]), [as_fraction(v) for v in data["values"]]
-        )
+        q, b = data["q"], data["b"]
+        for name, n in (("q", q), ("b", b)):
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise TypeError(f"expected an integer {name}, got {type(n).__name__}")
+        return cls.from_values(q, b, [as_fraction(v) for v in data["values"]])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -124,56 +128,55 @@ def dantzig(q: int, b: int = 1) -> FiniteGroupFunction:
     return FiniteGroupFunction.from_values(q, b, [Fraction(1)] * q)
 
 
+def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _slacks(nums: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(x, y, nums[x] + nums[y] - nums[(x + y) % q]) for 0 <= x <= y < q,
+    row by row: the one pair scan behind every finite subadditivity check."""
+    q = len(nums)
+    wrapped = nums * 2  # wrapped[x + y] == nums[(x + y) % q]
+    for x in range(q):
+        nx = nums[x]
+        for y in range(x, q):
+            yield x, y, nx + nums[y] - wrapped[x + y]
+
+
+def _violations(nums: list[int], den: int, b: int) -> Iterator[Violation]:
+    """Origin, then subadditivity, then symmetry violations of nums/den."""
+    q = len(nums)
+    if nums[0] != 0:
+        yield Violation("origin", (0,), Fraction(nums[0], den))
+    for x, y, slack in _slacks(nums):
+        if slack < 0:
+            yield Violation("subadditivity", (x, y), Fraction(-slack, den))
+    for x in range(q):
+        partner = (b - x) % q
+        gap = nums[x] + nums[partner] - den
+        if x <= partner and gap != 0:
+            yield Violation("symmetry", (x,), Fraction(abs(gap), den))
+
+
 def is_minimal(
     pi: FiniteGroupFunction,
     b: int | None = None,
     early_exit: bool = False,
 ) -> MinimalityVerdict:
-    """Check origin value, subadditivity, symmetry and nonnegativity exactly.
+    """Check origin value, subadditivity and symmetry exactly.
 
     All violations are reported with exact rational amounts unless
     ``early_exit`` asks for the first one only.  ``b`` overrides the
     function's stored right-hand side.
     """
-    q = pi.q
-    b_res = pi.b_residue if b is None else b % q
+    b_res = pi.b_residue if b is None else b % pi.q
     if b_res == 0:
         raise ZeroElement("minimality needs a nonzero right-hand side")
-    vals = pi.values
-    violations: list[Violation] = []
-
-    def record(kind: str, witness: tuple[int, ...], amount: Fraction) -> bool:
-        violations.append(Violation(kind, witness, amount))
-        return early_exit
-
-    done = False
-    for x, v in enumerate(vals):
-        if v < 0:
-            done = record("negativity", (x,), -v)
-            if done:
-                break
-    if not done and vals[0] != 0:
-        done = record("origin", (0,), abs(vals[0]))
-    if not done:
-        for x in range(q):
-            for y in range(x, q):
-                slack = vals[x] + vals[y] - vals[(x + y) % q]
-                if slack < 0:
-                    done = record("subadditivity", (x, y), -slack)
-                    if done:
-                        break
-            if done:
-                break
-    if not done:
-        for x in range(q):
-            partner = (b_res - x) % q
-            if x > partner:
-                continue
-            gap = vals[x] + vals[partner] - 1
-            if gap != 0:
-                if record("symmetry", (x,), abs(gap)):
-                    break
-    return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
+    found = _violations(*_numerators(pi.values), b_res)
+    violations = tuple(islice(found, 1) if early_exit else found)
+    return MinimalityVerdict(is_minimal=not violations, violations=violations)
 
 
 def compose(pi: FiniteGroupFunction, phi: Automorphism) -> FiniteGroupFunction:
@@ -206,11 +209,11 @@ def rearrange_finite(pi: FiniteGroupFunction) -> FiniteGroupFunction:
         raise IdenticallyZero("cannot rearrange the zero function")
     if pi.values[0] != 0:
         raise ValueError("rearrangement requires value 0 at the origin")
-    for x in range(q):
-        for y in range(x, q):
-            slack = pi.values[x] + pi.values[y] - pi.values[(x + y) % q]
-            if slack < 0:
-                raise NotSubadditive(
-                    f"pi({x}) + pi({y}) < pi({(x + y) % q}) by {-slack}"
-                )
+    nums, den = _numerators(pi.values)
+    bad = next(((x, y, s) for x, y, s in _slacks(nums) if s < 0), None)
+    if bad is not None:
+        x, y, slack = bad
+        raise NotSubadditive(
+            f"pi({x}) + pi({y}) < pi({(x + y) % q}) by {Fraction(-slack, den)}"
+        )
     return FiniteGroupFunction.from_values(q, q - 1, sorted(pi.values))

@@ -17,7 +17,7 @@ from .errors import (
     ValidationFailure,
     ZeroElement,
 )
-from .finite_functions import FiniteGroupFunction, gom, is_minimal
+from .finite_functions import FiniteGroupFunction, _numerators, _slacks, gom, is_minimal
 from .group_core import is_prime
 
 __all__ = [
@@ -401,22 +401,16 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
         raise NotPrime(f"q={q} is composite")
     if pi.b_residue != q - 1:
         raise NotMinimal(f"decomposition expects rhs q-1={q - 1}, got {pi.b_residue}")
-    verdict = is_minimal(pi)
+    verdict = is_minimal(pi, early_exit=True)
     if not verdict.is_minimal:
         raise NotMinimal(f"not minimal: {verdict.violations[0]}")
     vals = pi.values
     if any(vals[x] > vals[x + 1] for x in range(q - 1)):
         raise NotNondecreasing("decomposition expects a nondecreasing function")
 
-    gamma = min(
-        vals[x] + vals[y] - vals[x + y - q]
-        for x in range(1, q)
-        for y in range(x, q)
-        if x + y >= q
-    )
-    lam = min(
-        [gamma * Fraction(q - 1, q)] + [vals[x] / x for x in range(1, q)]
-    )
+    nums, den = _numerators(vals)
+    gamma = Fraction(min(s for x, y, s in _slacks(nums) if x + y >= q), den)
+    lam = min([gamma * Fraction(q - 1, q)] + [vals[x] / x for x in range(1, q)])
     if lam >= 1:  # only the two-element group reaches this; any split works
         lam = Fraction(1, 2)
     g = gom(q, q - 1)
@@ -424,7 +418,7 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
         (vals[x] - lam * g.values[x]) / (1 - lam) for x in range(q)
     )
     pi_tilde = FiniteGroupFunction.from_values(q, q - 1, tilde_values)
-    tilde_verdict = is_minimal(pi_tilde)
+    tilde_verdict = is_minimal(pi_tilde, early_exit=True)
     if not tilde_verdict.is_minimal:
         raise ValidationFailure(
             f"split remainder unexpectedly not minimal: {tilde_verdict.violations[0]}"

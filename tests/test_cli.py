@@ -97,6 +97,17 @@ class TestCheck:
         assert out == ""
         assert "expected an exact rational" in err
 
+    @pytest.mark.parametrize(
+        "order_and_rhs", ['"q": 5.9, "b": 4.2', '"q": "5", "b": 4', '"q": 5, "b": true']
+    )
+    def test_inexact_order_or_rhs_exit_3(self, capsys, tmp_path, order_and_rhs):
+        path = tmp_path / "inexact.json"
+        path.write_text('{%s, "values": [0, 1, 2, 3, 4]}' % order_and_rhs)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        assert "expected an integer" in err
+
 
 class TestRearrange:
     def test_finite_function_sorted(self, capsys, tmp_path):
@@ -276,6 +287,20 @@ class TestExperiment:
         assert code == 0
         payload = json.loads(out)
         assert payload["discrete_mean"] >= payload["lower_bound"]
+
+    @pytest.mark.parametrize(
+        "tolerance, expected",
+        [([], 0), (["--tolerance", "0"], 0)]
+        + [(["--tolerance", bad], 3) for bad in ("-1", "nan", "inf")],
+    )
+    def test_riemann_tolerance_must_be_finite_and_nonnegative(
+        self, capsys, tolerance, expected
+    ):
+        code, out, err = run(capsys, "experiment", "riemann", "--q", "11", *tolerance)
+        assert code == expected
+        if expected == 3:
+            assert out == ""
+            assert "tolerance must be finite and >= 0" in err
 
     def test_riemann_needs_q(self, capsys):
         code, _out, err = run(capsys, "experiment", "riemann")
