@@ -91,6 +91,10 @@ class FiniteGroupFunction:
         for name, n in (("q", q), ("b", b)):
             if not isinstance(n, int) or isinstance(n, bool):
                 raise TypeError(f"expected an integer {name}, got {type(n).__name__}")
+        if not isinstance(data["values"], list):
+            raise TypeError(
+                f"expected a list of values, got {type(data['values']).__name__}"
+            )
         return cls.from_values(q, b, [as_fraction(v) for v in data["values"]])
 
     def to_json(self) -> str:

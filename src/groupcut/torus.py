@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -134,11 +135,16 @@ class PwlTorusFunction:
         return s * x + t
 
     def limits(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        """(left limit, value, right limit) at each breakpoint."""
-        return tuple(
-            (self.left_limit_at(x), self.point_values[i], self.right_limit_at(x))
-            for i, x in enumerate(self.breakpoints)
-        )
+        """(left limit, value, right limit) at each breakpoint, by piece index:
+        the left limit at x_i is piece i-1 at x_i (the last piece at 1 when
+        i = 0), the right limit is piece i at x_i."""
+        table = []
+        for i, (x, value) in enumerate(zip(self.breakpoints, self.point_values)):
+            s_left, t_left = self.pieces[i - 1]
+            s, t = self.pieces[i]
+            left = s_left * x + t_left if i else s_left + t_left
+            table.append((left, value, s * x + t))
+        return tuple(table)
 
     def to_dict(self) -> dict:
         return {
@@ -156,8 +162,14 @@ class PwlTorusFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PwlTorusFunction":
+        for name in ("breakpoints", "pieces", "limits"):
+            if not isinstance(data[name], list):
+                raise TypeError(
+                    f"expected a list of {name}, got {type(data[name]).__name__}"
+                )
+        breakpoints = tuple(as_fraction(x) for x in data["breakpoints"])
         fn = cls(
-            breakpoints=tuple(as_fraction(x) for x in data["breakpoints"]),
+            breakpoints=breakpoints,
             pieces=tuple(
                 (as_fraction(p["slope"]), as_fraction(p["intercept"]))
                 for p in data["pieces"]
@@ -166,8 +178,11 @@ class PwlTorusFunction:
             b=None if data.get("b") is None else as_fraction(data["b"]),
             mode=data.get("mode", MODE_RHS),
         )
-        for (l, _v, r), entry in zip(fn.limits(), data["limits"]):
-            if as_fraction(entry["left"]) != l or as_fraction(entry["right"]) != r:
+        # each stored entry belongs to its own stored breakpoint, which the
+        # canonical form may have dropped
+        for x, entry in zip(breakpoints, data["limits"]):
+            stored = (as_fraction(entry["left"]), as_fraction(entry["right"]))
+            if stored != (fn.left_limit_at(x), fn.right_limit_at(x)):
                 raise ValueError("stored one-sided limits disagree with pieces")
         return fn
 
@@ -262,8 +277,7 @@ def is_nondecreasing(fn: PwlTorusFunction) -> bool:
     """Nondecreasing on [0, 1) read linearly; no condition across the wrap."""
     if any(s < 0 for s, _t in fn.pieces):
         return False
-    for i, x in enumerate(fn.breakpoints):
-        left, value, right = fn.left_limit_at(x), fn.point_values[i], fn.right_limit_at(x)
+    for i, (left, value, right) in enumerate(fn.limits()):
         if i > 0 and not left <= value <= right:
             return False
         if i == 0 and value > right:
@@ -282,18 +296,6 @@ _LIMIT_COMBOS = (
 )
 
 
-def _corner_grid(fn: PwlTorusFunction) -> set[tuple[Fraction, Fraction]]:
-    """Vertices of the cell complex on which pi(x) + pi(y) - pi(x+y) is affine:
-    breakpoint pairs plus difference-aligned pairs."""
-    bps = fn.breakpoints
-    pts: set[tuple[Fraction, Fraction]] = set()
-    for x in bps:
-        for y in bps:
-            pts.add((x, y))
-            pts.add((x, (y - x) % 1))
-    return pts
-
-
 def _subadditivity_scan(
     fn: PwlTorusFunction,
 ) -> tuple[Fraction, tuple, list[tuple[tuple, Fraction]]]:
@@ -301,32 +303,47 @@ def _subadditivity_scan(
 
     The slack is affine on each cell cut out by the breakpoints in x, y and
     x+y, so its infimum over points *and* one-sided limits is attained at a
-    grid corner under one of the realizable approach patterns.
+    cell corner (a breakpoint pair or a difference-aligned pair) under one of
+    the realizable approach patterns.  Coordinates are scanned as integers
+    over their common denominator dx, limits as integers over theirs, dv;
+    both scalings are monotone, so the corner order, the witness and the
+    violations are those of the exact scan.
     """
-    triples: dict[Fraction, tuple[Fraction, Fraction, Fraction]] = {}
+    dx = math.lcm(*(x.denominator for x in fn.breakpoints))
+    xs = [x.numerator * (dx // x.denominator) for x in fn.breakpoints]
+    corners = {(x, y) for x in xs for y in xs}
+    corners |= {(x, (y - x) % dx) for x in xs for y in xs}
+    limits = fn.limits()
 
-    def triple(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        if x not in triples:
-            triples[x] = (fn.left_limit_at(x), fn.value_at(x), fn.right_limit_at(x))
-        return triples[x]
+    def triple(p: int) -> tuple[Fraction, Fraction, Fraction]:
+        i = bisect.bisect_right(xs, p) - 1  # ints: no Fraction comparisons
+        if xs[i] == p:
+            return limits[i]
+        s, t = fn.pieces[i]
+        v = s * Fraction(p, dx) + t
+        return v, v, v
 
-    best: Fraction | None = None
-    witness: tuple = ()
+    points = {p for x, y in corners for p in (x, y, (x + y) % dx)}
+    triples = [triple(p) for p in points]
+    dv = math.lcm(*(v.denominator for t in triples for v in t))
+    nums = {
+        p: tuple(v.numerator * (dv // v.denominator) for v in t)
+        for p, t in zip(points, triples)
+    }
+
+    best, witness = None, ()
     violations: list[tuple[tuple, Fraction]] = []
-    for x0, y0 in sorted(_corner_grid(fn)):
-        z0 = (x0 + y0) % 1
-        tx, ty, tz = triple(x0), triple(y0), triple(z0)
-        worst_here: Fraction | None = None
-        for sx, sy, sz in _LIMIT_COMBOS:
-            slack = tx[sx] + ty[sy] - tz[sz]
-            if best is None or slack < best:
-                best, witness = slack, (x0, y0, (sx, sy, sz))
-            if slack < 0 and (worst_here is None or slack < worst_here):
-                worst_here = slack
-        if worst_here is not None:
-            violations.append(((x0, y0), -worst_here))
-    assert best is not None
-    return best, witness, violations
+    for x, y in sorted(corners):
+        tx, ty, tz = nums[x], nums[y], nums[(x + y) % dx]
+        slacks = [tx[sx] + ty[sy] - tz[sz] for sx, sy, sz in _LIMIT_COMBOS]
+        worst = min(slacks)
+        if best is None or worst < best:
+            best, witness = worst, (x, y, _LIMIT_COMBOS[slacks.index(worst)])
+        if worst < 0:
+            corner = (Fraction(x, dx), Fraction(y, dx))
+            violations.append((corner, Fraction(-worst, dv)))
+    x, y, pattern = witness
+    return Fraction(best, dv), (Fraction(x, dx), Fraction(y, dx), pattern), violations
 
 
 def subadditivity_slack(fn: PwlTorusFunction) -> tuple[Fraction, tuple]:
@@ -370,8 +387,8 @@ def is_minimal_pwl(fn: PwlTorusFunction) -> MinimalityVerdict:
     Witnesses are reported as breakpoint coordinates rather than residues.
     """
     violations: list[Violation] = []
-    for i, x in enumerate(fn.breakpoints):
-        for v in (fn.left_limit_at(x), fn.point_values[i], fn.right_limit_at(x)):
+    for i, triple in enumerate(fn.limits()):
+        for v in triple:
             if v < 0:
                 violations.append(Violation("negativity", (i,), -v))
                 break
@@ -495,12 +512,8 @@ class SublevelProfile:
 
 
 def _assert_nonnegative(fn: PwlTorusFunction) -> None:
-    for i, x in enumerate(fn.breakpoints):
-        if (
-            fn.point_values[i] < 0
-            or fn.left_limit_at(x) < 0
-            or fn.right_limit_at(x) < 0
-        ):
+    for x, triple in zip(fn.breakpoints, fn.limits()):
+        if min(triple) < 0:
             raise ValueError(f"function is negative near breakpoint {x}")
 
 
@@ -649,9 +662,8 @@ def layer_cake_check(fn: PwlTorusFunction) -> LayerCakeReport:
     """Compare -integral ln(pi) with the layer-cake form over the exact
     sublevel profile; the 1/s singularity integrates in closed form because
     the profile is piecewise affine with zero measure at level 0."""
-    for i, x in enumerate(fn.breakpoints):
-        if max(fn.point_values[i], fn.left_limit_at(x), fn.right_limit_at(x)) > 1:
-            raise ValueError("layer-cake comparison expects values within [0, 1]")
+    if any(max(triple) > 1 for triple in fn.limits()):
+        raise ValueError("layer-cake comparison expects values within [0, 1]")
     lhs = -integral_ln(fn)
     profile = sublevel_profile(fn)
     rhs = 0.0

@@ -108,6 +108,46 @@ class TestCheck:
         assert out == ""
         assert "expected an integer" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"q": 5, "b": 4, "values": "01234"}',
+            '{"b": null, "mode": "wrap", "breakpoints": "0",'
+            ' "pieces": [{"slope": "1", "intercept": "0"}],'
+            ' "limits": [{"left": "1", "at": "0", "right": "0"}]}',
+            '{"b": null, "mode": "wrap", "breakpoints": ["0"],'
+            ' "pieces": {"slope": "1", "intercept": "0"},'
+            ' "limits": [{"left": "1", "at": "0", "right": "0"}]}',
+            '{"b": null, "mode": "wrap", "breakpoints": ["0"],'
+            ' "pieces": [{"slope": "1", "intercept": "0"}], "limits": "0"}',
+        ],
+        ids=["values", "breakpoints", "pieces", "limits"],
+    )
+    def test_non_list_fields_exit_3(self, capsys, tmp_path, text):
+        path = tmp_path / "not_a_list.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        assert "expected a list" in err
+
+    def test_wrong_limit_at_dropped_breakpoint_exits_3(self, capsys, tmp_path):
+        # gmi(1/2) with a redundant breakpoint at 1/4, where the ramp 2x is
+        # 1/2 on both sides; the stored left limit 1/5 is wrong
+        data = gmi(F(1, 2)).to_dict()
+        data["breakpoints"].insert(1, "1/4")
+        data["pieces"].insert(1, data["pieces"][0])
+        data["limits"].insert(1, {"left": "1/5", "at": "1/2", "right": "1/2"})
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        assert "disagree" in err
+        data["limits"][1]["left"] = "1/2"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "check", str(path))[0] == 0
+
 
 class TestRearrange:
     def test_finite_function_sorted(self, capsys, tmp_path):

@@ -192,6 +192,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             PwlTorusFunction.from_dict(d)
 
+    def test_redundant_breakpoint_loads_as_canonical(self):
+        fn = PwlTorusFunction(
+            breakpoints=(F(0), F(1, 2)),
+            pieces=((F(1), F(0)), (F(0), F(0))),
+            mode=MODE_WRAP,
+        )
+        d = fn.to_dict()
+        d["breakpoints"].insert(1, "1/4")
+        d["pieces"].insert(1, d["pieces"][0])
+        d["limits"].insert(1, {"left": "1/4", "at": "1/4", "right": "1/4"})
+        loaded = PwlTorusFunction.from_dict(d)
+        assert loaded == fn
+        assert loaded.to_dict() == fn.to_dict()
+        d["limits"][1]["right"] = "1/3"
+        with pytest.raises(ValueError):
+            PwlTorusFunction.from_dict(d)
+
 
 class TestMonotonicity:
     def test_identity_is_nondecreasing(self):
