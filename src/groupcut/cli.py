@@ -28,7 +28,7 @@ from .experiments import (
     stirling_table,
 )
 from .finite_functions import FiniteGroupFunction, is_minimal, rearrange_finite
-from .polytope import gomory_decomposition
+from .polytope import MAX_ORDER, gomory_decomposition
 from .rationals import as_fraction
 from .torus import (
     PwlTorusFunction,
@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scan composite orders too, marking their rows experimental",
     )
-    p.add_argument("--cap", type=int, default=31, help="largest allowed order")
+    p.add_argument("--cap", type=int, default=MAX_ORDER, help="largest allowed order")
     p.add_argument("--output-csv", default=None)
     p.add_argument("--output-json", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")

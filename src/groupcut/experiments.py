@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .criteria import volume_product
 from .errors import (
+    DimensionCap,
     GridMismatch,
     NotInClassG,
     NotPrime,
@@ -30,7 +31,7 @@ from .finite_functions import (
     rearrange_finite,
 )
 from .group_core import CyclicGroup, automorphism_sending, is_prime
-from .polytope import minimize_volume
+from .polytope import MAX_ORDER, minimize_volume
 from .rationals import as_fraction, ln_fraction
 from .torus import MODE_RHS, MODE_WRAP, PwlTorusFunction, integral_ln, is_minimal_pwl, is_nondecreasing
 
@@ -434,14 +435,21 @@ def _forced_row(q: int, b: int, max_order: int) -> OptimizationRow:
 
 
 def _tasks_for(
-    config: ExperimentConfig, force: bool
+    config: ExperimentConfig, force: bool, max_order: int
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """(q, rhs values to report) in ascending q; no rhs values means skipped."""
+    """(q, rhs values to report) in ascending q; no rhs values means skipped.
+
+    An order that would be enumerated above max_order is refused here, before
+    any enumeration starts.
+    """
     tasks = []
     for q in sorted(set(config.prime_list)):
         if not (force or is_prime(q)):
             tasks.append((q, ()))
-        elif config.b_policy == "all":
+            continue
+        if q > max_order:
+            raise DimensionCap(f"q={q} exceeds the enumeration cap {max_order}")
+        if config.b_policy == "all":
             tasks.append((q, tuple(range(1, q))))
         elif config.b_policy == "fixed":
             if not 1 <= config.fixed_b < q:
@@ -453,7 +461,7 @@ def _tasks_for(
 
 
 def optimize_and_report(
-    config: ExperimentConfig, *, force: bool = False, max_order: int = 31
+    config: ExperimentConfig, *, force: bool = False, max_order: int = MAX_ORDER
 ) -> Report:
     """Minimize the value product for every configured (q, b) and check each
     optimum against the predicted floor and shape.
@@ -465,7 +473,7 @@ def optimize_and_report(
     do not count against the report's ok flag.
     """
     rows = []
-    for q, bs in _tasks_for(config, force):
+    for q, bs in _tasks_for(config, force, max_order):
         if not bs:
             rows.append(OptimizationRow(q=q, b=None, status=STATUS_SKIPPED))
         elif is_prime(q):

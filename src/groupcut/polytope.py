@@ -34,6 +34,11 @@ __all__ = [
 FullRow = tuple[tuple[Fraction, ...], Fraction]  # coeffs . pi (=|>=) rhs
 IntRow = tuple[tuple[int, ...], int]  # coeffs . z >= rhs, integer, primitive
 
+# Largest order whose vertex enumeration has been measured to finish: q = 23
+# (7188 vertices) takes about 80 s on one core, while at q = 29 a fraction of
+# the polytope alone took ten minutes.
+MAX_ORDER = 23
+
 
 @dataclass(frozen=True)
 class MinimalFunctionPolytope:
@@ -50,7 +55,9 @@ class MinimalFunctionPolytope:
     equalities: tuple[FullRow, ...]
     inequalities: tuple[FullRow, ...]
     free: tuple[int, ...]  # residues serving as free coordinates, ascending
-    expressions: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # per residue
+    # per residue (const, j, sign): the value is const + sign * z_j, and just
+    # const when sign is 0 (then j is 0 and unused)
+    expressions: tuple[tuple[Fraction, int, int], ...]
     box_rows: tuple[IntRow, ...]  # 0 <= z_j <= 1, two rows per free coordinate
     other_rows: tuple[IntRow, ...]  # remaining reduced rows, deduplicated
 
@@ -61,8 +68,8 @@ class MinimalFunctionPolytope:
     def value_vector(self, z: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Full value vector for a point of the reduced coordinate space."""
         return tuple(
-            const + sum((c * z[j] for j, c in enumerate(coeffs)), Fraction(0))
-            for const, coeffs in self.expressions
+            const + z[j] if sign > 0 else const - z[j] if sign else const
+            for const, j, sign in self.expressions
         )
 
 
@@ -167,12 +174,10 @@ def build_polytope(q: int, b: int) -> MinimalFunctionPolytope:
     expressions = []
     for x in range(q):
         if x in consts:
-            expressions.append((consts[x], (zero,) * d))
+            expressions.append((consts[x], 0, 0))
         else:
             j, negated = var_of[x]
-            coeffs = [zero] * d
-            coeffs[j] = -one if negated else one
-            expressions.append((one if negated else zero, tuple(coeffs)))
+            expressions.append((one, j, -1) if negated else (zero, j, 1))
 
     box_rows: list[IntRow] = []
     for j in range(d):
@@ -188,10 +193,10 @@ def build_polytope(q: int, b: int) -> MinimalFunctionPolytope:
         for x, c in enumerate(coeffs):
             if c == 0:
                 continue
-            const, var_coeffs = expressions[x]
+            const, j, sign = expressions[x]
             rhs_red -= c * const
-            for j, vc in enumerate(var_coeffs):
-                red[j] += c * vc
+            if sign:
+                red[j] += c * sign
         if all(c == 0 for c in red):
             if rhs_red > 0:
                 raise ValidationFailure(f"inconsistent constant row: 0 >= {rhs_red}")
@@ -251,9 +256,17 @@ def _enumerate_reduced(
     """Vertices of {z : rows} as (homogeneous point, tight-row bitmask).
 
     Incremental double description starting from the unit box, which is always
-    part of the row system here.  Adjacency uses the combinatorial criterion:
-    two vertices are adjacent iff no third vertex is tight on their common
-    tight set.
+    part of the row system here.  Inserting row idx cuts each edge between a
+    vertex u strictly on its feasible side and a vertex w strictly on its
+    infeasible side; the new vertex is a positive combination of u and w, so a
+    processed row is tight there exactly when it is tight at both, and its mask
+    is inherited as (mu & mw) | bit.  Two vertices are adjacent iff no third
+    vertex is tight on their common tight set.  That is tested with incidence
+    bitsets (Fukuda & Prodon 1996): per inserted row, one bitset of vertex
+    indices for each processed row, ANDed over the pair's common rows; the
+    pair is adjacent iff only its own two bits survive.  The returned masks do
+    not rest on the inherited ones: each final point's tight set is recomputed
+    from the point, for the rank certificate.
     """
     if d == 0:
         point = ((), 1)
@@ -265,70 +278,72 @@ def _enumerate_reduced(
                 mask |= 1 << idx
         return [(point, mask)]
 
-    vertices: dict[tuple[tuple[int, ...], int], int] = {}
+    vertices: list[tuple[tuple[tuple[int, ...], int], int]] = []
     for code in range(1 << d):
         nums = tuple((code >> j) & 1 for j in range(d))
         mask = 0
         for j in range(d):
             mask |= 1 << (2 * j + nums[j])  # rows 2j: z_j>=0, 2j+1: z_j<=1
-        vertices[(nums, 1)] = mask
-
-    def full_mask(nums: tuple[int, ...], den: int, upto: int) -> int:
-        mask = 0
-        for idx in range(upto + 1):
-            a, c = rows[idx]
-            if _dot(a, nums, c, den) == 0:
-                mask |= 1 << idx
-        return mask
+        vertices.append(((nums, 1), mask))
 
     for idx in range(2 * d, len(rows)):
         a, c = rows[idx]
         bit = 1 << idx
-        pos, zero, neg = [], [], []
-        for v, mask in vertices.items():
-            s = _dot(a, v[0], c, v[1])
+        slacks = [_dot(a, v[0], c, v[1]) for v, _mask in vertices]
+        survivors = [
+            (v, mask | bit if s == 0 else mask)
+            for (v, mask), s in zip(vertices, slacks)
+            if s >= 0
+        ]
+        if len(survivors) == len(vertices):
+            vertices = survivors
+            continue
+        if not survivors:
+            return []
+        incidence = [0] * idx  # processed row -> bitset of vertex indices tight on it
+        for k, (_v, mask) in enumerate(vertices):
+            while mask:
+                low = mask & -mask
+                incidence[low.bit_length() - 1] |= 1 << k
+                mask ^= low
+        pos, neg = [], []
+        for (v, mask), s in zip(vertices, slacks):
             if s > 0:
                 pos.append((v, mask, s))
-            elif s == 0:
-                zero.append((v, mask))
-            else:
+            elif s < 0:
                 neg.append((v, mask, s))
-        if not neg:
-            for v, mask in zero:
-                vertices[v] = mask | bit
-            continue
-        if not pos and not zero:
-            return []
-        masks = list(vertices.values())
+        need = d - 1
         new_points: dict[tuple[tuple[int, ...], int], int] = {}
-        for (u, mu, su) in pos:
-            for (w, mw, sw) in neg:
+        for u, mu, su in pos:
+            for w, mw, sw in neg:
                 common = mu & mw
-                if common.bit_count() < d - 1:
+                if common.bit_count() < need:
                     continue
-                if any(
-                    m != mu and m != mw and (common & m) == common for m in masks
-                ):
+                shared = -1  # u's and w's own bits always survive the ANDs
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    shared &= incidence[low.bit_length() - 1]
+                    rest ^= low
+                if shared.bit_count() > 2:
                     continue
                 nums = [su * wn - sw * un for un, wn in zip(u[0], w[0])]
                 den = su * w[1] - sw * u[1]
-                point = _canonical(nums, den)
-                if point not in new_points:
-                    new_points[point] = full_mask(point[0], point[1], idx)
-        survivors: dict[tuple[tuple[int, ...], int], int] = {}
-        for (v, mask, _s) in pos:
-            survivors[v] = mask
-        for v, mask in zero:
-            survivors[v] = mask | bit
-        survivors.update(new_points)
-        vertices = survivors
+                new_points.setdefault(_canonical(nums, den), common | bit)
+        vertices = survivors + list(new_points.items())
 
-    last = len(rows) - 1
-    return [(v, full_mask(v[0], v[1], last)) for v in vertices]
+    final = []
+    for (nums, den), _mask in vertices:
+        mask = 0
+        for idx, (a, c) in enumerate(rows):
+            if _dot(a, nums, c, den) == 0:
+                mask |= 1 << idx
+        final.append(((nums, den), mask))
+    return final
 
 
 def enumerate_vertices(
-    polytope: MinimalFunctionPolytope, max_order: int = 31
+    polytope: MinimalFunctionPolytope, max_order: int = MAX_ORDER
 ) -> VertexSet:
     """All vertices of the polytope, each certified by a tight-row rank check."""
     if polytope.q > max_order:
@@ -360,7 +375,7 @@ def enumerate_vertices(
 
 
 def minimize_volume(
-    q: int, b: int, max_order: int = 31, force: bool = False
+    q: int, b: int, max_order: int = MAX_ORDER, force: bool = False
 ) -> MinimizeResult:
     """Minimize the value product over the minimal-function polytope.
 

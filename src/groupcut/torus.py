@@ -10,6 +10,7 @@ limits as well as point values.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -138,6 +139,12 @@ class PwlTorusFunction:
         """(left limit, value, right limit) at each breakpoint, by piece index:
         the left limit at x_i is piece i-1 at x_i (the last piece at 1 when
         i = 0), the right limit is piece i at x_i."""
+        return self._limit_table
+
+    # built on first use and kept outside the dataclass fields, so ==, hash
+    # and repr do not see it
+    @functools.cached_property
+    def _limit_table(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         table = []
         for i, (x, value) in enumerate(zip(self.breakpoints, self.point_values)):
             s_left, t_left = self.pieces[i - 1]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import groupcut
-from groupcut import gmi, gom, identity_fn, md2
+from groupcut import gmi, gom, identity_fn, md2, polytope
 from groupcut.cli import main
 
 
@@ -232,6 +232,16 @@ class TestOptimize:
         code, _out, err = run(capsys, "optimize", "--primes", "37")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("order", ["29", "31"])
+    def test_default_cap_refuses_before_enumerating(self, capsys, monkeypatch, order):
+        def refuse(q, b):
+            raise AssertionError(f"enumeration started at q={q}")
+
+        monkeypatch.setattr(polytope, "build_polytope", refuse)
+        code, out, err = run(capsys, "optimize", "--primes", "5", order)
+        assert code == 3 and out == ""
+        assert f"q={order} exceeds the enumeration cap 23" in err
 
     def test_force_on_composite(self, capsys):
         code, out, _err = run(capsys, "optimize", "--primes", "9", "--force")

@@ -1,0 +1,93 @@
+"""The double description against the adjacency scan it replaced.
+
+`_enumerate_reduced` gives each new vertex the tight set it inherits from the
+pair that made it, (mu & mw) | bit, and tests adjacency with incidence
+bitsets ANDed over the pair's common tight rows.  The oracle below is the
+earlier loop: every new point's tight set is recomputed by dot products with
+every processed row, and a pair is adjacent when no other current vertex mask
+contains its common tight set.  Both must return the same (point, mask)
+list once sorted, on prime and composite orders and on canonical and
+non-canonical rhs.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from groupcut import build_polytope
+from groupcut.polytope import _canonical, _dot, _enumerate_reduced
+
+
+def oracle_enumerate(rows, d):
+    if d == 0:
+        mask = 0
+        for idx, (_a, c) in enumerate(rows):
+            if c > 0:
+                return []
+            if c == 0:
+                mask |= 1 << idx
+        return [(((), 1), mask)]
+
+    def full_mask(nums, den, upto):
+        mask = 0
+        for idx in range(upto + 1):
+            a, c = rows[idx]
+            if _dot(a, nums, c, den) == 0:
+                mask |= 1 << idx
+        return mask
+
+    vertices = {}
+    for code in range(1 << d):
+        nums = tuple((code >> j) & 1 for j in range(d))
+        vertices[(nums, 1)] = full_mask(nums, 1, 2 * d - 1)
+
+    for idx in range(2 * d, len(rows)):
+        a, c = rows[idx]
+        bit = 1 << idx
+        pos, zero, neg = [], [], []
+        for v, mask in vertices.items():
+            s = _dot(a, v[0], c, v[1])
+            if s > 0:
+                pos.append((v, mask, s))
+            elif s == 0:
+                zero.append((v, mask))
+            else:
+                neg.append((v, mask, s))
+        if not neg:
+            for v, mask in zero:
+                vertices[v] = mask | bit
+            continue
+        if not pos and not zero:
+            return []
+        masks = list(vertices.values())
+        new_points = {}
+        for u, mu, su in pos:
+            for w, mw, sw in neg:
+                common = mu & mw
+                if common.bit_count() < d - 1:
+                    continue
+                if any(m != mu and m != mw and (common & m) == common for m in masks):
+                    continue
+                nums = [su * wn - sw * un for un, wn in zip(u[0], w[0])]
+                point = _canonical(nums, su * w[1] - sw * u[1])
+                if point not in new_points:
+                    new_points[point] = full_mask(point[0], point[1], idx)
+        survivors = {v: mask for v, mask, _s in pos}
+        survivors.update((v, mask | bit) for v, mask in zero)
+        survivors.update(new_points)
+        vertices = survivors
+
+    last = len(rows) - 1
+    return [(v, full_mask(v[0], v[1], last)) for v in vertices]
+
+
+@pytest.mark.parametrize(
+    "q, b", [(9, 4), (11, 10), (13, 5), (13, 12), (15, 7), (16, 15), (17, 16)]
+)
+def test_double_description_matches_adjacency_scan(q, b):
+    poly = build_polytope(q, b)
+    rows = list(poly.box_rows) + list(poly.other_rows)
+    got = sorted(_enumerate_reduced(rows, poly.dimension))
+    expected = sorted(oracle_enumerate(rows, poly.dimension))
+    assert len(expected) > 1
+    assert got == expected

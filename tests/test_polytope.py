@@ -28,6 +28,7 @@ from groupcut import (
     is_minimal,
     md2,
     minimize_volume,
+    rearrange_finite,
     volume_product,
 )
 
@@ -164,6 +165,12 @@ class TestMinimizeVolume:
         result = minimize_volume(7, 3)
         products = [volume_product(v) for v in vertices_for(7, 3)]
         assert result.value == min(products)
+
+    def test_frontier_order_19(self):
+        result = minimize_volume(19, 18)
+        assert result.n_vertices == 726 and result.unique
+        assert result.value == expected_min_product(19)
+        assert rearrange_finite(result.argmin) == gom(19, 18)
 
 
 class TestGomoryDecomposition:

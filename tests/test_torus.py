@@ -164,6 +164,15 @@ class TestLimits:
         assert fn.value_at(F(2, 3)) == 1
         assert fn.right_limit_at(F(2, 3)) == F(1, 2)
 
+    def test_table_built_once_and_invisible_to_eq_hash_repr(self):
+        fn, twin = md2_torus(F(2, 3)), md2_torus(F(2, 3))
+        text, key = repr(fn), hash(fn)
+        table = fn.limits()
+        assert fn.limits() is table
+        assert repr(fn) == text and hash(fn) == key
+        assert fn == twin and hash(twin) == key
+        assert twin.limits() == table
+
 
 class TestSerialization:
     @pytest.mark.parametrize(
