@@ -28,7 +28,7 @@ from .experiments import (
     stirling_table,
 )
 from .finite_functions import FiniteGroupFunction, is_minimal, rearrange_finite
-from .polytope import MAX_ORDER, gomory_decomposition
+from .polytope import gomory_decomposition
 from .rationals import as_fraction
 from .torus import (
     PwlTorusFunction,
@@ -143,7 +143,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _cmd_optimize(args) -> int:
     config = _config_from_args(args)
-    report = optimize_and_report(config, force=args.force, max_order=args.cap)
+    report = optimize_and_report(config, force=args.force)
     if args.format == "csv":
         report.write_csv(
             sys.stdout, ("q", "b", "status", "n_vertices", "min_product", "unique")
@@ -308,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scan composite orders too, marking their rows experimental",
     )
-    p.add_argument("--cap", type=int, default=MAX_ORDER, help="largest allowed order")
     p.add_argument("--output-csv", default=None)
     p.add_argument("--output-json", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")

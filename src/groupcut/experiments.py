@@ -375,7 +375,7 @@ class Report:
         writer.writerows(row.csv_cells(columns) for row in self.rows)
 
 
-def _carried_rows(q: int, bs: Sequence[int], max_order: int) -> list[OptimizationRow]:
+def _carried_rows(q: int, bs: Sequence[int]) -> list[OptimizationRow]:
     """Enumerate order q once, at rhs q-1, and carry the optimum to each b.
 
     The automorphism x -> (q-1) b^-1 x maps the vertices for rhs b one to one
@@ -385,7 +385,7 @@ def _carried_rows(q: int, bs: Sequence[int], max_order: int) -> list[Optimizatio
     sort to gom(q, q-1).
     """
     started = time.perf_counter()
-    base = minimize_volume(q, q - 1, max_order=max_order)
+    base = minimize_volume(q, q - 1)
     floor = expected_min_product(q)
     shape = gom(q, q - 1)
     group = CyclicGroup(q)
@@ -418,10 +418,10 @@ def _carried_rows(q: int, bs: Sequence[int], max_order: int) -> list[Optimizatio
     return rows
 
 
-def _forced_row(q: int, b: int, max_order: int) -> OptimizationRow:
+def _forced_row(q: int, b: int) -> OptimizationRow:
     """A composite order has no automorphism to carry along: enumerate rhs b."""
     started = time.perf_counter()
-    result = minimize_volume(q, b, max_order=max_order, force=True)
+    result = minimize_volume(q, b, force=True)
     return OptimizationRow(
         q=q,
         b=b,
@@ -435,11 +435,11 @@ def _forced_row(q: int, b: int, max_order: int) -> OptimizationRow:
 
 
 def _tasks_for(
-    config: ExperimentConfig, force: bool, max_order: int
+    config: ExperimentConfig, force: bool
 ) -> list[tuple[int, tuple[int, ...]]]:
     """(q, rhs values to report) in ascending q; no rhs values means skipped.
 
-    An order that would be enumerated above max_order is refused here, before
+    An order that would be enumerated above MAX_ORDER is refused here, before
     any enumeration starts.
     """
     tasks = []
@@ -447,8 +447,8 @@ def _tasks_for(
         if not (force or is_prime(q)):
             tasks.append((q, ()))
             continue
-        if q > max_order:
-            raise DimensionCap(f"q={q} exceeds the enumeration cap {max_order}")
+        if q > MAX_ORDER:
+            raise DimensionCap(f"q={q} exceeds the enumeration cap {MAX_ORDER}")
         if config.b_policy == "all":
             tasks.append((q, tuple(range(1, q))))
         elif config.b_policy == "fixed":
@@ -460,9 +460,7 @@ def _tasks_for(
     return tasks
 
 
-def optimize_and_report(
-    config: ExperimentConfig, *, force: bool = False, max_order: int = MAX_ORDER
-) -> Report:
+def optimize_and_report(config: ExperimentConfig, *, force: bool = False) -> Report:
     """Minimize the value product for every configured (q, b) and check each
     optimum against the predicted floor and shape.
 
@@ -473,13 +471,13 @@ def optimize_and_report(
     do not count against the report's ok flag.
     """
     rows = []
-    for q, bs in _tasks_for(config, force, max_order):
+    for q, bs in _tasks_for(config, force):
         if not bs:
             rows.append(OptimizationRow(q=q, b=None, status=STATUS_SKIPPED))
         elif is_prime(q):
-            rows.extend(_carried_rows(q, bs, max_order))
+            rows.extend(_carried_rows(q, bs))
         else:
-            rows.extend(_forced_row(q, b, max_order) for b in bs)
+            rows.extend(_forced_row(q, b) for b in bs)
     ok = all(row.status != STATUS_MISMATCH for row in rows)
     report = Report(rows=tuple(rows), ok=ok)
     if config.output_csv:

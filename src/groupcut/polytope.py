@@ -31,7 +31,6 @@ __all__ = [
     "gomory_decomposition",
 ]
 
-FullRow = tuple[tuple[Fraction, ...], Fraction]  # coeffs . pi (=|>=) rhs
 IntRow = tuple[tuple[int, ...], int]  # coeffs . z >= rhs, integer, primitive
 
 # Largest order whose vertex enumeration has been measured to finish: q = 23
@@ -42,18 +41,17 @@ MAX_ORDER = 23
 
 @dataclass(frozen=True)
 class MinimalFunctionPolytope:
-    """H-representation of {pi >= 0 : pi(0)=0, subadditive, symmetric about b}.
+    """{pi >= 0 : pi(0)=0, subadditive, symmetric about b} over free coordinates.
 
     The symmetry equations pin pi(0), pi(b) and any halfway point and pair the
-    remaining coordinates, so the polytope is stored twice: the full system
-    over R^q and an equivalent reduced inequality system over the free
-    coordinates only.
+    remaining coordinates, so each residue's value is a constant or an affine
+    expression in one free coordinate z_j.  Substituting these expressions
+    into pi(x) + pi(y) >= pi(x+y) gives the one row system kept here, as
+    primitive integer rows; pi >= 0 reduces to the box rows 0 <= z_j <= 1.
     """
 
     q: int
     b: int
-    equalities: tuple[FullRow, ...]
-    inequalities: tuple[FullRow, ...]
     free: tuple[int, ...]  # residues serving as free coordinates, ascending
     # per residue (const, j, sign): the value is const + sign * z_j, and just
     # const when sign is 0 (then j is 0 and unused)
@@ -78,7 +76,6 @@ class VertexSet:
     q: int
     b: int
     vertices: tuple[FiniteGroupFunction, ...]  # sorted by value vector
-    method: str
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -104,81 +101,31 @@ class Decomposition:
     pi_tilde: FiniteGroupFunction
 
 
-def _to_int_row(coeffs: Sequence[Fraction], rhs: Fraction) -> IntRow:
-    """Scale a rational inequality row to primitive integers (positive scale)."""
-    denom = math.lcm(rhs.denominator, *(c.denominator for c in coeffs)) if coeffs else rhs.denominator
-    ints = [int(c * denom) for c in coeffs]
-    r = int(rhs * denom)
-    g = math.gcd(r, *(abs(v) for v in ints)) if ints else abs(r)
-    if g > 1:
-        ints = [v // g for v in ints]
-        r //= g
-    return tuple(ints), r
-
-
 def build_polytope(q: int, b: int) -> MinimalFunctionPolytope:
-    """Equality and inequality rows of the minimal-function polytope, plus the
-    symmetry-reduced system used for vertex enumeration."""
+    """The minimal-function polytope in the free coordinates left by the
+    symmetry substitution, as primitive integer rows."""
     b %= q
     if b == 0:
         raise ZeroElement("polytope needs a nonzero right-hand side")
-    zero = Fraction(0)
-    one = Fraction(1)
 
-    def unit_row(*entries: tuple[int, int]) -> tuple[Fraction, ...]:
-        row = [zero] * q
-        for idx, coef in entries:
-            row[idx] += coef
-        return tuple(row)
-
-    equalities: list[FullRow] = [(unit_row((0, 1)), zero)]
-    seen_pairs = set()
-    for x in range(q):
-        partner = (b - x) % q
-        key = (min(x, partner), max(x, partner))
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        equalities.append((unit_row((x, 1), (partner, 1)), one))
-
-    inequalities: list[FullRow] = []
-    seen_rows = set()
-    for x in range(1, q):
-        row = (unit_row((x, 1)), zero)
-        if row not in seen_rows:
-            seen_rows.add(row)
-            inequalities.append(row)
-    for x in range(1, q):
-        for y in range(x, q):
-            row = (unit_row((x, 1), (y, 1), ((x + y) % q, -1)), zero)
-            if any(c != 0 for c in row[0]) and row not in seen_rows:
-                seen_rows.add(row)
-                inequalities.append(row)
-
-    # symmetry substitution: pi(0)=0, pi(b)=1, halfway points 1/2, pairs z / 1-z
-    consts: dict[int, Fraction] = {0: zero, b: one}
-    var_of: dict[int, tuple[int, bool]] = {}  # residue -> (var index, negated)
+    # symmetry substitution: pi(0)=0, pi(b)=1, halfway points 1/2, pairs z / 1-z.
+    # Per residue (doubled const, j, sign), as in expressions but with the
+    # constants 0, 1/2 and 1 doubled to the integers 0, 1 and 2.
+    term_of: dict[int, tuple[int, int, int]] = {0: (0, 0, 0), b: (2, 0, 0)}
     free: list[int] = []
     for x in range(1, q):
-        if x == b or x in consts or x in var_of:
+        if x in term_of:
             continue
         partner = (b - x) % q
         if partner == x:
-            consts[x] = Fraction(1, 2)
+            term_of[x] = (1, 0, 0)
             continue
-        var_of[x] = (len(free), False)
-        var_of[partner] = (len(free), True)
+        term_of[x] = (0, len(free), 1)
+        term_of[partner] = (2, len(free), -1)
         free.append(x)
+    terms = [term_of[x] for x in range(q)]
 
     d = len(free)
-    expressions = []
-    for x in range(q):
-        if x in consts:
-            expressions.append((consts[x], 0, 0))
-        else:
-            j, negated = var_of[x]
-            expressions.append((one, j, -1) if negated else (zero, j, 1))
-
     box_rows: list[IntRow] = []
     for j in range(d):
         unit = tuple(1 if i == j else 0 for i in range(d))
@@ -186,32 +133,33 @@ def build_polytope(q: int, b: int) -> MinimalFunctionPolytope:
         box_rows.append((tuple(-u for u in unit), -1))
     box_set = set(box_rows)
 
+    # pi(x) + pi(y) - pi(x+y) >= 0, doubled, for every pair 1 <= x <= y < q
     other_rows: set[IntRow] = set()
-    for coeffs, rhs in inequalities:
-        red = [zero] * d
-        rhs_red = rhs
-        for x, c in enumerate(coeffs):
-            if c == 0:
+    for x in range(1, q):
+        for y in range(x, q):
+            coeffs = [0] * d
+            rhs = 0
+            for residue, c in ((x, 1), (y, 1), ((x + y) % q, -1)):
+                const, j, sign = terms[residue]
+                rhs -= c * const
+                if sign:
+                    coeffs[j] += 2 * c * sign
+            if not any(coeffs):
+                if rhs > 0:
+                    raise ValidationFailure(
+                        f"inconsistent constant row: 0 >= {Fraction(rhs, 2)}"
+                    )
                 continue
-            const, j, sign = expressions[x]
-            rhs_red -= c * const
-            if sign:
-                red[j] += c * sign
-        if all(c == 0 for c in red):
-            if rhs_red > 0:
-                raise ValidationFailure(f"inconsistent constant row: 0 >= {rhs_red}")
-            continue
-        row = _to_int_row(red, rhs_red)
-        if row not in box_set:
-            other_rows.add(row)
+            g = math.gcd(rhs, *coeffs)
+            row = (tuple(c // g for c in coeffs), rhs // g)
+            if row not in box_set:
+                other_rows.add(row)
 
     return MinimalFunctionPolytope(
         q=q,
         b=b,
-        equalities=tuple(equalities),
-        inequalities=tuple(inequalities),
         free=tuple(free),
-        expressions=tuple(expressions),
+        expressions=tuple((Fraction(c, 2), j, sign) for c, j, sign in terms),
         box_rows=tuple(box_rows),
         other_rows=tuple(sorted(other_rows)),
     )
@@ -342,14 +290,10 @@ def _enumerate_reduced(
     return final
 
 
-def enumerate_vertices(
-    polytope: MinimalFunctionPolytope, max_order: int = MAX_ORDER
-) -> VertexSet:
+def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
     """All vertices of the polytope, each certified by a tight-row rank check."""
-    if polytope.q > max_order:
-        raise DimensionCap(
-            f"q={polytope.q} exceeds the enumeration cap {max_order}"
-        )
+    if polytope.q > MAX_ORDER:
+        raise DimensionCap(f"q={polytope.q} exceeds the enumeration cap {MAX_ORDER}")
     rows = list(polytope.box_rows) + list(polytope.other_rows)
     d = polytope.dimension
     raw = _enumerate_reduced(rows, d)
@@ -366,17 +310,10 @@ def enumerate_vertices(
             FiniteGroupFunction.from_values(polytope.q, polytope.b, values)
         )
     functions.sort(key=lambda f: f.values)
-    return VertexSet(
-        q=polytope.q,
-        b=polytope.b,
-        vertices=tuple(functions),
-        method="double_description",
-    )
+    return VertexSet(q=polytope.q, b=polytope.b, vertices=tuple(functions))
 
 
-def minimize_volume(
-    q: int, b: int, max_order: int = MAX_ORDER, force: bool = False
-) -> MinimizeResult:
+def minimize_volume(q: int, b: int, *, force: bool = False) -> MinimizeResult:
     """Minimize the value product over the minimal-function polytope.
 
     The objective is strictly log-concave on the positive part, so every
@@ -388,7 +325,7 @@ def minimize_volume(
         if not force:
             raise NotPrime(f"q={q} is composite; pass force=True to scan anyway")
         experimental = True
-    vertex_set = enumerate_vertices(build_polytope(q, b), max_order=max_order)
+    vertex_set = enumerate_vertices(build_polytope(q, b))
     scored = [(volume_product(v), v) for v in vertex_set.vertices]
     best = min(score for score, _v in scored)
     argmins = [v for score, v in scored if score == best]

@@ -8,13 +8,16 @@ from fractions import Fraction
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and exact strings like ``'3/4'``; floats and
-    booleans are rejected."""
+    booleans are rejected, and so is a string with a zero denominator."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 

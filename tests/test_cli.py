@@ -250,12 +250,39 @@ class TestOptimize:
         assert payload["rows"][0]["status"] == "EXPERIMENTAL"
 
 
+def _zero_denominator_argv(tmp_path, case):
+    if case == "riemann":
+        return ["experiment", "riemann", "--q", "11", "--h", "gmi:1/0"]
+    finite = tmp_path / "finite.json"
+    finite.write_text('{"q": 5, "b": 4, "values": ["0", "1/0", "1/2", "3/4", "1"]}')
+    if case == "finite":
+        return ["check", str(finite)]
+    if case == "circle":
+        data = gmi(F(1, 2)).to_dict()
+        data["pieces"][0]["slope"] = "1/0"
+        circle = tmp_path / "circle.json"
+        circle.write_text(json.dumps(data))
+        return ["check", str(circle)]
+    row = tmp_path / "row.json"
+    row.write_text(json.dumps({"rhs": "1/0", "columns": []}))
+    return ["cutgen", "--row", str(row), "--function", str(finite)]
+
+
+@pytest.mark.parametrize("case", ["finite", "circle", "cutgen", "riemann"])
+def test_zero_denominator_exits_3(capsys, tmp_path, case):
+    code, out, err = run(capsys, *_zero_denominator_argv(tmp_path, case))
+    assert code == 3 and out == ""
+    assert "zero denominator in '1/0'" in err
+    assert "Traceback" not in err
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
             ["optimize", "--workers", "2"],
             ["optimize", "--primes", "x"],
+            ["optimize", "--cap", "5"],
         ],
     )
     def test_usage_errors_exit_3(self, capsys, argv):

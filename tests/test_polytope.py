@@ -78,14 +78,27 @@ class TestBuildPolytope:
     def test_dimension_for_composite_order(self):
         assert build_polytope(9, 8).dimension == 3
 
-    def test_full_rows_hold_on_every_vertex(self, vertices_for):
-        poly = build_polytope(7, 4)
-        for vertex in vertices_for(7, 4):
-            vals = vertex.values
-            for coeffs, rhs in poly.equalities:
-                assert sum(c * v for c, v in zip(coeffs, vals)) == rhs
-            for coeffs, rhs in poly.inequalities:
-                assert sum(c * v for c, v in zip(coeffs, vals)) >= rhs
+    @pytest.mark.parametrize("q", range(2, 12))
+    def test_rows_hold_exactly_at_minimal_points(self, q):
+        # on a grid reaching just outside the unit box, the reduced rows must
+        # accept a point iff its value vector is a nonnegative minimal function
+        grid = [F(k, 4) for k in range(-1, 6)]
+        for b in range(1, q):
+            poly = build_polytope(q, b)
+            rows = poly.box_rows + poly.other_rows
+            accepted = 0
+            for z in itertools.product(grid, repeat=poly.dimension):
+                in_rows = all(
+                    sum(c * zj for c, zj in zip(coeffs, z)) >= rhs
+                    for coeffs, rhs in rows
+                )
+                values = poly.value_vector(z)
+                minimal = min(values) >= 0 and is_minimal(
+                    FiniteGroupFunction.from_values(q, b, values), early_exit=True
+                ).is_minimal
+                assert in_rows == minimal, (q, b, z)
+                accepted += in_rows
+            assert accepted > 0, (q, b)
 
     def test_zero_rhs_rejected(self):
         from groupcut import ZeroElement

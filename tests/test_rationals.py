@@ -26,6 +26,10 @@ class TestAsFraction:
         with pytest.raises(TypeError):
             as_fraction(flag)
 
+    def test_zero_denominator_is_a_value_error_naming_the_value(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            as_fraction("1/0")
+
 
 class TestLnFraction:
     def test_matches_math_log_on_moderate_values(self):
