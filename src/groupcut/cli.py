@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 from .criteria import score_function
@@ -160,21 +161,27 @@ def _cmd_integrate(args) -> int:
         payload = score_function(fn, ps=ps).to_dict()
     else:
         payload = {
-            "integral_ln": integral_ln(fn),
-            "lp_norms": {str(p): lp_norm_torus(fn, p) for p in ps},
+            "integral_ln": _json_float(integral_ln(fn)),
+            "lp_norms": {str(p): _json_float(lp_norm_torus(fn, p)) for p in ps},
         }
         if args.layer_cake:
             report = layer_cake_check(fn)
             payload["layer_cake"] = {
-                "lhs": report.lhs,
-                "rhs": report.rhs,
-                "gap": report.gap,
+                "lhs": _json_float(report.lhs),
+                "rhs": _json_float(report.rhs),
+                "gap": _json_float(report.gap),
             }
         if args.sublevel_csv:
             _write_sublevel_csv(fn, args.sublevel_csv)
             payload["sublevel_csv"] = args.sublevel_csv
     _emit(payload, args)
     return 0
+
+
+def _json_float(value: float) -> float | str:
+    """A finite float stays a JSON number; inf, -inf and nan, which JSON has
+    no number for, become the strings "inf", "-inf" and "nan"."""
+    return value if math.isfinite(value) else repr(value)
 
 
 def _write_sublevel_csv(fn: PwlTorusFunction, path: str) -> None:

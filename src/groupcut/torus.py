@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NotMinimal, NotNondecreasing, OutOfRange
+from .errors import NotMinimal, NotNondecreasing, OutOfRange, ValidationFailure
 from .finite_functions import FiniteGroupFunction, MinimalityVerdict, Violation
 from .rationals import as_fraction, ln_fraction, nth_root_float
 
@@ -359,32 +359,55 @@ def subadditivity_slack(fn: PwlTorusFunction) -> tuple[Fraction, tuple]:
     return best, witness
 
 
-def _symmetry_partner(fn: PwlTorusFunction, x: Fraction) -> Fraction:
-    if fn.mode == MODE_RHS:
-        return (fn.b - x) % 1
-    return (-x) % 1
-
-
 def _symmetry_scan(fn: PwlTorusFunction) -> list[tuple[tuple, Fraction]]:
     """Violations of pi(x) + pi(partner(x)) = 1 on the refined breakpoint grid
-    plus two interior probes per refined cell (the sum is affine per cell)."""
-    special = {Fraction(0)} | ({fn.b} if fn.mode == MODE_RHS else set())
-    grid = set(fn.breakpoints) | special
-    grid |= {_symmetry_partner(fn, x) for x in grid}
-    refined = sorted(grid)
+    plus two interior probes per refined cell (the sum is affine per cell).
+
+    The partner of x is (b - x) mod 1, or (-x) mod 1 in wrap mode.  Over
+    d = 3 lcm(breakpoint denominators, denominator of b) the grid and the
+    probes at 1/3 and 2/3 of each cell are integers, and the reflection maps
+    grid points to grid points and probes to probes, so each point's value
+    is taken once, as an integer over a common denominator w, in one walk
+    along the pieces.
+    """
+    rhs = fn.mode == MODE_RHS
+    d = 3 * math.lcm(
+        *(x.denominator for x in fn.breakpoints), fn.b.denominator if rhs else 1
+    )
+    xs = [x.numerator * (d // x.denominator) for x in fn.breakpoints]
+    bd = fn.b.numerator * (d // fn.b.denominator) if rhs else 0
+    grid = set(xs) | {0, bd}
+    refined = sorted(grid | {(bd - p) % d for p in grid})
+    ends = refined + [d]
+    points = []
+    for u, v in zip(ends, ends[1:]):
+        third = (v - u) // 3
+        points += (u, u + third, u + 2 * third)
+
+    # pi(p / d) * w: piece i is the integer affine map slopes[i] * p + offsets[i]
+    w = math.lcm(
+        d * math.lcm(*(c.denominator for piece in fn.pieces for c in piece)),
+        *(v.denominator for v in fn.point_values),
+    )
+    slopes = [s.numerator * (w // (s.denominator * d)) for s, _t in fn.pieces]
+    offsets = [t.numerator * (w // t.denominator) for _s, t in fn.pieces]
+    values = [v.numerator * (w // v.denominator) for v in fn.point_values]
+    scaled: dict[int, int] = {}
+    i, last = 0, len(xs) - 1
+    for p in points:
+        while i < last and xs[i + 1] <= p:
+            i += 1
+        scaled[p] = values[i] if xs[i] == p else slopes[i] * p + offsets[i]
+
+    # grid points first, then the probes; in wrap mode the origin pairs with
+    # itself and is exempt
+    probes = [p for k, p in enumerate(points) if k % 3]
+    checked = (refined if rhs else refined[1:]) + probes
     violations: list[tuple[tuple, Fraction]] = []
-    for r in refined:
-        if fn.mode == MODE_WRAP and r == 0:
-            continue  # the origin pairs with itself and is exempt
-        gap = fn.value_at(r) + fn.value_at(_symmetry_partner(fn, r)) - 1
+    for p in checked:
+        gap = scaled[p] + scaled[(bd - p) % d] - w
         if gap != 0:
-            violations.append(((r,), abs(gap)))
-    endpoints = refined + [Fraction(1)]
-    for u, v in zip(endpoints, endpoints[1:]):
-        for t in (u + (v - u) / 3, u + 2 * (v - u) / 3):
-            gap = fn.value_at(t) + fn.value_at(_symmetry_partner(fn, t)) - 1
-            if gap != 0:
-                violations.append(((t,), abs(gap)))
+            violations.append(((Fraction(p, d),), Fraction(abs(gap), w)))
     return violations
 
 
@@ -525,25 +548,55 @@ def _assert_nonnegative(fn: PwlTorusFunction) -> None:
 
 
 def sublevel_profile(fn: PwlTorusFunction) -> SublevelProfile:
-    """Exact sublevel-measure profile of a nonnegative function."""
+    """Exact sublevel-measure profile of a nonnegative function, in one sweep.
+
+    The levels are 0 and the end values of every piece.  A sloped piece adds
+    measure at rate 1/|s| between its two end values; a constant piece adds
+    its length at once, at its value.  Walking the sorted levels with the
+    running measure m and rate r gives the profile piece (r, m - r a) at each
+    level a.  At the top level the rate must be back to 0 and m exactly 1,
+    and an independent `sublevel_measure` there must agree; otherwise
+    `ValidationFailure`.
+    """
     _assert_nonnegative(fn)
+    limits = fn.limits()
     levels = {Fraction(0)}
-    for i, (s, t) in enumerate(fn.pieces):
+    rate_change: dict[Fraction, Fraction] = {}
+    jump: dict[Fraction, Fraction] = {}  # measure gained at once
+    for i, (s, _t) in enumerate(fn.pieces):
         u, v = fn.piece_domain(i)
-        levels.add(s * u + t)
-        levels.add(s * v + t)
+        start, end = limits[i][2], limits[(i + 1) % len(limits)][0]
+        levels.add(start)
+        levels.add(end)
+        if s == 0:
+            jump[start] = jump.get(start, 0) + (v - u)
+        else:
+            lo, hi = (start, end) if s > 0 else (end, start)
+            r = 1 / abs(s)
+            rate_change[lo] = rate_change.get(lo, 0) + r
+            rate_change[hi] = rate_change.get(hi, 0) - r
     alphas = sorted(levels)
     pieces: list[Piece] = []
-    for a_lo, a_hi in zip(alphas, alphas[1:]):
-        t1 = a_lo + (a_hi - a_lo) / 3
-        t2 = a_lo + 2 * (a_hi - a_lo) / 3
-        m1 = sublevel_measure(fn, t1)
-        m2 = sublevel_measure(fn, t2)
-        slope = (m2 - m1) / (t2 - t1)
-        intercept = m1 - slope * t1
-        assert slope * a_lo + intercept == sublevel_measure(fn, a_lo)
-        pieces.append((slope, intercept))
-    assert sublevel_measure(fn, alphas[-1]) == 1
+    measure = rate = Fraction(0)
+    previous = alphas[0]
+    for alpha in alphas:
+        measure += rate * (alpha - previous) + jump.get(alpha, 0)
+        rate += rate_change.get(alpha, 0)
+        pieces.append((rate, measure - rate * alpha))
+        previous = alpha
+    pieces.pop()  # the top level starts no piece: the measure stays 1 beyond
+    top = alphas[-1]
+    if rate != 0 or measure != 1:
+        raise ValidationFailure(
+            f"sublevel sweep ends at level {top} with rate {rate} and measure "
+            f"{measure}, not 0 and 1"
+        )
+    direct = sublevel_measure(fn, top)
+    if direct != measure:
+        raise ValidationFailure(
+            f"sublevel sweep reaches measure {measure} at level {top}, but "
+            f"the measure there is {direct}"
+        )
     return SublevelProfile(alphas=tuple(alphas), pieces=tuple(pieces))
 
 
@@ -562,7 +615,10 @@ def rearrange_torus(fn: PwlTorusFunction) -> PwlTorusFunction:
     bounds = list(zip(profile.alphas, profile.alphas[1:]))
     for (a_lo, a_hi), (s, t) in zip(bounds, profile.pieces):
         left_val = s * a_lo + t
-        assert left_val >= x_cur
+        if left_val < x_cur:
+            raise ValidationFailure(
+                f"sublevel profile decreases at level {a_lo}: {left_val} < {x_cur}"
+            )
         if left_val > x_cur:
             segments.append((x_cur, left_val, a_lo, Fraction(0)))
             x_cur = left_val

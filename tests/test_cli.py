@@ -1,6 +1,7 @@
 """End-to-end command line coverage through main(argv): exit codes, output
 formats, stdin handling, and file outputs."""
 
+import ast
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import groupcut
-from groupcut import gmi, gom, identity_fn, md2, polytope
+from groupcut import PwlTorusFunction, gmi, gom, identity_fn, md2, polytope, torus
 from groupcut.cli import main
 
 
@@ -347,6 +348,68 @@ class TestIntegrate:
             rows = list(csv.reader(handle))
         assert rows[0] == ["alpha", "measure"]
         assert ["1/2", "1/2"] in rows
+
+
+    def test_zero_set_prints_valid_json(self, capsys, tmp_path):
+        # pi vanishes on [0, 1/2): the log integral is -inf, and JSON has no
+        # number for it
+        half = F(1, 2)
+        path = tmp_path / "zero_set.json"
+        path.write_text(
+            PwlTorusFunction(
+                (F(0), half), ((F(0), F(0)), (F(0), F(1))), b=half
+            ).to_json()
+        )
+        code, out, _err = run(
+            capsys, "integrate", str(path), "--p", "1", "--layer-cake"
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["integral_ln"] == "-inf"
+        assert payload["lp_norms"] == {"1": 0.5}
+        assert payload["layer_cake"] == {"lhs": "inf", "rhs": "inf", "gap": 0.0}
+
+
+class TestCertificates:
+    """A failed certificate raises ValidationFailure, which exits 2, and no
+    certificate rides on `assert`, which `python -O` strips."""
+
+    def test_sublevel_end_check_exits_2(self, capsys, monkeypatch, gmi_half_path):
+        exact = torus.sublevel_measure
+        monkeypatch.setattr(
+            torus, "sublevel_measure", lambda fn, alpha: exact(fn, alpha) + F(1, 7)
+        )
+        code, out, err = run(capsys, "integrate", gmi_half_path, "--layer-cake")
+        assert (code, out) == (2, "")
+        assert err.startswith("validation failure: sublevel sweep reaches measure 1")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [(), ("--tilde",)])
+    def test_decreasing_profile_exits_2(self, capsys, monkeypatch, gmi_half_path, flags):
+        half = F(1, 2)
+        decreasing = torus.SublevelProfile(
+            alphas=(F(0), half, F(1)), pieces=((F(1), half), (F(0), F(1, 4)))
+        )
+        monkeypatch.setattr(torus, "sublevel_profile", lambda fn: decreasing)
+        code, out, err = run(capsys, "rearrange", gmi_half_path, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("validation failure: sublevel profile decreases")
+        assert "Traceback" not in err
+
+    def test_package_has_no_assert(self):
+        package = Path(groupcut.__file__).resolve().parent
+        modules = sorted(package.glob("*.py"))
+        asserts = [
+            f"{path.name}:{node.lineno}"
+            for path in modules
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert len(modules) > 5 and asserts == []
 
 
 class TestExperiment:

@@ -1,12 +1,21 @@
-"""The integer corner scan on the circle against a plain Fraction corner scan.
+"""The circle layer's integer scans and one-sweep profile against plain
+Fraction oracles.
 
 `_subadditivity_scan` scales the breakpoint coordinates and the one-sided
 limits to integers over their common denominators and compares plain ints.
-The oracle below is the exact `Fraction` scan it replaced: the same corners
+`oracle_scan` is the exact `Fraction` scan it replaced: the same corners
 (breakpoint pairs and difference-aligned pairs) in sorted order, each under
 the same realizable limit patterns.  The minimum, the witness with its
 pattern, and every violation with its order and exact amount must agree, and
 so must `is_minimal_pwl`'s verdict.
+
+`_symmetry_scan` evaluates pi(x) + pi(partner(x)) on integer coordinates;
+`oracle_symmetry_scan` is the `Fraction` scan with `value_at` it replaced.
+`sublevel_profile` builds the profile in one sweep over the levels;
+`oracle_profile` fits each level interval through two exact sublevel
+measures, as the profile was built before.  With both oracles patched in,
+`rearrange_torus`, `tilde_fn` and `layer_cake_check` must return what they
+return on the new code, failures included.
 """
 
 from __future__ import annotations
@@ -28,11 +37,17 @@ from groupcut import (
     enumerate_vertices,
     from_finite_function,
     gmi,
+    identity_fn,
     is_minimal_pwl,
     is_nondecreasing,
+    layer_cake_check,
     md2_torus,
+    rearrange_torus,
     scaled_gmi,
     subadditivity_slack,
+    sublevel_measure,
+    sublevel_profile,
+    tilde_fn,
 )
 from groupcut import torus
 
@@ -66,6 +81,51 @@ def oracle_scan(fn):
     return best, witness, violations
 
 
+def oracle_symmetry_scan(fn):
+    def partner(x):
+        return (fn.b - x) % 1 if fn.mode == MODE_RHS else (-x) % 1
+
+    special = {F(0)} | ({fn.b} if fn.mode == MODE_RHS else set())
+    grid = set(fn.breakpoints) | special
+    grid |= {partner(x) for x in grid}
+    refined = sorted(grid)
+    violations = []
+    for r in refined:
+        if fn.mode == MODE_WRAP and r == 0:
+            continue
+        gap = fn.value_at(r) + fn.value_at(partner(r)) - 1
+        if gap != 0:
+            violations.append(((r,), abs(gap)))
+    endpoints = refined + [F(1)]
+    for u, v in zip(endpoints, endpoints[1:]):
+        for t in (u + (v - u) / 3, u + 2 * (v - u) / 3):
+            gap = fn.value_at(t) + fn.value_at(partner(t)) - 1
+            if gap != 0:
+                violations.append(((t,), abs(gap)))
+    return violations
+
+
+def oracle_profile(fn):
+    torus._assert_nonnegative(fn)
+    levels = {F(0)}
+    for i, (s, t) in enumerate(fn.pieces):
+        u, v = fn.piece_domain(i)
+        levels.add(s * u + t)
+        levels.add(s * v + t)
+    alphas = sorted(levels)
+    pieces = []
+    for a_lo, a_hi in zip(alphas, alphas[1:]):
+        t1 = a_lo + (a_hi - a_lo) / 3
+        t2 = a_lo + 2 * (a_hi - a_lo) / 3
+        m1, m2 = sublevel_measure(fn, t1), sublevel_measure(fn, t2)
+        slope = (m2 - m1) / (t2 - t1)
+        intercept = m1 - slope * t1
+        assert slope * a_lo + intercept == sublevel_measure(fn, a_lo)
+        pieces.append((slope, intercept))
+    assert sublevel_measure(fn, alphas[-1]) == 1
+    return torus.SublevelProfile(alphas=tuple(alphas), pieces=tuple(pieces))
+
+
 def oracle_is_minimal_pwl(fn):
     violations = []
     for i, x in enumerate(fn.breakpoints):
@@ -77,7 +137,7 @@ def oracle_is_minimal_pwl(fn):
         violations.append(Violation("origin", (0,), abs(fn.value_at(0))))
     for corner, amount in oracle_scan(fn)[2]:
         violations.append(Violation("subadditivity", corner, amount))
-    for witness, amount in torus._symmetry_scan(fn):
+    for witness, amount in oracle_symmetry_scan(fn):
         violations.append(Violation("symmetry", witness, amount))
     return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
 
@@ -100,16 +160,9 @@ def random_fraction(rng, lo=0, hi=2):
     return F(rng.randint(lo * den, hi * den), den)
 
 
-def random_function(rng):
-    """Breakpoints and pieces with mixed denominators; point values that
-    follow the left limit, the right limit, or neither (a jump); either
-    symmetry mode."""
-    n = rng.randint(1, 6)
-    bps = sorted({F(0)} | {random_fraction(rng, 0, 1) % 1 for _ in range(n)})
-    pieces = []
-    for _ in bps:
-        slope = random_fraction(rng, -3, 3) if rng.random() < 0.8 else F(0)
-        pieces.append((slope, random_fraction(rng, -1, 2)))
+def with_point_values(rng, bps, pieces):
+    """Point values that follow the left limit, the right limit, or neither
+    (a jump); either symmetry mode."""
     values = []
     for i, x in enumerate(bps):
         s, t = pieces[i - 1] if i else (F(0), pieces[-1][0] + pieces[-1][1])
@@ -123,13 +176,60 @@ def random_function(rng):
     return PwlTorusFunction(*shape, b=F(rng.randint(1, 11), 12), mode=MODE_RHS)
 
 
+def random_function(rng):
+    """Breakpoints and pieces with mixed denominators."""
+    n = rng.randint(1, 6)
+    bps = sorted({F(0)} | {random_fraction(rng, 0, 1) % 1 for _ in range(n)})
+    pieces = []
+    for _ in bps:
+        slope = random_fraction(rng, -3, 3) if rng.random() < 0.8 else F(0)
+        pieces.append((slope, random_fraction(rng, -1, 2)))
+    return with_point_values(rng, bps, pieces)
+
+
+def unit_function(rng):
+    """Values within [0, 1]: pieces drawn by their end values, a third of
+    them constant (zero included)."""
+    n = rng.randint(1, 6)
+    bps = sorted({F(0)} | {random_fraction(rng, 0, 1) % 1 for _ in range(n)})
+    pieces = []
+    for u, v in zip(bps, bps[1:] + [F(1)]):
+        start = random_fraction(rng, 0, 1)
+        end = start if rng.random() < 0.3 else random_fraction(rng, 0, 1)
+        slope = (end - start) / (v - u)
+        pieces.append((slope, start - slope * u))
+    return with_point_values(rng, bps, pieces)
+
+
+def step_functions():
+    """A zero set of positive measure, a staircase with jumps, and two
+    constant pieces at one level on either side of a ramp."""
+    half, third = F(1, 2), F(1, 3)
+    return [
+        PwlTorusFunction((F(0), half), ((F(0), F(0)), (F(0), F(1))), b=half),
+        PwlTorusFunction(
+            (F(0), third, 2 * third),
+            ((F(0), F(1, 4)), (F(0), F(3, 4)), (F(0), F(1, 4))),
+            (F(0), F(1), F(1, 2)),
+            b=third,
+        ),
+        PwlTorusFunction(
+            (F(0), F(1, 4), F(3, 4)),
+            ((F(0), half), (F(2), F(-1, 2)), (F(0), half)),
+            mode=MODE_WRAP,
+        ),
+    ]
+
+
 def corpus():
     functions = [gmi(b) for b in RHS] + [md2_torus(b) for b in RHS]
     functions += [scaled_gmi(b, k) for b in RHS for k in range(1, 6)]
+    functions += [identity_fn()] + step_functions()
     vertices = enumerate_vertices(build_polytope(13, 12)).vertices
     functions += [from_finite_function(v) for v in vertices]
     rng = random.Random(20240)
     functions += [random_function(rng) for _ in range(150)]
+    functions += [unit_function(rng) for _ in range(100)]
     return functions
 
 
@@ -158,6 +258,50 @@ def test_is_minimal_pwl_matches_fraction_scan():
         kinds.update(v.kind for v in expected.violations)
     assert {"negativity", "origin", "subadditivity", "symmetry"} <= set(kinds)
     assert sum(is_minimal_pwl(fn).is_minimal for fn in CORPUS) >= 40
+
+
+def test_symmetry_scan_matches_fraction_scan():
+    violated = 0
+    for fn in CORPUS:
+        expected = oracle_symmetry_scan(fn)
+        got = torus._symmetry_scan(fn)
+        assert got == expected
+        assert repr(got) == repr(expected)  # Fractions, not ints
+        violated += bool(expected)
+    assert 0 < violated < len(CORPUS)
+
+
+def outcome(call, fn):
+    """repr of the result, or the type and message of the exception."""
+    try:
+        return repr(call(fn))
+    except Exception as exc:  # failures must agree too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_sublevel_profile_matches_three_point_fit():
+    profiled = 0
+    for fn in CORPUS:
+        expected = outcome(oracle_profile, fn)
+        assert outcome(sublevel_profile, fn) == expected
+        if not expected.startswith("ValueError"):
+            got = sublevel_profile(fn)
+            assert got.alphas == oracle_profile(fn).alphas
+            assert got.pieces == oracle_profile(fn).pieces
+            profiled += 1
+    assert 100 < profiled < len(CORPUS)
+
+
+def test_rearrangement_and_layer_cake_match_the_oracles(monkeypatch):
+    calls = (rearrange_torus, tilde_fn, layer_cake_check)
+    got = [[outcome(call, fn) for call in calls] for fn in CORPUS]
+    monkeypatch.setattr(torus, "sublevel_profile", oracle_profile)
+    monkeypatch.setattr(torus, "_symmetry_scan", oracle_symmetry_scan)
+    expected = [[outcome(call, fn) for call in calls] for fn in CORPUS]
+    assert got == expected
+    kinds = Counter(o.split(":")[0] if ": " in o else "ok" for row in got for o in row)
+    assert kinds["ok"] > 200 and kinds["NotMinimal"] and kinds["ValueError"]
+    assert any("inf" in row[2] for row in got)  # a zero set of positive measure
 
 
 def test_limits_table_matches_one_sided_limits():
