@@ -105,6 +105,8 @@ def _cmd_check(args) -> int:
     fn = _load(_function_from_dict, args.path)
     if isinstance(fn, FiniteGroupFunction):
         verdict = is_minimal(fn, b=args.b)
+    elif args.b is not None:
+        raise ValueError("--b applies to finite functions only")
     else:
         verdict = is_minimal_pwl(fn)
     _emit(_verdict_dict(verdict), args)
@@ -158,6 +160,10 @@ def _cmd_integrate(args) -> int:
     fn = _load(_function_from_dict, args.path)
     ps = tuple(args.p) if args.p else (1, 2, 3)
     if isinstance(fn, FiniteGroupFunction):
+        if args.layer_cake or args.sublevel_csv:
+            raise ValueError(
+                "--layer-cake and --sublevel-csv apply to circle functions only"
+            )
         payload = score_function(fn, ps=ps).to_dict()
     else:
         payload = {
@@ -228,29 +234,23 @@ def _cmd_experiment(args) -> int:
             args,
         )
         return 0
-    rows = stirling_table(args.primes or [])
+    rows = [
+        {
+            "q": row.q,
+            "ratio": str(row.ratio),
+            "log_mean": row.log_mean,
+            "gap_to_minus_one": row.gap_to_minus_one,
+        }
+        for row in stirling_table(args.primes or [])
+    ]
     if args.output_csv:
         with open(args.output_csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["q", "ratio", "log_mean", "gap_to_minus_one"])
-            for row in rows:
-                writer.writerow(
-                    [row.q, str(row.ratio), row.log_mean, row.gap_to_minus_one]
-                )
-    _emit(
-        {
-            "rows": [
-                {
-                    "q": row.q,
-                    "ratio": str(row.ratio),
-                    "log_mean": row.log_mean,
-                    "gap_to_minus_one": row.gap_to_minus_one,
-                }
-                for row in rows
-            ]
-        },
-        args,
-    )
+            writer = csv.DictWriter(
+                handle, fieldnames=["q", "ratio", "log_mean", "gap_to_minus_one"]
+            )
+            writer.writeheader()
+            writer.writerows(rows)
+    _emit({"rows": rows}, args)
     return 0
 
 
@@ -289,7 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify minimality of a function JSON")
     p.add_argument("path", help="function JSON file, or - for stdin")
-    p.add_argument("--b", type=int, default=None, help="override the rhs residue")
+    p.add_argument(
+        "--b", type=int, default=None, help="override the rhs residue (finite only)"
+    )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_check)
 
@@ -331,7 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also compare against the sublevel-profile form (circle only)",
     )
     p.add_argument(
-        "--sublevel-csv", default=None, help="write alpha vs measure plot data here"
+        "--sublevel-csv",
+        default=None,
+        help="write alpha vs measure plot data here (circle only)",
     )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_integrate)

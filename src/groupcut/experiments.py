@@ -283,13 +283,8 @@ def stirling_table(primes: Sequence[int]) -> tuple[StirlingRow, ...]:
         if not is_prime(q):
             raise NotPrime(f"{q} is not prime")
     rows = []
-    factorial = 1
-    n = 1
     for q in qs:
-        while n < q - 1:
-            n += 1
-            factorial *= n
-        ratio = Fraction(factorial, (q - 1) ** (q - 1))
+        ratio = expected_min_product(q)
         log_mean = ln_fraction(ratio) / (q - 1)
         rows.append(
             StirlingRow(
@@ -345,19 +340,12 @@ class OptimizationRow:
         }
 
     def csv_cells(self, columns: Sequence[str] = CSV_COLUMNS) -> list[str]:
-        """The named columns as CSV text: '' for None, lowercase booleans."""
-        cells = {
-            "q": self.q,
-            "b": self.b,
-            "status": self.status,
-            "n_vertices": self.n_vertices,
-            "min_product": self.min_product,
-            "argmin": None
-            if self.argmin is None
-            else " ".join(str(v) for v in self.argmin.values),
-            "unique": self.unique,
-            "wall_time_ms": f"{self.wall_time_ms:.3f}",
-        }
+        """The named columns of `to_dict` as CSV text: '' for None, lowercase
+        booleans, the argmin joined by spaces, the time to 3 decimals."""
+        cells = self.to_dict()
+        if cells["argmin"] is not None:
+            cells["argmin"] = " ".join(cells["argmin"])
+        cells["wall_time_ms"] = f"{self.wall_time_ms:.3f}"
         return [_csv_cell(cells[name]) for name in columns]
 
 

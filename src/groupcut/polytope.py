@@ -214,18 +214,9 @@ def _enumerate_reduced(
     indices for each processed row, ANDed over the pair's common rows; the
     pair is adjacent iff only its own two bits survive.  The returned masks do
     not rest on the inherited ones: each final point's tight set is recomputed
-    from the point, for the rank certificate.
+    from the point, for the rank certificate.  With d = 0 the box is the one
+    empty point, which each row keeps (c <= 0) or cuts away (c > 0).
     """
-    if d == 0:
-        point = ((), 1)
-        mask = 0
-        for idx, (a, c) in enumerate(rows):
-            if c > 0:
-                return []
-            if c == 0:
-                mask |= 1 << idx
-        return [(point, mask)]
-
     vertices: list[tuple[tuple[tuple[int, ...], int], int]] = []
     for code in range(1 << d):
         nums = tuple((code >> j) & 1 for j in range(d))

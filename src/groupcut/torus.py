@@ -203,15 +203,7 @@ class PwlTorusFunction:
 
 def gmi(b) -> PwlTorusFunction:
     """The two-slope mixed-integer rounding profile with rhs b in (0, 1)."""
-    b = as_fraction(b)
-    if not 0 < b < 1:
-        raise OutOfRange(f"b must lie in (0, 1), got {b}")
-    return PwlTorusFunction(
-        breakpoints=(Fraction(0), b),
-        pieces=((1 / b, Fraction(0)), (-1 / (1 - b), 1 / (1 - b))),
-        b=b,
-        mode=MODE_RHS,
-    )
+    return scaled_gmi(b, 1)
 
 
 def scaled_gmi(b, k: int) -> PwlTorusFunction:
@@ -432,34 +424,11 @@ def is_minimal_pwl(fn: PwlTorusFunction) -> MinimalityVerdict:
     return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
 
 
-def sublevel_measure(fn: PwlTorusFunction, alpha) -> Fraction:
-    """Exact Lebesgue measure of {x : pi(x) <= alpha}; point values carry none."""
-    alpha = as_fraction(alpha)
-    total = Fraction(0)
-    for i, (s, t) in enumerate(fn.pieces):
-        u, v = fn.piece_domain(i)
-        if s == 0:
-            if t <= alpha:
-                total += v - u
-        elif s > 0:
-            hi = min(v, (alpha - t) / s)
-            if hi > u:
-                total += hi - u
-        else:
-            lo = max(u, (alpha - t) / s)
-            if lo < v:
-                total += v - lo
-    return total
-
-
-def sublevel_set(fn: PwlTorusFunction, alpha) -> tuple[tuple[Fraction, Fraction], ...]:
-    """{pi <= alpha} realized as merged closed intervals in [0, 1].
-
-    Piece contributions are taken with closed endpoints and breakpoints whose
-    point value passes are added as degenerate intervals, so the realization
-    can differ from the literal preimage on a null set.
-    """
-    alpha = as_fraction(alpha)
+def _piece_sublevels(
+    fn: PwlTorusFunction, alpha: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Per piece, the closed interval of its domain where the piece is <= alpha
+    (possibly one point); pieces wholly above alpha give none."""
     intervals: list[tuple[Fraction, Fraction]] = []
     for i, (s, t) in enumerate(fn.pieces):
         u, v = fn.piece_domain(i)
@@ -474,8 +443,26 @@ def sublevel_set(fn: PwlTorusFunction, alpha) -> tuple[tuple[Fraction, Fraction]
             lo = max(u, (alpha - t) / s)
             if lo <= v:
                 intervals.append((lo, v))
-    for i, x in enumerate(fn.breakpoints):
-        if fn.point_values[i] <= alpha:
+    return intervals
+
+
+def sublevel_measure(fn: PwlTorusFunction, alpha) -> Fraction:
+    """Exact Lebesgue measure of {x : pi(x) <= alpha}; point values carry none."""
+    intervals = _piece_sublevels(fn, as_fraction(alpha))
+    return sum((hi - lo for lo, hi in intervals), Fraction(0))
+
+
+def sublevel_set(fn: PwlTorusFunction, alpha) -> tuple[tuple[Fraction, Fraction], ...]:
+    """{pi <= alpha} realized as merged closed intervals in [0, 1].
+
+    Piece contributions are taken with closed endpoints and breakpoints whose
+    point value passes are added as degenerate intervals, so the realization
+    can differ from the literal preimage on a null set.
+    """
+    alpha = as_fraction(alpha)
+    intervals = _piece_sublevels(fn, alpha)
+    for x, value in zip(fn.breakpoints, fn.point_values):
+        if value <= alpha:
             intervals.append((x, x))
     return _merge_intervals(intervals)
 
@@ -555,8 +542,8 @@ def sublevel_profile(fn: PwlTorusFunction) -> SublevelProfile:
     its length at once, at its value.  Walking the sorted levels with the
     running measure m and rate r gives the profile piece (r, m - r a) at each
     level a.  At the top level the rate must be back to 0 and m exactly 1,
-    and an independent `sublevel_measure` there must agree; otherwise
-    `ValidationFailure`.
+    and at the median level an independent `sublevel_measure` must agree
+    with the sweep; otherwise `ValidationFailure`.
     """
     _assert_nonnegative(fn)
     limits = fn.limits()
@@ -585,19 +572,22 @@ def sublevel_profile(fn: PwlTorusFunction) -> SublevelProfile:
         pieces.append((rate, measure - rate * alpha))
         previous = alpha
     pieces.pop()  # the top level starts no piece: the measure stays 1 beyond
-    top = alphas[-1]
     if rate != 0 or measure != 1:
         raise ValidationFailure(
-            f"sublevel sweep ends at level {top} with rate {rate} and measure "
-            f"{measure}, not 0 and 1"
+            f"sublevel sweep ends at level {alphas[-1]} with rate {rate} and "
+            f"measure {measure}, not 0 and 1"
         )
-    direct = sublevel_measure(fn, top)
-    if direct != measure:
+    profile = SublevelProfile(alphas=tuple(alphas), pieces=tuple(pieces))
+    # at the top level every piece lies below, so a direct measure there
+    # repeats the end check; the median level tests the sweep in between
+    level = alphas[len(alphas) // 2]
+    swept, direct = profile.measure_at(level), sublevel_measure(fn, level)
+    if direct != swept:
         raise ValidationFailure(
-            f"sublevel sweep reaches measure {measure} at level {top}, but "
+            f"sublevel sweep reaches measure {swept} at level {level}, but "
             f"the measure there is {direct}"
         )
-    return SublevelProfile(alphas=tuple(alphas), pieces=tuple(pieces))
+    return profile
 
 
 def rearrange_torus(fn: PwlTorusFunction) -> PwlTorusFunction:

@@ -149,6 +149,11 @@ class TestCheck:
         path.write_text(json.dumps(data))
         assert run(capsys, "check", str(path))[0] == 0
 
+    def test_rhs_override_rejected_for_circle_input(self, capsys, gmi_half_path):
+        code, out, err = run(capsys, "check", gmi_half_path, "--b", "2")
+        assert (code, out) == (3, "")
+        assert "finite" in err
+
 
 class TestRearrange:
     def test_finite_function_sorted(self, capsys, tmp_path):
@@ -373,6 +378,17 @@ class TestIntegrate:
         assert payload["lp_norms"] == {"1": 0.5}
         assert payload["layer_cake"] == {"lhs": "inf", "rhs": "inf", "gap": 0.0}
 
+    @pytest.mark.parametrize("flag", ["--layer-cake", "--sublevel-csv"])
+    def test_circle_flags_rejected_for_finite_input(
+        self, capsys, tmp_path, gom54_path, flag
+    ):
+        plot = tmp_path / "plot.csv"
+        flags = [flag, str(plot)] if flag == "--sublevel-csv" else [flag]
+        code, out, err = run(capsys, "integrate", gom54_path, *flags)
+        assert (code, out) == (3, "")
+        assert "circle" in err
+        assert not plot.exists()
+
 
 class TestCertificates:
     """A failed certificate raises ValidationFailure, which exits 2, and no
@@ -386,6 +402,29 @@ class TestCertificates:
         code, out, err = run(capsys, "integrate", gmi_half_path, "--layer-cake")
         assert (code, out) == (2, "")
         assert err.startswith("validation failure: sublevel sweep reaches measure 1")
+        assert "Traceback" not in err
+
+    def test_sublevel_check_below_the_top_level_exits_2(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # md2(5, 4) on the circle has levels 0, 1/2 and 1; a measure that is
+        # off only below the top level must still be caught
+        fn = torus.from_finite_function(md2(5, 4))
+        assert torus.sublevel_profile(fn).alphas == (0, F(1, 2), 1)
+        path = tmp_path / "md2.json"
+        path.write_text(fn.to_json())
+        exact = torus.sublevel_measure
+        monkeypatch.setattr(
+            torus,
+            "sublevel_measure",
+            lambda fn, alpha: exact(fn, alpha) + (F(1, 7) if alpha < 1 else 0),
+        )
+        code, out, err = run(capsys, "integrate", str(path), "--layer-cake")
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "validation failure: sublevel sweep reaches measure 7/10 at level 1/2, "
+            "but the measure there is 59/70"
+        )
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [(), ("--tilde",)])
@@ -469,6 +508,18 @@ class TestExperiment:
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0][0] == "q" and rows[1][0] == "3"
+
+    def test_stirling_csv_rows_are_exact(self, capsys, tmp_path):
+        path = tmp_path / "gaps.csv"
+        argv = ["experiment", "stirling", "--primes", "11", "3", "7"]
+        code, _out, _err = run(capsys, *argv, "--output-csv", str(path))
+        assert code == 0
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["q", "ratio", "log_mean", "gap_to_minus_one"]] + [
+            [str(row.q), str(row.ratio), repr(row.log_mean), repr(row.gap_to_minus_one)]
+            for row in groupcut.stirling_table([3, 7, 11])
+        ]
 
     def test_unknown_profile_exits_3(self, capsys):
         code, _out, err = run(

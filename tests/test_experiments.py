@@ -4,6 +4,7 @@ experiment, the exact floor table, and the batch optimization report."""
 import csv
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -306,6 +307,34 @@ class TestOptimizeAndReport:
         payload = json.loads(json_path.read_text())
         assert payload["ok"] is True
         assert payload["rows"][0]["argmin"] == ["0", "1/4", "1/2", "3/4", "1"]
+
+    def test_full_report_csv(self, tmp_path):
+        csv_path = tmp_path / "report.csv"
+        config = ExperimentConfig(
+            prime_list=(4, 5, 7), b_policy="all", output_csv=str(csv_path)
+        )
+        optimize_and_report(config, force=True)
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == list(experiments.CSV_COLUMNS)
+        assert all(re.fullmatch(r"\d+\.\d{3}", row[-1]) for row in rows[1:])
+        assert [row[:-1] for row in rows[1:]] == [
+            ["4", "1", "EXPERIMENTAL", "2", "0", "0 1 0 1", "true"],
+            ["4", "2", "EXPERIMENTAL", "1", "1/4", "0 1/2 1 1/2", "true"],
+            ["4", "3", "EXPERIMENTAL", "2", "0", "0 1 0 1", "true"],
+            ["5", "1", "OK", "2", "3/32", "0 1 3/4 1/2 1/4", "true"],
+            ["5", "2", "OK", "2", "3/32", "0 1/2 1 1/4 3/4", "true"],
+            ["5", "3", "OK", "2", "3/32", "0 3/4 1/4 1 1/2", "true"],
+            ["5", "4", "OK", "2", "3/32", "0 1/4 1/2 3/4 1", "true"],
+            ["7", "1", "OK", "4", "5/324", "0 1 5/6 2/3 1/2 1/3 1/6", "true"],
+            ["7", "2", "OK", "4", "5/324", "0 1/2 1 1/3 5/6 1/6 2/3", "true"],
+            ["7", "3", "OK", "4", "5/324", "0 1/3 2/3 1 1/6 1/2 5/6", "true"],
+            ["7", "4", "OK", "4", "5/324", "0 5/6 1/2 1/6 1 2/3 1/3", "true"],
+            ["7", "5", "OK", "4", "5/324", "0 2/3 1/6 5/6 1/3 1 1/2", "true"],
+            ["7", "6", "OK", "4", "5/324", "0 1/6 1/3 1/2 2/3 5/6 1", "true"],
+        ]
+        skipped = OptimizationRow(q=9, b=None, status=STATUS_SKIPPED)
+        assert skipped.csv_cells() == ["9", "", STATUS_SKIPPED, "", "", "", "", "0.000"]
 
     def test_mismatch_rows_serialize_and_flag(self, tmp_path):
         row = OptimizationRow(q=5, b=4, status=STATUS_MISMATCH)

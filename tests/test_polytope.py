@@ -109,7 +109,8 @@ class TestBuildPolytope:
 
 class TestEnumerateVertices:
     def test_matches_brute_force_oracle(self, vertices_for):
-        for q, b in [(3, 1), (5, 1), (5, 4), (7, 2), (7, 6), (9, 8), (9, 4)]:
+        cases = [(2, 1), (3, 1), (4, 2), (5, 1), (5, 4), (7, 2), (7, 6), (9, 8), (9, 4)]
+        for q, b in cases:
             expected = brute_force_vertices(q, b)
             got = {v.values for v in enumerate_vertices(build_polytope(q, b)).vertices}
             assert got == expected, (q, b)
