@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .finite_functions import FiniteGroupFunction
+from .finite_functions import FiniteGroupFunction, _numerators
 from .rationals import ln_fraction, nth_root_float
 
 __all__ = [
@@ -72,11 +72,10 @@ def lp_norm(pi: FiniteGroupFunction, p: int) -> LpScore:
 
 
 def volume_product(pi: FiniteGroupFunction) -> Fraction:
-    """Product of the values away from the origin, exact."""
-    prod = Fraction(1)
-    for v in pi.values[1:]:
-        prod *= v
-    return prod
+    """Product of the values away from the origin, exact: the product of their
+    integer numerators over den^(q-1), normalized once."""
+    nums, den = _numerators(pi.values)
+    return Fraction(math.prod(nums[1:]), den ** (pi.q - 1))
 
 
 def simplex_volume(pi: FiniteGroupFunction) -> Fraction | float:

@@ -33,7 +33,15 @@ from .finite_functions import (
 from .group_core import CyclicGroup, automorphism_sending, is_prime
 from .polytope import MAX_ORDER, minimize_volume
 from .rationals import as_fraction, ln_fraction
-from .torus import MODE_RHS, MODE_WRAP, PwlTorusFunction, integral_ln, is_minimal_pwl, is_nondecreasing
+from .torus import (
+    MODE_RHS,
+    MODE_WRAP,
+    PwlTorusFunction,
+    _walk_pieces,
+    integral_ln,
+    is_minimal_pwl,
+    is_nondecreasing,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -235,10 +243,10 @@ def riemann_experiment(
     verdict = is_minimal_pwl(h)
     if not verdict.is_minimal:
         raise NotInClassG(f"not minimal: {verdict.violations[0]}")
-    values = [
-        h.value_at(Fraction(x, q - 1)) if x < q - 1 else Fraction(1)
-        for x in range(q)
-    ]
+    # h at x/(q-1) for x < q-1 is h at x * (d // (q-1)) over d
+    d = math.lcm(q - 1, *(x.denominator for x in h.breakpoints))
+    scaled, w = _walk_pieces(h, d, range(0, d, d // (q - 1)))
+    values = [Fraction(v, w) for v in scaled.values()] + [Fraction(1)]
     sampled = FiniteGroupFunction.from_values(q=q, b=q - 1, values=values)
     sampled_verdict = is_minimal(sampled)
     if not sampled_verdict.is_minimal:

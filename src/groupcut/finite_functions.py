@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import IdenticallyZero, NotPrime, NotSubadditive, ZeroElement
@@ -138,15 +139,29 @@ def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _slacks(nums: list[int]) -> Iterator[tuple[int, int, int]]:
-    """(x, y, nums[x] + nums[y] - nums[(x + y) % q]) for 0 <= x <= y < q,
-    row by row: the one pair scan behind every finite subadditivity check."""
+def _rows(nums: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """(x, row) for 0 <= x < q, where row[k] = nums[y] - nums[(x + y) % q] at
+    y = x + k for x <= y < q, so that nums[x] + row[k] is the slack of the
+    pair (x, y): the one pair scan behind every finite subadditivity check.
+
+    Each row is built by one C-level map, and only the row in hand is alive,
+    never all q^2/2 slacks.
+    """
     q = len(nums)
     wrapped = nums * 2  # wrapped[x + y] == nums[(x + y) % q]
     for x in range(q):
-        nx = nums[x]
-        for y in range(x, q):
-            yield x, y, nx + nums[y] - wrapped[x + y]
+        yield x, list(map(sub, nums[x:], wrapped[2 * x : x + q]))
+
+
+def _negative_slacks(nums: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(x, y, slack) for every pair x <= y with a negative slack, in (x, y)
+    order.  One min tells whether a row holds any; only those rows are walked."""
+    for x, row in _rows(nums):
+        bound = -nums[x]  # the pair (x, x + k) is violated when row[k] < bound
+        if min(row) < bound:
+            for k, r in enumerate(row):
+                if r < bound:
+                    yield x, x + k, r - bound
 
 
 def _violations(nums: list[int], den: int, b: int) -> Iterator[Violation]:
@@ -154,9 +169,8 @@ def _violations(nums: list[int], den: int, b: int) -> Iterator[Violation]:
     q = len(nums)
     if nums[0] != 0:
         yield Violation("origin", (0,), Fraction(nums[0], den))
-    for x, y, slack in _slacks(nums):
-        if slack < 0:
-            yield Violation("subadditivity", (x, y), Fraction(-slack, den))
+    for x, y, slack in _negative_slacks(nums):
+        yield Violation("subadditivity", (x, y), Fraction(-slack, den))
     for x in range(q):
         partner = (b - x) % q
         gap = nums[x] + nums[partner] - den
@@ -214,7 +228,7 @@ def rearrange_finite(pi: FiniteGroupFunction) -> FiniteGroupFunction:
     if pi.values[0] != 0:
         raise ValueError("rearrangement requires value 0 at the origin")
     nums, den = _numerators(pi.values)
-    bad = next(((x, y, s) for x, y, s in _slacks(nums) if s < 0), None)
+    bad = next(_negative_slacks(nums), None)
     if bad is not None:
         x, y, slack = bad
         raise NotSubadditive(

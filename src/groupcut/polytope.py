@@ -17,7 +17,7 @@ from .errors import (
     ValidationFailure,
     ZeroElement,
 )
-from .finite_functions import FiniteGroupFunction, _numerators, _slacks, gom, is_minimal
+from .finite_functions import FiniteGroupFunction, _numerators, _rows, gom, is_minimal
 from .group_core import is_prime
 
 __all__ = [
@@ -352,7 +352,11 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
         raise NotNondecreasing("decomposition expects a nondecreasing function")
 
     nums, den = _numerators(vals)
-    gamma = Fraction(min(s for x, y, s in _slacks(nums) if x + y >= q), den)
+    # row x's wrap-around pairs are y = x + k with k >= q - 2x; row 0 has none
+    wrap_minima = (
+        nums[x] + min(row[max(0, q - 2 * x) :]) for x, row in _rows(nums) if x > 0
+    )
+    gamma = Fraction(min(wrap_minima), den)
     lam = min([gamma * Fraction(q - 1, q)] + [vals[x] / x for x in range(1, q)])
     if lam >= 1:  # only the two-element group reaches this; any split works
         lam = Fraction(1, 2)

@@ -351,6 +351,33 @@ def subadditivity_slack(fn: PwlTorusFunction) -> tuple[Fraction, tuple]:
     return best, witness
 
 
+def _walk_pieces(
+    fn: PwlTorusFunction, d: int, points: Iterable[int]
+) -> tuple[dict[int, int], int]:
+    """{p: fn(p / d) * w} for the ascending integers p in [0, d), and w.
+
+    d must be a multiple of every breakpoint denominator.  Over the common
+    denominator w piece i is the integer affine map slopes[i] * p + offsets[i],
+    and a point on a breakpoint takes that breakpoint's point value, so one
+    walk along the pieces gives every value as an integer.
+    """
+    xs = [x.numerator * (d // x.denominator) for x in fn.breakpoints]
+    w = math.lcm(
+        d * math.lcm(*(c.denominator for piece in fn.pieces for c in piece)),
+        *(v.denominator for v in fn.point_values),
+    )
+    slopes = [s.numerator * (w // (s.denominator * d)) for s, _t in fn.pieces]
+    offsets = [t.numerator * (w // t.denominator) for _s, t in fn.pieces]
+    values = [v.numerator * (w // v.denominator) for v in fn.point_values]
+    scaled: dict[int, int] = {}
+    i, last = 0, len(xs) - 1
+    for p in points:
+        while i < last and xs[i + 1] <= p:
+            i += 1
+        scaled[p] = values[i] if xs[i] == p else slopes[i] * p + offsets[i]
+    return scaled, w
+
+
 def _symmetry_scan(fn: PwlTorusFunction) -> list[tuple[tuple, Fraction]]:
     """Violations of pi(x) + pi(partner(x)) = 1 on the refined breakpoint grid
     plus two interior probes per refined cell (the sum is affine per cell).
@@ -376,20 +403,7 @@ def _symmetry_scan(fn: PwlTorusFunction) -> list[tuple[tuple, Fraction]]:
         third = (v - u) // 3
         points += (u, u + third, u + 2 * third)
 
-    # pi(p / d) * w: piece i is the integer affine map slopes[i] * p + offsets[i]
-    w = math.lcm(
-        d * math.lcm(*(c.denominator for piece in fn.pieces for c in piece)),
-        *(v.denominator for v in fn.point_values),
-    )
-    slopes = [s.numerator * (w // (s.denominator * d)) for s, _t in fn.pieces]
-    offsets = [t.numerator * (w // t.denominator) for _s, t in fn.pieces]
-    values = [v.numerator * (w // v.denominator) for v in fn.point_values]
-    scaled: dict[int, int] = {}
-    i, last = 0, len(xs) - 1
-    for p in points:
-        while i < last and xs[i + 1] <= p:
-            i += 1
-        scaled[p] = values[i] if xs[i] == p else slopes[i] * p + offsets[i]
+    scaled, w = _walk_pieces(fn, d, points)
 
     # grid points first, then the probes; in wrap mode the origin pairs with
     # itself and is exempt

@@ -1,6 +1,7 @@
 """Strength criteria: L_p norms, value products, simplex volume, log means."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -118,3 +119,47 @@ class TestScoreFunction:
         strong = score_function(md2(5, 2))
         assert weak.volume_product > strong.volume_product
         assert weak.lp_norms[2].power > strong.lp_norms[2].power
+
+
+def running_product(pi):
+    """The value product multiplied out one Fraction at a time."""
+    prod = F(1)
+    for v in pi.values[1:]:
+        prod *= v
+    return prod
+
+
+class TestVolumeProductOnNumerators:
+    """volume_product multiplies integer numerators and normalizes once; it
+    must equal the running Fraction product exactly."""
+
+    def test_every_vertex_up_to_order_13(self, vertices_for):
+        checked = 0
+        for q in range(2, 14):
+            for b in range(1, q):
+                for v in vertices_for(q, b):
+                    got = volume_product(v)
+                    assert got == running_product(v) and type(got) is F
+                    checked += 1
+        assert checked > 1000
+
+    def test_random_vectors(self):
+        rng = random.Random(74)
+        zeros = 0
+        for q in (2, 2, 3, 5, 8, 13, 29, 101) * 6:
+            dens = (1, 2, 3, 7, 12, 35, 1008)
+            values = [F(rng.randint(0, 3 * d), d) for d in rng.choices(dens, k=q)]
+            if rng.random() < 0.3:
+                values[rng.randrange(1, q)] = F(0)
+            pi = FiniteGroupFunction.from_values(q, 1, values)
+            got = volume_product(pi)
+            assert got == running_product(pi)
+            assert repr(got) == repr(running_product(pi))
+            zeros += got == 0
+        assert zeros > 0
+
+    def test_order_two_and_zero_value(self):
+        pi = FiniteGroupFunction.from_values(2, 1, [F(3, 4), F(5, 6)])
+        assert volume_product(pi) == F(5, 6)
+        pi = FiniteGroupFunction.from_values(3, 1, [F(1, 3), F(0), F(7, 9)])
+        assert volume_product(pi) == 0 and type(volume_product(pi)) is F

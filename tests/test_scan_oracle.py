@@ -183,3 +183,189 @@ def test_gomory_gamma_matches_fraction_scan(q):
         pi = nondecreasing_minimal(rng, q)
         assert oracle_is_minimal(pi).is_minimal
         assert gomory_decomposition(pi).gamma == oracle_gamma(pi)
+
+
+# The row kernel: row x is built as one list, one min over it tells whether
+# the row holds a negative slack, and only such rows are walked.  The cases
+# below aim at its edges: the smallest groups, rows full of violations,
+# slacks of exactly 0, violations confined to one diagonal or one column, and
+# the boundary of gamma's wrap-around slice.
+
+
+def assert_matches_oracle(pi, b=None):
+    expected = oracle_is_minimal(pi, b)
+    got = is_minimal(pi, b)
+    assert got == expected
+    assert repr(got) == repr(expected)  # Fraction amounts, not ints
+    assert is_minimal(pi, b, early_exit=True) == oracle_is_minimal(
+        pi, b, early_exit=True
+    )
+    return expected
+
+
+def subadditivity_witnesses(verdict):
+    return [v.witness for v in verdict.violations if v.kind == "subadditivity"]
+
+
+def grid_functions(q, levels):
+    """Every function on Z/qZ with values in levels, origin included."""
+    functions = [[]]
+    for _ in range(q):
+        functions = [f + [v] for f in functions for v in levels]
+    return functions
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_smallest_groups_match_the_oracle(q):
+    levels = (F(0), F(1, 3), F(1, 2), F(1), F(3, 2))
+    outcomes = Counter()
+    for values in grid_functions(q, levels):
+        for b in range(1, q):
+            pi = FiniteGroupFunction.from_values(q, b, values)
+            expected = assert_matches_oracle(pi)
+            outcomes[bool(subadditivity_witnesses(expected))] += 1
+            if values[0] == 0 and any(values):
+                message = oracle_subadditivity_error(pi)
+                if message is None:
+                    assert rearrange_finite(pi).values == tuple(sorted(values))
+                else:
+                    with pytest.raises(NotSubadditive) as info:
+                        rearrange_finite(pi)
+                    assert str(info.value) == message
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_smallest_groups_gamma(q):
+    # row x's wrap-around pairs start at y = q - x (k = q - 2x): row 0 has
+    # none, and rows x >= q/2 are wrap-around whole.  A slice one pair early
+    # takes in a pair with x + y = q - 1, whose slack is 0 for a function
+    # symmetric about q - 1; one pair late leaves row 1 empty
+    rng = random.Random(4000 + q)
+    for _ in range(20):
+        pi = nondecreasing_minimal(rng, q)
+        assert gomory_decomposition(pi).gamma == oracle_gamma(pi)
+
+
+def dense_function(rng, q, den=100):
+    """Random positive values with a zero origin, as in a dense `check` input:
+    most rows hold several violations."""
+    values = [F(0)] + [F(rng.randrange(1, den + 1), den) for _ in range(q - 1)]
+    return FiniteGroupFunction.from_values(q, rng.randrange(1, q), values)
+
+
+def test_dense_violations_match_in_order():
+    rng = random.Random(53)
+    for _ in range(8):
+        pi = dense_function(rng, 53)
+        expected = assert_matches_oracle(pi)
+        witnesses = subadditivity_witnesses(expected)
+        assert len(witnesses) > 53  # many rows, several per row
+        assert witnesses == sorted(witnesses)
+        with pytest.raises(NotSubadditive) as info:
+            rearrange_finite(pi)
+        assert str(info.value) == oracle_subadditivity_error(pi)
+
+
+def test_early_exit_reports_the_first_violation_only():
+    rng = random.Random(54)
+    for _ in range(8):
+        pi = dense_function(rng, 53)
+        full = oracle_is_minimal(pi)
+        first = is_minimal(pi, early_exit=True)
+        assert first.violations == full.violations[:1]
+        assert first == oracle_is_minimal(pi, early_exit=True)
+    # with a nonzero origin the origin violation comes first
+    values = list(dense_function(rng, 53).values)
+    values[0] = F(1, 7)
+    pi = FiniteGroupFunction.from_values(53, 1, values)
+    first = is_minimal(pi, early_exit=True).violations
+    assert [v.kind for v in first] == ["origin"]
+
+
+def test_zero_slack_is_not_a_violation():
+    # gom(q, q - 1) = x / (q - 1) is tight on every pair with x + y < q;
+    # nudging one value down makes some slacks negative and leaves others
+    # exactly 0, and only the negative ones may be reported
+    for q in (5, 13, 31):
+        tight = gom(q, q - 1)
+        assert assert_matches_oracle(tight).is_minimal
+        for z in (1, q // 2, q - 2):
+            values = list(tight.values)
+            values[z] -= F(1, 3 * (q - 1))
+            pi = FiniteGroupFunction.from_values(q, q - 1, values)
+            expected = assert_matches_oracle(pi)
+            vals = pi.values
+            for x, y in subadditivity_witnesses(expected):
+                assert vals[x] + vals[y] < vals[(x + y) % q]
+            zero = [
+                (x, y)
+                for x in range(q)
+                for y in range(x, q)
+                if vals[x] + vals[y] == vals[(x + y) % q]
+            ]
+            assert zero and not set(zero) & set(subadditivity_witnesses(expected))
+
+
+def test_violations_only_on_the_diagonal():
+    # value 1 away from the origin, except pi(x0) = 1/2 and pi(2 x0) = 5/4:
+    # 2 pi(x0) < pi(2 x0) is the only failed pair
+    q = 11
+    for x0 in (1, 2, 4, 5, 7):
+        values = [F(0)] + [F(1)] * (q - 1)
+        values[x0], values[2 * x0 % q] = F(1, 2), F(5, 4)
+        pi = FiniteGroupFunction.from_values(q, q - 1, values)
+        expected = assert_matches_oracle(pi)
+        assert subadditivity_witnesses(expected) == [(x0, x0)]
+        assert expected.violations[0].amount == F(1, 4)
+
+
+def test_violations_only_in_the_last_column():
+    # value 1 away from the origin, except pi(q - 1) = 1/2 and pi(t) = 2 for
+    # t in ts: pi(t + 1) + pi(q - 1) < pi(t) fails, and no other pair does
+    q = 13
+    ts = (1, 4, 7, 10)
+    values = [F(0)] + [F(1)] * (q - 1)
+    values[q - 1] = F(1, 2)
+    for t in ts:
+        values[t] = F(2)
+    pi = FiniteGroupFunction.from_values(q, 3, values)
+    expected = assert_matches_oracle(pi)
+    assert subadditivity_witnesses(expected) == [(t + 1, q - 1) for t in ts]
+
+
+def test_row_zero_with_a_nonzero_origin():
+    # row 0's slacks are all pi(0) + pi(y) - pi(y) = pi(0) > 0: the origin is
+    # reported once, then the violations of later rows in order
+    rng = random.Random(55)
+    for origin in (F(1, 100), F(1, 2), F(3)):
+        values = list(dense_function(rng, 29).values)
+        values[0] = origin
+        pi = FiniteGroupFunction.from_values(29, 5, values)
+        expected = assert_matches_oracle(pi)
+        assert expected.violations[0] == Violation("origin", (0,), origin)
+        witnesses = subadditivity_witnesses(expected)
+        assert witnesses and all(x > 0 for x, _y in witnesses)
+
+
+def tilde_gmi_sample(b, q):
+    profile = tilde_fn(gmi(b))
+    values = [profile.value_at(F(x, q - 1)) if x < q - 1 else F(1) for x in range(q)]
+    return FiniteGroupFunction.from_values(q, q - 1, values)
+
+
+@pytest.mark.parametrize("b", [F(1, 7), F(3, 5)])
+def test_tilde_gmi_sample_at_q_211(b):
+    q = 211
+    pi = tilde_gmi_sample(b, q)
+    assert assert_matches_oracle(pi).is_minimal
+    assert rearrange_finite(pi).values == pi.values
+    assert gomory_decomposition(pi).gamma == oracle_gamma(pi)
+    # lift one value: the violations that appear still match, in order
+    values = list(pi.values)
+    values[q // 3] += F(1, 4)
+    lifted = FiniteGroupFunction.from_values(q, q - 1, values)
+    assert subadditivity_witnesses(assert_matches_oracle(lifted))
+    with pytest.raises(NotSubadditive) as info:
+        rearrange_finite(lifted)
+    assert str(info.value) == oracle_subadditivity_error(lifted)

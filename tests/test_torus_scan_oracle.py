@@ -21,6 +21,7 @@ return on the new code, failures included.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -49,7 +50,7 @@ from groupcut import (
     sublevel_profile,
     tilde_fn,
 )
-from groupcut import torus
+from groupcut import experiments, riemann_experiment, torus
 
 RHS = (F(1, 2), F(1, 3), F(2, 5), F(3, 7), F(5, 12))
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 35)
@@ -323,3 +324,73 @@ def test_scaled_gmi_scan_is_tight(k):
     best, witness = subadditivity_slack(scaled_gmi(F(2, 5), k))
     assert best == 0 and type(best) is F
     assert all(type(c) is F for c in witness[:2])
+
+
+# `_walk_pieces` takes a function's values on ascending integer points p / d
+# in one walk along the pieces; `_symmetry_scan` and `riemann_experiment`
+# both sample through it.  Its oracle is `value_at` at each point.
+
+
+def walk_samples(fn, n):
+    """fn at x / n for 0 <= x < n, through the walk."""
+    d = math.lcm(n, *(x.denominator for x in fn.breakpoints))
+    scaled, w = torus._walk_pieces(fn, d, range(0, d, d // n))
+    assert list(scaled) == list(range(0, d, d // n))
+    return [F(v, w) for v in scaled.values()]
+
+
+def oracle_walk(fn, d, points):
+    values = {p: fn.value_at(F(p, d)) for p in points}
+    w = math.lcm(*(v.denominator for v in values.values()))
+    return {p: v.numerator * (w // v.denominator) for p, v in values.items()}, w
+
+
+def jump_on_the_grid():
+    """1/4 + x/4 below 1/2 and 1/2 + x/4 above, with point value 1/2 at 1/2,
+    between the one-sided limits 3/8 and 5/8: nondecreasing and minimal in
+    wrap mode, with jumps at the origin and at 1/2."""
+    return PwlTorusFunction(
+        (F(0), F(1, 2)),
+        ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 2))),
+        (F(0), F(1, 2)),
+        mode=MODE_WRAP,
+    )
+
+
+def class_g_profiles():
+    profiles = [identity_fn(), jump_on_the_grid()]
+    profiles += [tilde_fn(gmi(b)) for b in RHS]
+    profiles += [tilde_fn(scaled_gmi(b, 3)) for b in RHS]
+    vertices = enumerate_vertices(build_polytope(13, 12)).vertices
+    profiles += [tilde_fn(from_finite_function(v)) for v in vertices[::4]]
+    return profiles
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 52, 1008])
+def test_walk_matches_value_at_on_uniform_grids(n):
+    for fn in class_g_profiles():
+        assert walk_samples(fn, n) == [fn.value_at(F(x, n)) for x in range(n)]
+
+
+def test_walk_takes_the_point_value_on_a_breakpoint():
+    fn = jump_on_the_grid()
+    assert is_minimal_pwl(fn).is_minimal and is_nondecreasing(fn)
+    assert walk_samples(fn, 6) == [F(0), F(7, 24), F(1, 3), F(1, 2), F(2, 3), F(17, 24)]
+    assert (fn.left_limit_at(F(1, 2)), fn.right_limit_at(F(1, 2))) == (F(3, 8), F(5, 8))
+
+
+def test_walk_matches_value_at_on_the_corpus():
+    for fn in CORPUS:
+        for n in (3, 10, 36):
+            assert walk_samples(fn, n) == [fn.value_at(F(x, n)) for x in range(n)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 53, 211])
+def test_riemann_sample_matches_value_at(monkeypatch, q):
+    profiles = class_g_profiles()
+    got = [outcome(lambda h: riemann_experiment(h, q), h) for h in profiles]
+    monkeypatch.setattr(experiments, "_walk_pieces", oracle_walk)
+    expected = [outcome(lambda h: riemann_experiment(h, q), h) for h in profiles]
+    assert got == expected
+    # every profile is sampled, at odd q across the jump at 1/2 too
+    assert sum(o.startswith("RiemannResult") for o in got) == len(profiles)
