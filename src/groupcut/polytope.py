@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .criteria import volume_product
@@ -34,8 +35,8 @@ __all__ = [
 IntRow = tuple[tuple[int, ...], int]  # coeffs . z >= rhs, integer, primitive
 
 # Largest order whose vertex enumeration has been measured to finish: q = 23
-# (7188 vertices) takes about 80 s on one core, while at q = 29 a fraction of
-# the polytope alone took ten minutes.
+# (7188 vertices) takes about 4 s in one process on an AMD EPYC core (Python
+# 3.11), while at q = 29 a fraction of the polytope alone took ten minutes.
 MAX_ORDER = 23
 
 
@@ -167,7 +168,7 @@ def build_polytope(q: int, b: int) -> MinimalFunctionPolytope:
 
 def _dot(a: tuple[int, ...], nums: tuple[int, ...], rhs: int, den: int) -> int:
     """Sign-faithful slack of a >= rhs at the homogeneous point nums/den."""
-    return sum(ai * ni for ai, ni in zip(a, nums)) - rhs * den
+    return sum(map(mul, a, nums)) - rhs * den
 
 
 def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -198,6 +199,32 @@ def _int_rank(rows: list[tuple[int, ...]], d: int) -> int:
     return rank
 
 
+def _partners(mask: int, others: int, incidence: list[int], need: int) -> int:
+    """The vertices in the index bitset `others` that share at least `need`
+    of the tight rows in `mask`, as an index bitset.
+
+    With k rows in `mask`, a partner may miss at most m = k - need of them.
+    within[j] holds the vertices that miss at most j of the rows seen so far;
+    a row with incidence inc updates it as (within[j] & inc) | within[j - 1],
+    from j = m down to 1, then within[0] &= inc.  The cost is O(k * m) big-int
+    operations, whatever the number of vertices in `others`.
+    """
+    rows = []
+    while mask:
+        low = mask & -mask
+        rows.append(incidence[low.bit_length() - 1])
+        mask ^= low
+    m = len(rows) - need
+    if m < 0:
+        return 0
+    within = [others] * (m + 1)
+    for inc in rows:
+        for j in range(m, 0, -1):
+            within[j] = (within[j] & inc) | within[j - 1]
+        within[0] &= inc
+    return within[m]
+
+
 def _enumerate_reduced(
     rows: list[IntRow], d: int
 ) -> list[tuple[tuple[tuple[int, ...], int], int]]:
@@ -209,13 +236,17 @@ def _enumerate_reduced(
     infeasible side; the new vertex is a positive combination of u and w, so a
     processed row is tight there exactly when it is tight at both, and its mask
     is inherited as (mu & mw) | bit.  Two vertices are adjacent iff no third
-    vertex is tight on their common tight set.  That is tested with incidence
-    bitsets (Fukuda & Prodon 1996): per inserted row, one bitset of vertex
-    indices for each processed row, ANDed over the pair's common rows; the
-    pair is adjacent iff only its own two bits survive.  The returned masks do
-    not rest on the inherited ones: each final point's tight set is recomputed
-    from the point, for the rank certificate.  With d = 0 the box is the one
-    empty point, which each row keeps (c <= 0) or cuts away (c > 0).
+    vertex is tight on their common tight set, which needs at least d - 1
+    rows.  Both tests run on incidence bitsets (Fukuda & Prodon 1996): per
+    inserted row, one bitset of vertex indices for each processed row.  For
+    each vertex on the smaller of the two sides, `_partners` screens the
+    other side down to the vertices sharing at least d - 1 of its tight rows,
+    so no pair below that count is ever visited; a screened pair is adjacent
+    iff ANDing the incidence bitsets over its common rows leaves only its own
+    two bits.  The returned masks do not rest on the inherited ones: each
+    final point's tight set is recomputed from the point, for the rank
+    certificate.  With d = 0 the box is the one empty point, which each row
+    keeps (c <= 0) or cuts away (c > 0).
     """
     vertices: list[tuple[tuple[tuple[int, ...], int], int]] = []
     for code in range(1 << d):
@@ -225,6 +256,7 @@ def _enumerate_reduced(
             mask |= 1 << (2 * j + nums[j])  # rows 2j: z_j>=0, 2j+1: z_j<=1
         vertices.append(((nums, 1), mask))
 
+    need = d - 1
     for idx in range(2 * d, len(rows)):
         a, c = rows[idx]
         bit = 1 << idx
@@ -239,36 +271,36 @@ def _enumerate_reduced(
             continue
         if not survivors:
             return []
-        incidence = [0] * idx  # processed row -> bitset of vertex indices tight on it
-        for k, (_v, mask) in enumerate(vertices):
-            while mask:
-                low = mask & -mask
-                incidence[low.bit_length() - 1] |= 1 << k
-                mask ^= low
-        pos, neg = [], []
-        for (v, mask), s in zip(vertices, slacks):
-            if s > 0:
-                pos.append((v, mask, s))
-            elif s < 0:
-                neg.append((v, mask, s))
-        need = d - 1
+        # processed row -> bitset of vertex indices tight on it: the columns
+        # of the mask matrix, read with the last vertex as the leading digit
+        columns = zip(*(format(mask, f"0{idx}b") for _v, mask in reversed(vertices)))
+        incidence = [int("".join(col), 2) for col in columns][::-1]
+        pos = [k for k, s in enumerate(slacks) if s > 0]
+        neg = [k for k, s in enumerate(slacks) if s < 0]
+        outer, inner = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
+        inner_set = sum(1 << k for k in inner)
         new_points: dict[tuple[tuple[int, ...], int], int] = {}
-        for u, mu, su in pos:
-            for w, mw, sw in neg:
-                common = mu & mw
-                if common.bit_count() < need:
-                    continue
-                shared = -1  # u's and w's own bits always survive the ANDs
-                rest = common
-                while rest:
-                    low = rest & -rest
-                    shared &= incidence[low.bit_length() - 1]
-                    rest ^= low
+        for i in outer:
+            mi = vertices[i][1]
+            rest = _partners(mi, inner_set, incidence, need)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                k = low.bit_length() - 1
+                common = mi & vertices[k][1]
+                shared = -1  # the pair's own bits always survive the ANDs
+                tight = common
+                while tight:
+                    row_bit = tight & -tight
+                    shared &= incidence[row_bit.bit_length() - 1]
+                    tight ^= row_bit
                 if shared.bit_count() > 2:
                     continue
-                nums = [su * wn - sw * un for un, wn in zip(u[0], w[0])]
-                den = su * w[1] - sw * u[1]
-                new_points.setdefault(_canonical(nums, den), common | bit)
+                iu, iw = (i, k) if slacks[i] > 0 else (k, i)
+                (un, ud), su = vertices[iu][0], slacks[iu]
+                (wn, wd), sw = vertices[iw][0], slacks[iw]
+                nums = [su * w - sw * u for u, w in zip(un, wn)]
+                new_points.setdefault(_canonical(nums, su * wd - sw * ud), common | bit)
         vertices = survivors + list(new_points.items())
 
     final = []
@@ -316,6 +348,8 @@ def minimize_volume(q: int, b: int, *, force: bool = False) -> MinimizeResult:
         if not force:
             raise NotPrime(f"q={q} is composite; pass force=True to scan anyway")
         experimental = True
+    if q > MAX_ORDER:  # before the O(q^2) row system is built
+        raise DimensionCap(f"q={q} exceeds the enumeration cap {MAX_ORDER}")
     vertex_set = enumerate_vertices(build_polytope(q, b))
     scored = [(volume_product(v), v) for v in vertex_set.vertices]
     best = min(score for score, _v in scored)
@@ -344,18 +378,25 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
         raise NotPrime(f"q={q} is composite")
     if pi.b_residue != q - 1:
         raise NotMinimal(f"decomposition expects rhs q-1={q - 1}, got {pi.b_residue}")
-    verdict = is_minimal(pi, early_exit=True)
-    if not verdict.is_minimal:
-        raise NotMinimal(f"not minimal: {verdict.violations[0]}")
     vals = pi.values
+    # one walk over the pair rows screens subadditivity and finds gamma: row
+    # x's wrap-around pairs are y = x + k with k >= q - 2x; row 0 has none.
+    # On a failed screen, is_minimal names the first violation.
+    nums, den = _numerators(vals)
+    minimal = nums[0] == 0
+    wrap_minima = []
+    for x, row in _rows(nums):
+        if min(row) < -nums[x]:
+            minimal = False
+            break
+        if x:
+            wrap_minima.append(nums[x] + min(row[max(0, q - 2 * x) :]))
+    if not (minimal and all(n + m == den for n, m in zip(nums, reversed(nums)))):
+        first = is_minimal(pi, early_exit=True).violations[0]
+        raise NotMinimal(f"not minimal: {first}")
     if any(vals[x] > vals[x + 1] for x in range(q - 1)):
         raise NotNondecreasing("decomposition expects a nondecreasing function")
 
-    nums, den = _numerators(vals)
-    # row x's wrap-around pairs are y = x + k with k >= q - 2x; row 0 has none
-    wrap_minima = (
-        nums[x] + min(row[max(0, q - 2 * x) :]) for x, row in _rows(nums) if x > 0
-    )
     gamma = Fraction(min(wrap_minima), den)
     lam = min([gamma * Fraction(q - 1, q)] + [vals[x] / x for x in range(1, q)])
     if lam >= 1:  # only the two-element group reaches this; any split works

@@ -8,6 +8,10 @@ every processed row, and a pair is adjacent when no other current vertex mask
 contains its common tight set.  Both must return the same (point, mask)
 list once sorted, on prime and composite orders and on canonical and
 non-canonical rhs.
+
+`_partners` finds the candidate pairs from the incidence bitsets alone; the
+second test checks it, on the vertex set before every cutting row, against
+the pair-by-pair count of common tight rows.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from groupcut import build_polytope
-from groupcut.polytope import _canonical, _dot, _enumerate_reduced
+from groupcut.polytope import _canonical, _dot, _enumerate_reduced, _partners
 
 
 def oracle_enumerate(rows, d):
@@ -91,3 +95,39 @@ def test_double_description_matches_adjacency_scan(q, b):
     expected = sorted(oracle_enumerate(rows, poly.dimension))
     assert len(expected) > 1
     assert got == expected
+
+
+@pytest.mark.parametrize("q, b", [(13, 12), (13, 5), (17, 16), (17, 3)])
+def test_partner_screen_keeps_exactly_the_pairs_with_d_minus_1_common_rows(q, b):
+    poly = build_polytope(q, b)
+    rows = list(poly.box_rows) + list(poly.other_rows)
+    d = poly.dimension
+    smaller_sides = set()
+    most_tight = 0
+    for idx in range(2 * d, len(rows)):
+        # the vertex set before row idx, with each mask recomputed from its point
+        vertices = _enumerate_reduced(rows[:idx], d)
+        a, c = rows[idx]
+        slacks = [_dot(a, nums, c, den) for (nums, den), _mask in vertices]
+        pos = [k for k, s in enumerate(slacks) if s > 0]
+        neg = [k for k, s in enumerate(slacks) if s < 0]
+        if not pos or not neg:
+            continue
+        smaller_sides.add("pos" if len(pos) <= len(neg) else "neg")
+        masks = [mask for _point, mask in vertices]
+        incidence = [0] * idx
+        for k, mask in enumerate(masks):
+            for r in range(idx):
+                if mask >> r & 1:
+                    incidence[r] |= 1 << k
+        for outer, inner in ((pos, neg), (neg, pos)):
+            inner_set = sum(1 << k for k in inner)
+            for i in outer:
+                most_tight = max(most_tight, masks[i].bit_count())
+                expected = sum(
+                    1 << k for k in inner if (masks[i] & masks[k]).bit_count() >= d - 1
+                )
+                assert _partners(masks[i], inner_set, incidence, d - 1) == expected
+    assert smaller_sides == {"pos", "neg"}
+    # degenerate outer vertices: up to d + 14 tight rows at (17, 3)
+    assert most_tight >= 2 * d

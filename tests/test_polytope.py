@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from groupcut import polytope
 from groupcut import (
     CyclicGroup,
     DimensionCap,
@@ -148,6 +149,14 @@ class TestEnumerateVertices:
 
 
 class TestMinimizeVolume:
+    def test_cap_refuses_before_building_the_polytope(self, monkeypatch):
+        def refuse(q, b):
+            raise AssertionError(f"polytope built at q={q}")
+
+        monkeypatch.setattr(polytope, "build_polytope", refuse)
+        with pytest.raises(DimensionCap, match="q=1009 exceeds the enumeration cap 23"):
+            minimize_volume(1009, 1008)
+
     def test_reaches_the_predicted_floor(self):
         for q in (3, 5, 7):
             for b in range(1, q):
@@ -244,6 +253,34 @@ class TestGomoryDecomposition:
         assert is_minimal(fn).is_minimal
         with pytest.raises(NotNondecreasing):
             gomory_decomposition(fn)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (
+                [F(1, 5), F(1, 2), F(1, 4), F(1, 2), F(1, 2), F(1, 2), F(1)],
+                "Violation(kind='origin', witness=(0,), amount=Fraction(1, 5))",
+            ),
+            (
+                [F(0), F(1, 2), F(1, 4), F(3, 4), F(1, 4), F(3, 4), F(1)],
+                "Violation(kind='subadditivity', witness=(2, 4), "
+                "amount=Fraction(1, 2))",
+            ),
+            (
+                [F(0), F(3, 5), F(2, 5), F(3, 5), F(3, 5), F(3, 5), F(3, 5)],
+                "Violation(kind='symmetry', witness=(0,), amount=Fraction(2, 5))",
+            ),
+        ],
+    )
+    def test_non_minimal_decreasing_input_names_the_first_violation(
+        self, values, message
+    ):
+        fn = FiniteGroupFunction.from_values(7, 6, values)
+        assert any(values[x] > values[x + 1] for x in range(6))
+        assert str(is_minimal(fn, early_exit=True).violations[0]) == message
+        with pytest.raises(NotMinimal) as refused:
+            gomory_decomposition(fn)
+        assert str(refused.value) == f"not minimal: {message}"
 
     def test_wrong_rhs_refused(self):
         with pytest.raises(NotMinimal):
