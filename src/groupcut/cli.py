@@ -57,14 +57,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(from_dict, path: str):
-    """Read a JSON file, or stdin for '-', into an object; a value of the
-    wrong JSON type, such as a float or a boolean where an exact rational
-    belongs, is bad input."""
+    """Read a JSON file, or stdin for '-', into an object; nesting too deep
+    to decode, or a value of the wrong JSON type, such as a float or a
+    boolean where an exact rational belongs, is bad input."""
     if path == "-":
-        data = json.load(sys.stdin)
+        text = sys.stdin.read()
     else:
         with open(path) as handle:
-            data = json.load(handle)
+            text = handle.read()
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"bad input in {path}: JSON nested too deeply") from exc
     try:
         return from_dict(data)
     except TypeError as exc:
@@ -146,7 +150,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _cmd_optimize(args) -> int:
     config = _config_from_args(args)
-    report = optimize_and_report(config, force=args.force)
+    report = optimize_and_report(config)
     if args.format == "csv":
         report.write_csv(
             sys.stdout, ("q", "b", "status", "n_vertices", "min_product", "unique")
@@ -312,11 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-policy", choices=("all", "fixed", "canonical"), default=None)
     p.add_argument("--fixed-b", type=int, default=None)
     p.add_argument("--config", default=None, help="flat key = value settings file")
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help="scan composite orders too, marking their rows experimental",
-    )
     p.add_argument("--output-csv", default=None)
     p.add_argument("--output-json", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -1,4 +1,4 @@
-"""Exception types named for the contract they enforce."""
+"""Exception types named for the contract they uphold."""
 
 from __future__ import annotations
 

@@ -65,8 +65,8 @@ _B_POLICIES = ("all", "fixed", "canonical")
 class ExperimentConfig:
     """Settings for a volume-optimality run, loadable from key = value files.
 
-    Non-prime entries in prime_list are tolerated; the run reports them as
-    skipped instead of refusing the whole configuration.
+    Every order in prime_list must be prime; optimize_and_report refuses a
+    composite one before any enumeration starts.
     """
 
     prime_list: tuple[int, ...] = ()
@@ -304,8 +304,6 @@ def stirling_table(primes: Sequence[int]) -> tuple[StirlingRow, ...]:
 
 STATUS_OK = "OK"
 STATUS_MISMATCH = "MISMATCH"
-STATUS_SKIPPED = "SKIPPED_NOT_PRIME"
-STATUS_EXPERIMENTAL = "EXPERIMENTAL"
 
 
 CSV_COLUMNS = (
@@ -314,8 +312,6 @@ CSV_COLUMNS = (
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return str(value).lower()
     return str(value)
@@ -324,14 +320,14 @@ def _csv_cell(value) -> str:
 @dataclass(frozen=True)
 class OptimizationRow:
     q: int
-    b: int | None
+    b: int
     status: str
-    n_vertices: int | None = None
-    min_product: Fraction | None = None
-    argmin: FiniteGroupFunction | None = None
-    unique: bool | None = None
-    # a prime order's one enumeration is timed in the first row of that order
-    wall_time_ms: float = 0.0
+    n_vertices: int
+    min_product: Fraction
+    argmin: FiniteGroupFunction
+    unique: bool
+    # an order's one enumeration is timed in the first row of that order
+    wall_time_ms: float
 
     def to_dict(self) -> dict:
         return {
@@ -339,20 +335,17 @@ class OptimizationRow:
             "b": self.b,
             "status": self.status,
             "n_vertices": self.n_vertices,
-            "min_product": None if self.min_product is None else str(self.min_product),
-            "argmin": None
-            if self.argmin is None
-            else [str(v) for v in self.argmin.values],
+            "min_product": str(self.min_product),
+            "argmin": [str(v) for v in self.argmin.values],
             "unique": self.unique,
             "wall_time_ms": self.wall_time_ms,
         }
 
     def csv_cells(self, columns: Sequence[str] = CSV_COLUMNS) -> list[str]:
-        """The named columns of `to_dict` as CSV text: '' for None, lowercase
-        booleans, the argmin joined by spaces, the time to 3 decimals."""
+        """The named columns of `to_dict` as CSV text: lowercase booleans,
+        the argmin joined by spaces, the time to 3 decimals."""
         cells = self.to_dict()
-        if cells["argmin"] is not None:
-            cells["argmin"] = " ".join(cells["argmin"])
+        cells["argmin"] = " ".join(cells["argmin"])
         cells["wall_time_ms"] = f"{self.wall_time_ms:.3f}"
         return [_csv_cell(cells[name]) for name in columns]
 
@@ -360,7 +353,7 @@ class OptimizationRow:
 @dataclass(frozen=True)
 class Report:
     rows: tuple[OptimizationRow, ...]
-    ok: bool  # True when every computed row matched the predicted optimum
+    ok: bool  # True when every row matched the predicted optimum
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "rows": [row.to_dict() for row in self.rows]}
@@ -414,35 +407,16 @@ def _carried_rows(q: int, bs: Sequence[int]) -> list[OptimizationRow]:
     return rows
 
 
-def _forced_row(q: int, b: int) -> OptimizationRow:
-    """A composite order has no automorphism to carry along: enumerate rhs b."""
-    started = time.perf_counter()
-    result = minimize_volume(q, b, force=True)
-    return OptimizationRow(
-        q=q,
-        b=b,
-        status=STATUS_EXPERIMENTAL,
-        n_vertices=result.n_vertices,
-        min_product=result.value,
-        argmin=result.argmin,
-        unique=result.unique,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-    )
+def _tasks_for(config: ExperimentConfig) -> list[tuple[int, tuple[int, ...]]]:
+    """(q, rhs values to report) in ascending q.
 
-
-def _tasks_for(
-    config: ExperimentConfig, force: bool
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(q, rhs values to report) in ascending q; no rhs values means skipped.
-
-    An order that would be enumerated above MAX_ORDER is refused here, before
-    any enumeration starts.
+    A composite order, or one above MAX_ORDER, is refused here, before any
+    enumeration starts.
     """
     tasks = []
     for q in sorted(set(config.prime_list)):
-        if not (force or is_prime(q)):
-            tasks.append((q, ()))
-            continue
+        if not is_prime(q):
+            raise NotPrime(f"q={q} is composite")
         if q > MAX_ORDER:
             raise DimensionCap(f"q={q} exceeds the enumeration cap {MAX_ORDER}")
         if config.b_policy == "all":
@@ -456,25 +430,19 @@ def _tasks_for(
     return tasks
 
 
-def optimize_and_report(config: ExperimentConfig, *, force: bool = False) -> Report:
+def optimize_and_report(config: ExperimentConfig) -> Report:
     """Minimize the value product for every configured (q, b) and check each
     optimum against the predicted floor and shape.
 
-    A prime order is enumerated once, at rhs q-1, and its optimum is carried
-    to every requested b by an automorphism.  Non-prime orders are reported
-    as skipped rather than computed, unless force is set, in which case each
-    rhs is enumerated directly and the rows come back marked experimental and
-    do not count against the report's ok flag.
+    Each order is enumerated once, at rhs q-1, and its optimum is carried to
+    every requested b by an automorphism.  A composite order raises NotPrime
+    and an order above MAX_ORDER raises DimensionCap, before any order is
+    enumerated.
     """
     rows = []
-    for q, bs in _tasks_for(config, force):
-        if not bs:
-            rows.append(OptimizationRow(q=q, b=None, status=STATUS_SKIPPED))
-        elif is_prime(q):
-            rows.extend(_carried_rows(q, bs))
-        else:
-            rows.extend(_forced_row(q, b) for b in bs)
-    ok = all(row.status != STATUS_MISMATCH for row in rows)
+    for q, bs in _tasks_for(config):
+        rows.extend(_carried_rows(q, bs))
+    ok = all(row.status == STATUS_OK for row in rows)
     report = Report(rows=tuple(rows), ok=ok)
     if config.output_csv:
         write_report_csv(report, config.output_csv)

@@ -90,7 +90,6 @@ class MinimizeResult:
     argmin: FiniteGroupFunction
     unique: bool
     n_vertices: int
-    experimental: bool  # True when q is composite and enumeration was forced
 
 
 @dataclass(frozen=True)
@@ -336,18 +335,16 @@ def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
     return VertexSet(q=polytope.q, b=polytope.b, vertices=tuple(functions))
 
 
-def minimize_volume(q: int, b: int, *, force: bool = False) -> MinimizeResult:
+def minimize_volume(q: int, b: int) -> MinimizeResult:
     """Minimize the value product over the minimal-function polytope.
 
     The objective is strictly log-concave on the positive part, so every
     minimizer is a vertex; the minimum is an exact rational comparison over
-    the enumerated vertex set.
+    the enumerated vertex set.  The order q must be prime, the case in which
+    the minimizer is unique and an automorphic image of gom(q, q-1).
     """
-    experimental = False
     if not is_prime(q):
-        if not force:
-            raise NotPrime(f"q={q} is composite; pass force=True to scan anyway")
-        experimental = True
+        raise NotPrime(f"q={q} is composite")
     if q > MAX_ORDER:  # before the O(q^2) row system is built
         raise DimensionCap(f"q={q} exceeds the enumeration cap {MAX_ORDER}")
     vertex_set = enumerate_vertices(build_polytope(q, b))
@@ -361,7 +358,6 @@ def minimize_volume(q: int, b: int, *, force: bool = False) -> MinimizeResult:
         argmin=argmins[0],
         unique=len(argmins) == 1,
         n_vertices=len(vertex_set),
-        experimental=experimental,
     )
 
 

@@ -76,6 +76,20 @@ class TestCheck:
         assert code == 3
         assert "bad JSON" in err
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_json_exits_3(self, capsys, monkeypatch, tmp_path, source):
+        text = "[" * 100000
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            arg = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            arg = "-"
+        code, out, err = run(capsys, "check", arg)
+        assert code == 3 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
     def test_missing_file_exits_3(self, capsys):
         code, _out, err = run(capsys, "check", "/nonexistent/fn.json")
         assert code == 3
@@ -249,11 +263,14 @@ class TestOptimize:
         assert code == 3 and out == ""
         assert f"q={order} exceeds the enumeration cap 23" in err
 
-    def test_force_on_composite(self, capsys):
-        code, out, _err = run(capsys, "optimize", "--primes", "9", "--force")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["rows"][0]["status"] == "EXPERIMENTAL"
+    def test_composite_order_refused_before_enumerating(self, capsys, monkeypatch):
+        def refuse(q, b):
+            raise AssertionError(f"enumeration started at q={q}")
+
+        monkeypatch.setattr(polytope, "build_polytope", refuse)
+        code, out, err = run(capsys, "optimize", "--primes", "5", "9")
+        assert code == 3 and out == ""
+        assert "q=9 is composite" in err
 
 
 def _zero_denominator_argv(tmp_path, case):
@@ -289,6 +306,7 @@ class TestUsage:
             ["optimize", "--workers", "2"],
             ["optimize", "--primes", "x"],
             ["optimize", "--cap", "5"],
+            ["optimize", "--force"],
         ],
     )
     def test_usage_errors_exit_3(self, capsys, argv):

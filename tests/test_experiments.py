@@ -23,10 +23,8 @@ from groupcut import (
     PwlTorusFunction,
     Report,
     RhsMismatch,
-    STATUS_EXPERIMENTAL,
     STATUS_MISMATCH,
     STATUS_OK,
-    STATUS_SKIPPED,
     TableauRow,
     emit_cut,
     expected_min_product,
@@ -230,26 +228,13 @@ class TestOptimizeAndReport:
             assert row.min_product == expected_min_product(row.q)
             assert row.unique is True
 
-    def test_composite_orders_are_skipped(self):
-        report = optimize_and_report(ExperimentConfig(prime_list=(5, 9)))
-        statuses = {(row.q, row.status) for row in report.rows}
-        assert statuses == {(5, STATUS_OK), (9, STATUS_SKIPPED)}
-        skipped = next(r for r in report.rows if r.q == 9)
-        assert skipped.b is None and skipped.min_product is None
-        assert report.ok
+    def test_composite_order_refused(self):
+        with pytest.raises(NotPrime, match="q=9 is composite"):
+            optimize_and_report(ExperimentConfig(prime_list=(5, 9)))
 
     def test_empty_prime_list_yields_empty_report(self):
         report = optimize_and_report(ExperimentConfig())
         assert report.rows == () and report.ok
-
-    def test_force_computes_composites_as_experimental(self):
-        report = optimize_and_report(
-            ExperimentConfig(prime_list=(9,)), force=True
-        )
-        (row,) = report.rows
-        assert row.status == STATUS_EXPERIMENTAL
-        assert row.b == 8 and row.min_product is not None
-        assert report.ok
 
     def test_fixed_rhs_policy(self):
         config = ExperimentConfig(prime_list=(5, 7), b_policy="fixed", fixed_b=2)
@@ -311,17 +296,14 @@ class TestOptimizeAndReport:
     def test_full_report_csv(self, tmp_path):
         csv_path = tmp_path / "report.csv"
         config = ExperimentConfig(
-            prime_list=(4, 5, 7), b_policy="all", output_csv=str(csv_path)
+            prime_list=(5, 7), b_policy="all", output_csv=str(csv_path)
         )
-        optimize_and_report(config, force=True)
+        optimize_and_report(config)
         with open(csv_path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == list(experiments.CSV_COLUMNS)
         assert all(re.fullmatch(r"\d+\.\d{3}", row[-1]) for row in rows[1:])
         assert [row[:-1] for row in rows[1:]] == [
-            ["4", "1", "EXPERIMENTAL", "2", "0", "0 1 0 1", "true"],
-            ["4", "2", "EXPERIMENTAL", "1", "1/4", "0 1/2 1 1/2", "true"],
-            ["4", "3", "EXPERIMENTAL", "2", "0", "0 1 0 1", "true"],
             ["5", "1", "OK", "2", "3/32", "0 1 3/4 1/2 1/4", "true"],
             ["5", "2", "OK", "2", "3/32", "0 1/2 1 1/4 3/4", "true"],
             ["5", "3", "OK", "2", "3/32", "0 3/4 1/4 1 1/2", "true"],
@@ -333,15 +315,24 @@ class TestOptimizeAndReport:
             ["7", "5", "OK", "4", "5/324", "0 2/3 1/6 5/6 1/3 1 1/2", "true"],
             ["7", "6", "OK", "4", "5/324", "0 1/6 1/3 1/2 2/3 5/6 1", "true"],
         ]
-        skipped = OptimizationRow(q=9, b=None, status=STATUS_SKIPPED)
-        assert skipped.csv_cells() == ["9", "", STATUS_SKIPPED, "", "", "", "", "0.000"]
 
     def test_mismatch_rows_serialize_and_flag(self, tmp_path):
-        row = OptimizationRow(q=5, b=4, status=STATUS_MISMATCH)
+        row = OptimizationRow(
+            q=5,
+            b=4,
+            status=STATUS_MISMATCH,
+            n_vertices=2,
+            min_product=F(3, 32),
+            argmin=gom(5, 4),
+            unique=True,
+            wall_time_ms=0.0,
+        )
         report = Report(rows=(row,), ok=False)
         path = tmp_path / "bad.csv"
         write_report_csv(report, path)
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
-        assert rows[1][2] == STATUS_MISMATCH
+        assert rows[1] == [
+            "5", "4", STATUS_MISMATCH, "2", "3/32", "0 1/4 1/2 3/4 1", "true", "0.000"
+        ]
         assert not report.ok

@@ -179,11 +179,6 @@ class TestMinimizeVolume:
         with pytest.raises(NotPrime):
             minimize_volume(9, 8)
 
-    def test_composite_forced_is_experimental(self):
-        result = minimize_volume(9, 8, force=True)
-        assert result.experimental
-        assert result.value <= volume_product(gom(9, 8))
-
     def test_argmin_is_true_minimum_over_vertices(self, vertices_for):
         result = minimize_volume(7, 3)
         products = [volume_product(v) for v in vertices_for(7, 3)]
