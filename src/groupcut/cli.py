@@ -136,6 +136,8 @@ def _cmd_rearrange(args) -> int:
 
 def _config_from_args(args) -> ExperimentConfig:
     base = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    if args.b_policy not in (None, "fixed"):  # replaces the file's fixed_b too
+        base = dataclasses.replace(base, b_policy=args.b_policy, fixed_b=None)
     overrides = {
         "prime_list": None if args.primes is None else tuple(args.primes),
         "b_policy": args.b_policy,

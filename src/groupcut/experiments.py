@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .criteria import volume_product
 from .errors import (
-    DimensionCap,
     GridMismatch,
     NotInClassG,
     NotPrime,
@@ -31,7 +30,7 @@ from .finite_functions import (
     rearrange_finite,
 )
 from .group_core import CyclicGroup, automorphism_sending, is_prime
-from .polytope import MAX_ORDER, minimize_volume
+from .polytope import _admit_order, minimize_volume
 from .rationals import as_fraction, ln_fraction
 from .torus import (
     MODE_RHS,
@@ -66,7 +65,8 @@ class ExperimentConfig:
     """Settings for a volume-optimality run, loadable from key = value files.
 
     Every order in prime_list must be prime; optimize_and_report refuses a
-    composite one before any enumeration starts.
+    composite one before any enumeration starts.  fixed_b is read only under
+    b_policy fixed, and refused under any other policy.
     """
 
     prime_list: tuple[int, ...] = ()
@@ -83,6 +83,8 @@ class ExperimentConfig:
         if self.b_policy == "fixed":
             if self.fixed_b is None or self.fixed_b < 1:
                 raise ValueError("fixed b_policy needs fixed_b >= 1")
+        elif self.fixed_b is not None:
+            raise ValueError(f"fixed_b needs b_policy fixed, not {self.b_policy!r}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -246,7 +248,7 @@ def riemann_experiment(
     # h at x/(q-1) for x < q-1 is h at x * (d // (q-1)) over d
     d = math.lcm(q - 1, *(x.denominator for x in h.breakpoints))
     scaled, w = _walk_pieces(h, d, range(0, d, d // (q - 1)))
-    values = [Fraction(v, w) for v in scaled.values()] + [Fraction(1)]
+    values = [Fraction(v, w) for _left, v, _right in scaled.values()] + [Fraction(1)]
     sampled = FiniteGroupFunction.from_values(q=q, b=q - 1, values=values)
     sampled_verdict = is_minimal(sampled)
     if not sampled_verdict.is_minimal:
@@ -410,15 +412,11 @@ def _carried_rows(q: int, bs: Sequence[int]) -> list[OptimizationRow]:
 def _tasks_for(config: ExperimentConfig) -> list[tuple[int, tuple[int, ...]]]:
     """(q, rhs values to report) in ascending q.
 
-    A composite order, or one above MAX_ORDER, is refused here, before any
-    enumeration starts.
+    Every order is admitted here, before any enumeration starts.
     """
     tasks = []
     for q in sorted(set(config.prime_list)):
-        if not is_prime(q):
-            raise NotPrime(f"q={q} is composite")
-        if q > MAX_ORDER:
-            raise DimensionCap(f"q={q} exceeds the enumeration cap {MAX_ORDER}")
+        _admit_order(q)
         if config.b_policy == "all":
             tasks.append((q, tuple(range(1, q))))
         elif config.b_policy == "fixed":
@@ -435,8 +433,8 @@ def optimize_and_report(config: ExperimentConfig) -> Report:
     optimum against the predicted floor and shape.
 
     Each order is enumerated once, at rhs q-1, and its optimum is carried to
-    every requested b by an automorphism.  A composite order raises NotPrime
-    and an order above MAX_ORDER raises DimensionCap, before any order is
+    every requested b by an automorphism.  An order above MAX_ORDER raises
+    DimensionCap and a composite one NotPrime, before any order is
     enumerated.
     """
     rows = []

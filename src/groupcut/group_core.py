@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import EmptySet, NotAUnit, NotPrime, ZeroElement
@@ -38,12 +39,16 @@ class CyclicGroup:
     """The additive group of residues modulo q, q >= 2."""
 
     q: int
-    is_prime: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or self.q < 2:
             raise ValueError(f"group order must be an integer >= 2, got {self.q!r}")
-        object.__setattr__(self, "is_prime", is_prime(self.q))
+
+    # trial division on first use only, so building a group costs O(1); kept
+    # outside the dataclass fields, so ==, hash and repr do not see it
+    @functools.cached_property
+    def is_prime(self) -> bool:
+        return is_prime(self.q)  # the module function: methods skip class scope
 
     def element(self, residue: int) -> "GroupElement":
         return GroupElement(residue % self.q, self)

@@ -242,10 +242,9 @@ def _enumerate_reduced(
     other side down to the vertices sharing at least d - 1 of its tight rows,
     so no pair below that count is ever visited; a screened pair is adjacent
     iff ANDing the incidence bitsets over its common rows leaves only its own
-    two bits.  The returned masks do not rest on the inherited ones: each
-    final point's tight set is recomputed from the point, for the rank
-    certificate.  With d = 0 the box is the one empty point, which each row
-    keeps (c <= 0) or cuts away (c > 0).
+    two bits.  The returned masks are the inherited ones; `enumerate_vertices`
+    does not rely on them.  With d = 0 the box is the one empty point, which
+    each row keeps (c <= 0) or cuts away (c > 0).
     """
     vertices: list[tuple[tuple[tuple[int, ...], int], int]] = []
     for code in range(1 << d):
@@ -302,26 +301,23 @@ def _enumerate_reduced(
                 new_points.setdefault(_canonical(nums, su * wd - sw * ud), common | bit)
         vertices = survivors + list(new_points.items())
 
-    final = []
-    for (nums, den), _mask in vertices:
-        mask = 0
-        for idx, (a, c) in enumerate(rows):
-            if _dot(a, nums, c, den) == 0:
-                mask |= 1 << idx
-        final.append(((nums, den), mask))
-    return final
+    return vertices
 
 
 def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
-    """All vertices of the polytope, each certified by a tight-row rank check."""
+    """All vertices of the polytope, each certified by a tight-row rank check.
+
+    The certificate does not rest on the enumerator's inherited masks: the
+    rows tight at each returned point are recomputed from the point, and
+    they must have rank equal to the dimension.
+    """
     if polytope.q > MAX_ORDER:
         raise DimensionCap(f"q={polytope.q} exceeds the enumeration cap {MAX_ORDER}")
     rows = list(polytope.box_rows) + list(polytope.other_rows)
     d = polytope.dimension
-    raw = _enumerate_reduced(rows, d)
     functions = []
-    for (nums, den), mask in raw:
-        tight = [rows[i][0] for i in range(len(rows)) if mask & (1 << i)]
+    for (nums, den), _mask in _enumerate_reduced(rows, d):
+        tight = [a for a, c in rows if _dot(a, nums, c, den) == 0]
         if _int_rank(tight, d) != d:
             raise ValidationFailure(
                 f"point {nums}/{den} has tight rank below the dimension {d}"
@@ -335,6 +331,15 @@ def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
     return VertexSet(q=polytope.q, b=polytope.b, vertices=tuple(functions))
 
 
+def _admit_order(q: int) -> None:
+    """Refuse an order above MAX_ORDER, an O(1) test, and then a composite
+    one, whose trial division grows with the square root of q."""
+    if q > MAX_ORDER:
+        raise DimensionCap(f"q={q} exceeds the enumeration cap {MAX_ORDER}")
+    if not is_prime(q):
+        raise NotPrime(f"q={q} is composite")
+
+
 def minimize_volume(q: int, b: int) -> MinimizeResult:
     """Minimize the value product over the minimal-function polytope.
 
@@ -343,10 +348,7 @@ def minimize_volume(q: int, b: int) -> MinimizeResult:
     the enumerated vertex set.  The order q must be prime, the case in which
     the minimizer is unique and an automorphic image of gom(q, q-1).
     """
-    if not is_prime(q):
-        raise NotPrime(f"q={q} is composite")
-    if q > MAX_ORDER:  # before the O(q^2) row system is built
-        raise DimensionCap(f"q={q} exceeds the enumeration cap {MAX_ORDER}")
+    _admit_order(q)  # before the O(q^2) row system is built
     vertex_set = enumerate_vertices(build_polytope(q, b))
     scored = [(volume_product(v), v) for v in vertex_set.vertices]
     best = min(score for score, _v in scored)

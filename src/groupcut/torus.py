@@ -304,31 +304,17 @@ def _subadditivity_scan(
     x+y, so its infimum over points *and* one-sided limits is attained at a
     cell corner (a breakpoint pair or a difference-aligned pair) under one of
     the realizable approach patterns.  Coordinates are scanned as integers
-    over their common denominator dx, limits as integers over theirs, dv;
-    both scalings are monotone, so the corner order, the witness and the
-    violations are those of the exact scan.
+    over their common denominator dx, and `_walk_pieces` gives the left
+    limit, value and right limit at every corner coordinate as integers over
+    one common denominator w; both scalings are positive, so the corner
+    order, the witness and the violations are those of the exact scan.
     """
     dx = math.lcm(*(x.denominator for x in fn.breakpoints))
     xs = [x.numerator * (dx // x.denominator) for x in fn.breakpoints]
     corners = {(x, y) for x in xs for y in xs}
     corners |= {(x, (y - x) % dx) for x in xs for y in xs}
-    limits = fn.limits()
-
-    def triple(p: int) -> tuple[Fraction, Fraction, Fraction]:
-        i = bisect.bisect_right(xs, p) - 1  # ints: no Fraction comparisons
-        if xs[i] == p:
-            return limits[i]
-        s, t = fn.pieces[i]
-        v = s * Fraction(p, dx) + t
-        return v, v, v
-
-    points = {p for x, y in corners for p in (x, y, (x + y) % dx)}
-    triples = [triple(p) for p in points]
-    dv = math.lcm(*(v.denominator for t in triples for v in t))
-    nums = {
-        p: tuple(v.numerator * (dv // v.denominator) for v in t)
-        for p, t in zip(points, triples)
-    }
+    points = sorted({p for x, y in corners for p in (x, y, (x + y) % dx)})
+    nums, w = _walk_pieces(fn, dx, points)
 
     best, witness = None, ()
     violations: list[tuple[tuple, Fraction]] = []
@@ -340,9 +326,9 @@ def _subadditivity_scan(
             best, witness = worst, (x, y, _LIMIT_COMBOS[slacks.index(worst)])
         if worst < 0:
             corner = (Fraction(x, dx), Fraction(y, dx))
-            violations.append((corner, Fraction(-worst, dv)))
+            violations.append((corner, Fraction(-worst, w)))
     x, y, pattern = witness
-    return Fraction(best, dv), (Fraction(x, dx), Fraction(y, dx), pattern), violations
+    return Fraction(best, w), (Fraction(x, dx), Fraction(y, dx), pattern), violations
 
 
 def subadditivity_slack(fn: PwlTorusFunction) -> tuple[Fraction, tuple]:
@@ -353,13 +339,16 @@ def subadditivity_slack(fn: PwlTorusFunction) -> tuple[Fraction, tuple]:
 
 def _walk_pieces(
     fn: PwlTorusFunction, d: int, points: Iterable[int]
-) -> tuple[dict[int, int], int]:
-    """{p: fn(p / d) * w} for the ascending integers p in [0, d), and w.
+) -> tuple[dict[int, tuple[int, int, int]], int]:
+    """{p: (left limit, value, right limit) of fn at p / d, times w} for the
+    ascending integers p in [0, d), and w.
 
     d must be a multiple of every breakpoint denominator.  Over the common
-    denominator w piece i is the integer affine map slopes[i] * p + offsets[i],
-    and a point on a breakpoint takes that breakpoint's point value, so one
-    walk along the pieces gives every value as an integer.
+    denominator w piece i is the integer affine map slopes[i] * p + offsets[i].
+    Off a breakpoint all three entries are the value of the piece there; on
+    breakpoint i they are piece i-1 (the last piece at d when i = 0), the
+    point value and piece i, as in `limits()`.  So one walk along the pieces
+    gives every entry as an integer.
     """
     xs = [x.numerator * (d // x.denominator) for x in fn.breakpoints]
     w = math.lcm(
@@ -369,12 +358,17 @@ def _walk_pieces(
     slopes = [s.numerator * (w // (s.denominator * d)) for s, _t in fn.pieces]
     offsets = [t.numerator * (w // t.denominator) for _s, t in fn.pieces]
     values = [v.numerator * (w // v.denominator) for v in fn.point_values]
-    scaled: dict[int, int] = {}
+    scaled: dict[int, tuple[int, int, int]] = {}
     i, last = 0, len(xs) - 1
     for p in points:
         while i < last and xs[i + 1] <= p:
             i += 1
-        scaled[p] = values[i] if xs[i] == p else slopes[i] * p + offsets[i]
+        right = slopes[i] * p + offsets[i]
+        if xs[i] != p:
+            scaled[p] = (right, right, right)
+        else:  # p is 0 only on breakpoint 0, whose left piece ends at d
+            left = slopes[i - 1] * (p or d) + offsets[i - 1]
+            scaled[p] = (left, values[i], right)
     return scaled, w
 
 
@@ -386,8 +380,8 @@ def _symmetry_scan(fn: PwlTorusFunction) -> list[tuple[tuple, Fraction]]:
     d = 3 lcm(breakpoint denominators, denominator of b) the grid and the
     probes at 1/3 and 2/3 of each cell are integers, and the reflection maps
     grid points to grid points and probes to probes, so each point's value
-    is taken once, as an integer over a common denominator w, in one walk
-    along the pieces.
+    is taken once, as an integer over a common denominator w, from the
+    middle entry of one walk along the pieces.
     """
     rhs = fn.mode == MODE_RHS
     d = 3 * math.lcm(
@@ -411,7 +405,7 @@ def _symmetry_scan(fn: PwlTorusFunction) -> list[tuple[tuple, Fraction]]:
     checked = (refined if rhs else refined[1:]) + probes
     violations: list[tuple[tuple, Fraction]] = []
     for p in checked:
-        gap = scaled[p] + scaled[(bd - p) % d] - w
+        gap = scaled[p][1] + scaled[(bd - p) % d][1] - w
         if gap != 0:
             violations.append(((Fraction(p, d),), Fraction(abs(gap), w)))
     return violations
@@ -656,16 +650,8 @@ def right_limit_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
     """Right-continuous version of a nondecreasing function; same pieces."""
     if not is_nondecreasing(fn):
         raise NotNondecreasing("right-continuous version needs a nondecreasing input")
-    point_values = tuple(
-        s * x + t for x, (s, t) in zip(fn.breakpoints, fn.pieces)
-    )
-    return PwlTorusFunction(
-        breakpoints=fn.breakpoints,
-        pieces=fn.pieces,
-        point_values=point_values,
-        b=fn.b,
-        mode=fn.mode,
-    )
+    # the default point values are the right limits
+    return PwlTorusFunction(fn.breakpoints, fn.pieces, b=fn.b, mode=fn.mode)
 
 
 def tilde_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
@@ -679,11 +665,7 @@ def tilde_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
     if not verdict.is_minimal:
         raise NotMinimal(f"not minimal: {verdict.violations[0]}")
     h = rearrange_torus(fn)
-    point_values = [Fraction(0)]
-    for i in range(1, len(h.breakpoints)):
-        x = h.breakpoints[i]
-        s, t = h.pieces[i]
-        point_values.append((h.point_values[i] + (s * x + t)) / 2)
+    point_values = [Fraction(0)] + [(v + r) / 2 for _l, v, r in h.limits()[1:]]
     return PwlTorusFunction(
         breakpoints=h.breakpoints,
         pieces=h.pieces,

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import groupcut
-from groupcut import PwlTorusFunction, gmi, gom, identity_fn, md2, polytope, torus
+from groupcut import PwlTorusFunction, gmi, gom, identity_fn, md2
+from groupcut import experiments, group_core, polytope, torus
 from groupcut.cli import main
 
 
@@ -100,6 +101,19 @@ class TestCheck:
         path.write_text('{"q": 5}')
         code, _out, err = run(capsys, "check", str(path))
         assert code == 3
+
+    def test_huge_order_refused_by_the_length_check(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def refuse(q):
+            raise AssertionError(f"trial division started at q={q}")
+
+        monkeypatch.setattr(group_core, "is_prime", refuse)
+        path = tmp_path / "huge.json"
+        path.write_text('{"q": 10000000000000061, "b": 1, "values": ["0", "1"]}')
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3 and out == ""
+        assert "expected 10000000000000061 values, got 2" in err
 
     @pytest.mark.parametrize(
         "values", ["[0, 0.25, 0.5, 0.75, 1]", "[0, true, true, true, true]"]
@@ -232,6 +246,14 @@ class TestOptimize:
         payload = json.loads(out)
         assert [row["q"] for row in payload["rows"]] == [5]
 
+    def test_policy_flag_replaces_the_files_fixed_b(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("prime_list = 5\nb_policy = fixed\nfixed_b = 2\n")
+        argv = ["optimize", "--config", str(conf), "--b-policy", "all"]
+        code, out, _err = run(capsys, *argv)
+        assert code == 0
+        assert [row["b"] for row in json.loads(out)["rows"]] == [1, 2, 3, 4]
+
     def test_output_files(self, capsys, tmp_path):
         csv_path = tmp_path / "r.csv"
         json_path = tmp_path / "r.json"
@@ -271,6 +293,25 @@ class TestOptimize:
         code, out, err = run(capsys, "optimize", "--primes", "5", "9")
         assert code == 3 and out == ""
         assert "q=9 is composite" in err
+
+    def test_huge_order_refused_by_the_cap_before_the_primality_test(
+        self, capsys, monkeypatch
+    ):
+        def refuse(q):
+            raise AssertionError(f"trial division started at q={q}")
+
+        for module in (polytope, experiments):
+            monkeypatch.setattr(module, "is_prime", refuse)
+        code, out, err = run(capsys, "optimize", "--primes", "10000000000000061")
+        assert code == 3 and out == ""
+        assert "q=10000000000000061 exceeds the enumeration cap 23" in err
+
+    @pytest.mark.parametrize("policy", [[], ["--b-policy", "all"]])
+    def test_fixed_b_without_fixed_policy_exits_3(self, capsys, policy):
+        argv = ["optimize", "--primes", "5", "--fixed-b", "3", *policy]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "fixed_b" in err
 
 
 def _zero_denominator_argv(tmp_path, case):

@@ -105,7 +105,8 @@ def test_partner_screen_keeps_exactly_the_pairs_with_d_minus_1_common_rows(q, b)
     smaller_sides = set()
     most_tight = 0
     for idx in range(2 * d, len(rows)):
-        # the vertex set before row idx, with each mask recomputed from its point
+        # the vertex set before row idx, each mask its tight set (the test above
+        # checks the masks against the oracle's recomputed ones)
         vertices = _enumerate_reduced(rows[:idx], d)
         a, c = rows[idx]
         slacks = [_dot(a, nums, c, den) for (nums, den), _mask in vertices]

@@ -9,9 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupcut import experiments
+from groupcut import experiments, polytope
 from groupcut import (
     CutInequality,
+    DimensionCap,
     ExperimentConfig,
     FiniteGroupFunction,
     GridMismatch,
@@ -54,6 +55,8 @@ class TestExperimentConfig:
             dict(b_policy="everything"),
             dict(b_policy="fixed"),
             dict(b_policy="fixed", fixed_b=0),
+            dict(fixed_b=3),
+            dict(b_policy="all", fixed_b=3),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -231,6 +234,15 @@ class TestOptimizeAndReport:
     def test_composite_order_refused(self):
         with pytest.raises(NotPrime, match="q=9 is composite"):
             optimize_and_report(ExperimentConfig(prime_list=(5, 9)))
+
+    def test_cap_refuses_before_the_primality_test(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError(f"trial division started at q={q}")
+
+        for module in (polytope, experiments):
+            monkeypatch.setattr(module, "is_prime", refuse)
+        with pytest.raises(DimensionCap, match="exceeds the enumeration cap 23"):
+            optimize_and_report(ExperimentConfig(prime_list=(10**16 + 61,)))
 
     def test_empty_prime_list_yields_empty_report(self):
         report = optimize_and_report(ExperimentConfig())

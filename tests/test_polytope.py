@@ -19,6 +19,7 @@ from groupcut import (
     NotMinimal,
     NotNondecreasing,
     NotPrime,
+    ValidationFailure,
     automorphism_sending,
     build_polytope,
     compose,
@@ -135,6 +136,21 @@ class TestEnumerateVertices:
         with pytest.raises(DimensionCap):
             enumerate_vertices(build_polytope(37, 36))
 
+    def test_certificate_recomputes_the_tight_rows(self, monkeypatch):
+        # a midpoint of two vertices, carrying the first one's mask, is no
+        # vertex: its own tight rows have rank below the dimension
+        enumerate_reduced = polytope._enumerate_reduced
+
+        def with_midpoint(rows, d):
+            vertices = enumerate_reduced(rows, d)
+            ((un, ud), mask), ((wn, wd), _mask) = vertices[:2]
+            nums = [u * wd + w * ud for u, w in zip(un, wn)]
+            return vertices + [(polytope._canonical(nums, 2 * ud * wd), mask)]
+
+        monkeypatch.setattr(polytope, "_enumerate_reduced", with_midpoint)
+        with pytest.raises(ValidationFailure, match="tight rank below"):
+            enumerate_vertices(build_polytope(7, 6))
+
     def test_md2_is_a_strict_convex_combination(self, vertices_for):
         v1, v2 = vertices_for(5, 4)
         mixed = tuple(
@@ -156,6 +172,14 @@ class TestMinimizeVolume:
         monkeypatch.setattr(polytope, "build_polytope", refuse)
         with pytest.raises(DimensionCap, match="q=1009 exceeds the enumeration cap 23"):
             minimize_volume(1009, 1008)
+
+    def test_cap_refuses_before_the_primality_test(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError(f"trial division started at q={q}")
+
+        monkeypatch.setattr(polytope, "is_prime", refuse)
+        with pytest.raises(DimensionCap, match="exceeds the enumeration cap 23"):
+            minimize_volume(10**16 + 61, 1)
 
     def test_reaches_the_predicted_floor(self):
         for q in (3, 5, 7):

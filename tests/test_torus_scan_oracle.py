@@ -326,23 +326,37 @@ def test_scaled_gmi_scan_is_tight(k):
     assert all(type(c) is F for c in witness[:2])
 
 
-# `_walk_pieces` takes a function's values on ascending integer points p / d
-# in one walk along the pieces; `_symmetry_scan` and `riemann_experiment`
-# both sample through it.  Its oracle is `value_at` at each point.
+# `_walk_pieces` takes a function's left limit, value and right limit on
+# ascending integer points p / d in one walk along the pieces;
+# `_subadditivity_scan` reads all three, `_symmetry_scan` and
+# `riemann_experiment` sample the value.  Its oracle is `left_limit_at`,
+# `value_at` and `right_limit_at` at each point.
+
+
+def walk_triples(fn, n):
+    """(left limit, value, right limit) of fn at x / n for 0 <= x < n,
+    through the walk."""
+    d = math.lcm(n, *(x.denominator for x in fn.breakpoints))
+    scaled, w = torus._walk_pieces(fn, d, range(0, d, d // n))
+    assert list(scaled) == list(range(0, d, d // n))
+    return [tuple(F(v, w) for v in triple) for triple in scaled.values()]
 
 
 def walk_samples(fn, n):
     """fn at x / n for 0 <= x < n, through the walk."""
-    d = math.lcm(n, *(x.denominator for x in fn.breakpoints))
-    scaled, w = torus._walk_pieces(fn, d, range(0, d, d // n))
-    assert list(scaled) == list(range(0, d, d // n))
-    return [F(v, w) for v in scaled.values()]
+    return [value for _left, value, _right in walk_triples(fn, n)]
 
 
 def oracle_walk(fn, d, points):
-    values = {p: fn.value_at(F(p, d)) for p in points}
-    w = math.lcm(*(v.denominator for v in values.values()))
-    return {p: v.numerator * (w // v.denominator) for p, v in values.items()}, w
+    triples = {
+        p: (fn.left_limit_at(F(p, d)), fn.value_at(F(p, d)), fn.right_limit_at(F(p, d)))
+        for p in points
+    }
+    w = math.lcm(*(v.denominator for t in triples.values() for v in t))
+    return {
+        p: tuple(v.numerator * (w // v.denominator) for v in t)
+        for p, t in triples.items()
+    }, w
 
 
 def jump_on_the_grid():
@@ -383,6 +397,20 @@ def test_walk_matches_value_at_on_the_corpus():
     for fn in CORPUS:
         for n in (3, 10, 36):
             assert walk_samples(fn, n) == [fn.value_at(F(x, n)) for x in range(n)]
+
+
+def test_walk_limits_match_one_sided_limits_on_the_corpus():
+    jumps = 0
+    for fn in CORPUS:
+        for n in (3, 10, 36):  # x = 0 is the origin
+            got = [(left, right) for left, _value, right in walk_triples(fn, n)]
+            expected = [
+                (fn.left_limit_at(F(x, n)), fn.right_limit_at(F(x, n)))
+                for x in range(n)
+            ]
+            assert got == expected
+            jumps += sum(left != right for left, right in expected)
+    assert jumps > 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 53, 211])
