@@ -6,7 +6,12 @@ integrate (log integral, L_p norms, layer-cake comparison), experiment
 (riemann, stirling), cutgen (tableau row to cutting plane).
 
 Exit codes: 0 success, 2 a certified identity failed its check, 3 bad input
-(usage errors included).
+(usage errors included, and an order above a subcommand's cap).
+
+JSON output, on stdout and in files, is exactly json.dumps(payload, indent=2);
+one writer builds it with the C string escaper instead of the stdlib's
+pure-Python indenting encoder, so check stays cheap when it lists tens of
+thousands of violations.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .errors import GroupCutError, ValidationFailure
 from .experiments import (
     ExperimentConfig,
     TableauRow,
+    _indented_json,
     emit_cut,
     optimize_and_report,
     riemann_experiment,
@@ -85,7 +91,7 @@ def _function_from_dict(data: dict) -> FiniteGroupFunction | PwlTorusFunction:
 
 def _emit(payload: dict, args) -> None:
     if getattr(args, "format", "json") == "json":
-        print(json.dumps(payload, indent=2))
+        print(_indented_json(payload))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -97,7 +103,7 @@ def _verdict_dict(verdict) -> dict:
         "violations": [
             {
                 "kind": v.kind,
-                "witness": [str(w) for w in v.witness],
+                "witness": list(map(str, v.witness)),
                 "amount": str(v.amount),
             }
             for v in verdict.violations
@@ -125,7 +131,7 @@ def _cmd_rearrange(args) -> int:
         out = rearrange_finite(fn)
     else:
         out = tilde_fn(fn) if args.tilde else rearrange_torus(fn)
-    text = json.dumps(out.to_dict(), indent=2)
+    text = _indented_json(out.to_dict())
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -158,7 +164,7 @@ def _cmd_optimize(args) -> int:
             sys.stdout, ("q", "b", "status", "n_vertices", "min_product", "unique")
         )
     else:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_indented_json(report.to_dict()))
     return 0 if report.ok else 2
 
 
@@ -267,7 +273,7 @@ def _cmd_cutgen(args) -> int:
     if args.format == "text":
         print(str(cut))
     else:
-        print(json.dumps(cut.to_dict(), indent=2))
+        print(_indented_json(cut.to_dict()))
     return 0
 
 

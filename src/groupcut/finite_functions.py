@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from operator import sub
 from typing import Iterator, Sequence
 
@@ -155,22 +155,30 @@ def _rows(nums: list[int]) -> Iterator[tuple[int, list[int]]]:
 
 def _negative_slacks(nums: list[int]) -> Iterator[tuple[int, int, int]]:
     """(x, y, slack) for every pair x <= y with a negative slack, in (x, y)
-    order.  One min tells whether a row holds any; only those rows are walked."""
+    order.  One min tells whether a row holds any; in such a row a C-level
+    compress picks out the negative entries, and only those reach Python."""
+    q = len(nums)
     for x, row in _rows(nums):
-        bound = -nums[x]  # the pair (x, x + k) is violated when row[k] < bound
+        bound = -nums[x]  # the pair (x, y) is violated when row[y - x] < bound
         if min(row) < bound:
-            for k, r in enumerate(row):
-                if r < bound:
-                    yield x, x + k, r - bound
+            for y in compress(range(x, q), map(bound.__gt__, row)):
+                yield x, y, row[y - x] - bound
 
 
 def _violations(nums: list[int], den: int, b: int) -> Iterator[Violation]:
-    """Origin, then subadditivity, then symmetry violations of nums/den."""
+    """Origin, then subadditivity, then symmetry violations of nums/den.
+
+    Slacks repeat heavily, so each distinct subadditivity amount is built as
+    a Fraction once per call and shared by every pair that fails by it."""
     q = len(nums)
     if nums[0] != 0:
         yield Violation("origin", (0,), Fraction(nums[0], den))
+    amounts: dict[int, Fraction] = {}
     for x, y, slack in _negative_slacks(nums):
-        yield Violation("subadditivity", (x, y), Fraction(-slack, den))
+        amount = amounts.get(slack)
+        if amount is None:
+            amount = amounts[slack] = Fraction(-slack, den)
+        yield Violation("subadditivity", (x, y), amount)
     for x in range(q):
         partner = (b - x) % q
         gap = nums[x] + nums[partner] - den

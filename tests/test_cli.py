@@ -640,3 +640,16 @@ class TestDecompose:
         path.write_text(gom(5, 2).to_json())
         code, _out, _err = run(capsys, "decompose", str(path))
         assert code == 3
+
+
+class TestRiemannOrderCap:
+    def test_order_above_the_cap_exits_3_before_the_primality_test(
+        self, capsys, monkeypatch
+    ):
+        def refuse(q):
+            raise AssertionError(f"trial division started at q={q}")
+
+        monkeypatch.setattr(experiments, "is_prime", refuse)
+        code, out, err = run(capsys, "experiment", "riemann", "--q", "100003")
+        assert code == 3 and out == ""
+        assert "q=100003 exceeds the riemann cap 10007" in err

@@ -348,3 +348,32 @@ class TestOptimizeAndReport:
             "5", "4", STATUS_MISMATCH, "2", "3/32", "0 1/4 1/2 3/4 1", "true", "0.000"
         ]
         assert not report.ok
+
+
+class TestRiemannOrderCap:
+    """An order above RIEMANN_MAX_ORDER is refused by an O(1) comparison,
+    before the primality test and before any sampling."""
+
+    @pytest.fixture
+    def no_primality_test(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError(f"trial division started at q={q}")
+
+        monkeypatch.setattr(experiments, "is_prime", refuse)
+
+    @pytest.mark.parametrize(
+        "q", [experiments.RIEMANN_MAX_ORDER + 1, 10000000000000061]
+    )
+    def test_order_above_the_cap_refused_first(self, no_primality_test, monkeypatch, q):
+        def refuse(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(experiments, "_walk_pieces", refuse)
+        with pytest.raises(
+            DimensionCap, match=f"q={q} exceeds the riemann cap 10007"
+        ):
+            riemann_experiment(identity_fn(), q)
+
+    def test_the_cap_itself_reaches_the_primality_test(self, no_primality_test):
+        with pytest.raises(AssertionError, match="trial division started at q=10007"):
+            riemann_experiment(identity_fn(), experiments.RIEMANN_MAX_ORDER)

@@ -1,0 +1,137 @@
+"""The indented JSON writer against json.dumps(obj, indent=2), and every
+JSON-emitting subcommand's stdout against its own stdlib round trip, so that
+the CLI prints exactly the bytes the stdlib encoder would."""
+
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from groupcut import (
+    ExperimentConfig,
+    PwlTorusFunction,
+    gmi,
+    gom,
+    md2,
+    optimize_and_report,
+)
+from groupcut.cli import main
+from groupcut.experiments import _indented_json
+
+# every code point, lone surrogates and control characters included
+ANY_TEXT = st.text(st.characters(codec=None, categories=None, exclude_categories=()))
+KEYS = ANY_TEXT | st.sampled_from(["", "\x00", "\x1f\x7f", "é", " ", "\ud800", "😀"])
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | ANY_TEXT
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestWriter:
+    @given(JSON_VALUES)
+    def test_matches_the_stdlib(self, obj):
+        assert _indented_json(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{}, [], (), {"a": {}, "b": [], "c": ()}, [[], [{}]], {"é": "\x00"}],
+        ids=repr,
+    )
+    def test_empty_and_nested_containers(self, obj):
+        assert _indented_json(obj) == json.dumps(obj, indent=2)
+
+    def test_non_string_key_is_refused(self):
+        with pytest.raises(TypeError):
+            _indented_json({1: "one"})
+
+
+def dense_check_input(q=503, den=100):
+    """A seeded value vector on Z/503Z over denominator 100 with thousands of
+    subadditivity violations."""
+    rng = random.Random(q)
+    nums = [0] + [rng.randrange(1, den + 1) for _ in range(q - 1)]
+    values = [str(F(n, den)) for n in nums]
+    return {"q": q, "b": rng.randrange(1, q), "values": values}
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    files = {
+        "dense.json": json.dumps(dense_check_input()),
+        "gom54.json": gom(5, 4).to_json(),
+        "gmi_half.json": gmi(F(1, 2)).to_json(),
+        "md2.json": md2(5, 4).to_json(),
+        "zero_set.json": PwlTorusFunction(
+            (F(0), F(1, 2)), ((F(0), F(0)), (F(0), F(1))), b=F(1, 2)
+        ).to_json(),
+        "row.json": json.dumps(
+            {
+                "rhs": "1/2",
+                "columns": [
+                    {"name": "s1", "frac": "1/4"},
+                    {"name": "s2", "frac": "3/4"},
+                ],
+            }
+        ),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
+CALLS = {
+    "check dense q=503": ["check", "dense.json"],
+    "check minimal": ["check", "gom54.json"],
+    "check circle": ["check", "gmi_half.json"],
+    "optimize json": ["optimize", "--primes", "5", "7", "--format", "json"],
+    "rearrange finite": ["rearrange", "md2.json"],
+    "rearrange tilde": ["rearrange", "gmi_half.json", "--tilde"],
+    "integrate finite": ["integrate", "gom54.json"],
+    "integrate layer cake": [
+        "integrate", "gmi_half.json", "--p", "1", "--p", "2", "--layer-cake"
+    ],
+    "integrate zero set": ["integrate", "zero_set.json", "--layer-cake"],
+    "decompose": ["decompose", "md2.json"],
+    "cutgen": ["cutgen", "--row", "row.json", "--function", "gmi_half.json"],
+    "riemann": ["experiment", "riemann", "--q", "11", "--h", "gmi:1/3"],
+    "stirling": ["experiment", "stirling", "--primes", "5", "11"],
+}
+
+
+@pytest.mark.parametrize("argv", CALLS.values(), ids=CALLS.keys())
+def test_stdout_is_the_stdlib_round_trip(capsys, corpus, argv):
+    code = main([corpus.get(arg, arg) for arg in argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_dense_check_reports_many_violations(capsys, corpus):
+    main(["check", corpus["dense.json"]])
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert len(violations) > 10_000
+
+
+def test_written_files_are_the_stdlib_encoding(capsys, corpus, tmp_path):
+    sorted_path, report_path = tmp_path / "sorted.json", tmp_path / "report.json"
+    assert main(["rearrange", corpus["gmi_half.json"], "-o", str(sorted_path)]) == 0
+    text = sorted_path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    report = optimize_and_report(
+        ExperimentConfig(prime_list=(5,), output_json=str(report_path))
+    )
+    assert report_path.read_text() == json.dumps(report.to_dict(), indent=2)
