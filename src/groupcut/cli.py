@@ -17,6 +17,7 @@ thousands of violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -62,6 +63,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+# CPython 3.10.7+ refuses int <-> str conversions longer than
+# sys.get_int_max_str_digits() digits.  main lifts that limit while a command
+# computes and prints, so exact results of any length are printed, and _load
+# parses input under the limit main was called with.  Interpreters without
+# the limit skip both.  The limit is process-wide, so the caller's value is
+# kept at module level too, only while main runs.
+_input_digits = None
+
+
+@contextlib.contextmanager
+def _int_digits(limit):
+    """Run the body with the int <-> str digit limit set to limit (0 lifts
+    it; None leaves it as it is), then restore the previous limit."""
+    if limit is None or not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield previous
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _load(from_dict, path: str):
     """Read a JSON file, or stdin for '-', into an object; nesting too deep
     to decode, or a value of the wrong JSON type, such as a float or a
@@ -71,14 +96,15 @@ def _load(from_dict, path: str):
     else:
         with open(path) as handle:
             text = handle.read()
-    try:
-        data = json.loads(text)
-    except RecursionError as exc:
-        raise ValueError(f"bad input in {path}: JSON nested too deeply") from exc
-    try:
-        return from_dict(data)
-    except TypeError as exc:
-        raise ValueError(f"bad input in {path}: {exc}") from exc
+    with _int_digits(_input_digits):
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError(f"bad input in {path}: JSON nested too deeply") from exc
+        try:
+            return from_dict(data)
+        except TypeError as exc:
+            raise ValueError(f"bad input in {path}: {exc}") from exc
 
 
 def _function_from_dict(data: dict) -> FiniteGroupFunction | PwlTorusFunction:
@@ -378,22 +404,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    global _input_digits
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
-        return 3
-    except KeyError as exc:
-        print(f"error: missing key: {exc}", file=sys.stderr)
-        return 3
-    except (GroupCutError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with _int_digits(0) as caller_digits:
+        _input_digits = caller_digits
+        try:
+            return args.func(args)
+        except ValidationFailure as exc:
+            print(f"validation failure: {exc}", file=sys.stderr)
+            return 2
+        except json.JSONDecodeError as exc:
+            print(f"error: bad JSON input: {exc}", file=sys.stderr)
+            return 3
+        except KeyError as exc:
+            print(f"error: missing key: {exc}", file=sys.stderr)
+            return 3
+        except (GroupCutError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            _input_digits = None
 
 
 if __name__ == "__main__":

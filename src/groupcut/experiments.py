@@ -25,6 +25,7 @@ from .errors import (
     ValidationFailure,
 )
 from .finite_functions import (
+    MAX_SCAN_ORDER,
     FiniteGroupFunction,
     compose,
     gom,
@@ -33,7 +34,7 @@ from .finite_functions import (
 )
 from .group_core import CyclicGroup, automorphism_sending, is_prime
 from .polytope import _admit_order, minimize_volume
-from .rationals import as_fraction, ln_fraction
+from .rationals import as_fraction, json_field, ln_fraction
 from .torus import (
     MODE_RHS,
     MODE_WRAP,
@@ -167,14 +168,13 @@ class TableauRow:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TableauRow":
-        columns = data["columns"]
-        if not all(isinstance(col, dict) for col in columns):
-            raise ValueError(
-                "row columns must be objects like {'name': ..., 'frac': ...}"
-            )
+        columns = json_field(data, "columns", list)
         return cls(
-            rhs=as_fraction(data["rhs"]),
-            columns=tuple((col["name"], as_fraction(col["frac"])) for col in columns),
+            rhs=json_field(data, "rhs"),
+            columns=tuple(
+                (json_field(col, "name", str), json_field(col, "frac"))
+                for col in columns
+            ),
         )
 
 
@@ -252,13 +252,6 @@ class RiemannResult:
     integral: float  # integral of ln over the circle, the q -> inf limit
 
 
-# Largest order whose riemann_experiment has been measured to finish: at
-# q = 10007 the O(q^2) minimality scan of the sample takes 3.9 s for the
-# identity and 4.2 s for tilde(gmi(1/3)), in one process on an Intel Xeon core
-# (Python 3.11); the time grows as q^2.
-RIEMANN_MAX_ORDER = 10007
-
-
 def riemann_experiment(
     h: PwlTorusFunction, q: int, tolerance: float = 1e-12
 ) -> RiemannResult:
@@ -268,13 +261,13 @@ def riemann_experiment(
     Raises ValidationFailure if any certified identity fails: the discretized
     function must be minimal and its value product can be no smaller than
     (q-1)!/(q-1)^(q-1).  The float slack ``tolerance`` must be finite and
-    nonnegative.  An order above RIEMANN_MAX_ORDER raises DimensionCap, an
+    nonnegative.  An order above MAX_SCAN_ORDER raises DimensionCap, an
     O(1) test made before the primality test and before any sampling.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    if q > RIEMANN_MAX_ORDER:
-        raise DimensionCap(f"q={q} exceeds the riemann cap {RIEMANN_MAX_ORDER}")
+    if q > MAX_SCAN_ORDER:
+        raise DimensionCap(f"q={q} exceeds the riemann cap {MAX_SCAN_ORDER}")
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if h.mode != MODE_WRAP:
@@ -326,8 +319,11 @@ class StirlingRow:
 
 
 def stirling_table(primes: Sequence[int]) -> tuple[StirlingRow, ...]:
-    """Exact floor ratios and their log means for ascending prime orders."""
+    """Exact floor ratios and their log means for ascending prime orders; an
+    order above MAX_SCAN_ORDER raises DimensionCap before any primality test."""
     qs = sorted(set(primes))
+    if qs and qs[-1] > MAX_SCAN_ORDER:
+        raise DimensionCap(f"q={qs[-1]} exceeds the stirling cap {MAX_SCAN_ORDER}")
     for q in qs:
         if not is_prime(q):
             raise NotPrime(f"{q} is not prime")

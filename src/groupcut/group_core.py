@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptySet, NotAUnit, NotPrime, ZeroElement
 
@@ -44,17 +43,8 @@ class CyclicGroup:
         if not isinstance(self.q, int) or self.q < 2:
             raise ValueError(f"group order must be an integer >= 2, got {self.q!r}")
 
-    # trial division on first use only, so building a group costs O(1); kept
-    # outside the dataclass fields, so ==, hash and repr do not see it
-    @functools.cached_property
-    def is_prime(self) -> bool:
-        return is_prime(self.q)  # the module function: methods skip class scope
-
     def element(self, residue: int) -> "GroupElement":
         return GroupElement(residue % self.q, self)
-
-    def elements(self) -> Iterator["GroupElement"]:
-        return (GroupElement(r, self) for r in range(self.q))
 
 
 @dataclass(frozen=True)
@@ -67,26 +57,6 @@ class GroupElement:
             raise ValueError(
                 f"residue {self.residue} outside [0, {self.group.q})"
             )
-
-    def _check_same_group(self, other: "GroupElement") -> None:
-        if self.group.q != other.group.q:
-            raise ValueError(
-                f"elements of different groups: q={self.group.q} vs q={other.group.q}"
-            )
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check_same_group(other)
-        return self.group.element(self.residue + other.residue)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check_same_group(other)
-        return self.group.element(self.residue - other.residue)
-
-    def __neg__(self) -> "GroupElement":
-        return self.group.element(-self.residue)
-
-    def __int__(self) -> int:
-        return self.residue
 
 
 def mod_inverse(a: int, q: int) -> int:
@@ -130,7 +100,7 @@ def automorphism_sending(b: GroupElement, target: GroupElement) -> Automorphism:
     if b.group.q != target.group.q:
         raise ValueError("b and target live in different groups")
     group = b.group
-    if not group.is_prime:
+    if not is_prime(group.q):
         raise NotPrime(f"q={group.q} is composite; automorphism need not exist")
     if b.residue == 0 or target.residue == 0:
         raise ZeroElement("no automorphism moves 0 anywhere but 0")

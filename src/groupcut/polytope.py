@@ -372,7 +372,7 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
     largest admissible value min(gamma*(q-1)/q, min_x pi(x)/x).
     """
     q = pi.q
-    if not pi.group.is_prime:
+    if not is_prime(q):
         raise NotPrime(f"q={q} is composite")
     if pi.b_residue != q - 1:
         raise NotMinimal(f"decomposition expects rhs q-1={q - 1}, got {pi.b_residue}")

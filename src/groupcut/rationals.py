@@ -1,4 +1,5 @@
-"""Exact-rational helpers: coercion, logarithms and roots that respect big integers."""
+"""Exact-rational helpers: coercion, the one field reader behind the JSON
+loaders, and logarithms and roots that respect big integers."""
 
 from __future__ import annotations
 
@@ -19,6 +20,22 @@ def as_fraction(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+_JSON_KINDS = {int: "an integer {}", list: "a list of {}", str: "a string {}"}
+
+
+def json_field(data, name: str, kind: type = object):
+    """data[name] of a decoded JSON object, of JSON kind int (not a boolean),
+    list or str, or of any kind by default; TypeError if data is not an
+    object or the value is of another kind, KeyError if name is missing."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+    value = data[name]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        expected = _JSON_KINDS[kind].format(name)
+        raise TypeError(f"expected {expected}, got {type(value).__name__}")
+    return value
 
 
 def ln_fraction(x: Fraction) -> float:

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import NotMinimal, NotNondecreasing, OutOfRange, ValidationFailure
 from .finite_functions import FiniteGroupFunction, MinimalityVerdict, Violation
-from .rationals import as_fraction, ln_fraction, nth_root_float
+from .rationals import as_fraction, json_field, ln_fraction, nth_root_float
 
 __all__ = [
     "PwlTorusFunction",
@@ -169,25 +169,22 @@ class PwlTorusFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PwlTorusFunction":
-        for name in ("breakpoints", "pieces", "limits"):
-            if not isinstance(data[name], list):
-                raise TypeError(
-                    f"expected a list of {name}, got {type(data[name]).__name__}"
-                )
-        breakpoints = tuple(as_fraction(x) for x in data["breakpoints"])
+        breakpoints = json_field(data, "breakpoints", list)
+        pieces = json_field(data, "pieces", list)
+        limits = json_field(data, "limits", list)
         fn = cls(
-            breakpoints=breakpoints,
+            breakpoints=tuple(breakpoints),
             pieces=tuple(
-                (as_fraction(p["slope"]), as_fraction(p["intercept"]))
-                for p in data["pieces"]
+                (json_field(p, "slope"), json_field(p, "intercept")) for p in pieces
             ),
-            point_values=tuple(as_fraction(e["at"]) for e in data["limits"]),
+            point_values=tuple(json_field(e, "at") for e in limits),
+            # b is coerced here: wrap mode drops it unread
             b=None if data.get("b") is None else as_fraction(data["b"]),
             mode=data.get("mode", MODE_RHS),
         )
         # each stored entry belongs to its own stored breakpoint, which the
         # canonical form may have dropped
-        for x, entry in zip(breakpoints, data["limits"]):
+        for x, entry in zip(breakpoints, limits):
             stored = (as_fraction(entry["left"]), as_fraction(entry["right"]))
             if stored != (fn.left_limit_at(x), fn.right_limit_at(x)):
                 raise ValueError("stored one-sided limits disagree with pieces")

@@ -2,6 +2,7 @@
 formats, stdin handling, and file outputs."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 
 import groupcut
 from groupcut import PwlTorusFunction, gmi, gom, identity_fn, md2
-from groupcut import experiments, group_core, polytope, torus
+from groupcut import experiments, finite_functions, group_core, polytope, torus
 from groupcut.cli import main
 
 
@@ -159,6 +160,16 @@ class TestCheck:
         assert code == 3
         assert out == ""
         assert "expected a list" in err
+
+    @pytest.mark.parametrize("field", ["pieces", "limits"])
+    def test_non_object_entry_exits_3(self, capsys, tmp_path, field):
+        data = gmi(F(1, 2)).to_dict()
+        data[field][0] = list(data[field][0].values())
+        path = tmp_path / "flat_entry.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3 and out == ""
+        assert "expected a JSON object, got list" in err
 
     def test_wrong_limit_at_dropped_breakpoint_exits_3(self, capsys, tmp_path):
         # gmi(1/2) with a redundant breakpoint at 1/4, where the ramp 2x is
@@ -623,6 +634,27 @@ class TestCutgen:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["null", "true", "5", '["a"]'])
+    def test_non_string_name_exits_3(self, capsys, tmp_path, gom54_path, name):
+        row_path = tmp_path / "row.json"
+        row_path.write_text(
+            '{"rhs": "4/5", "columns": [{"name": %s, "frac": "1/5"}]}' % name
+        )
+        code, out, err = run(
+            capsys, "cutgen", "--row", str(row_path), "--function", gom54_path
+        )
+        assert code == 3 and out == ""
+        assert "expected a string name" in err
+
+    def test_non_object_column_exits_3(self, capsys, tmp_path, gom54_path):
+        row_path = tmp_path / "row.json"
+        row_path.write_text('{"rhs": "4/5", "columns": [["s1", "1/5"]]}')
+        code, out, err = run(
+            capsys, "cutgen", "--row", str(row_path), "--function", gom54_path
+        )
+        assert code == 3 and out == ""
+        assert "expected a JSON object, got list" in err
+
 
 class TestDecompose:
     def test_plateau_split(self, capsys, tmp_path):
@@ -653,3 +685,123 @@ class TestRiemannOrderCap:
         code, out, err = run(capsys, "experiment", "riemann", "--q", "100003")
         assert code == 3 and out == ""
         assert "q=100003 exceeds the riemann cap 10007" in err
+
+
+class TestStirlingOrderCap:
+    def test_order_above_the_cap_exits_3_before_the_primality_test(
+        self, capsys, monkeypatch
+    ):
+        def refuse(q):
+            raise AssertionError(f"trial division started at q={q}")
+
+        monkeypatch.setattr(experiments, "is_prime", refuse)
+        code, out, err = run(
+            capsys, "experiment", "stirling", "--primes", "11", "100003"
+        )
+        assert code == 3 and out == ""
+        assert "q=100003 exceeds the stirling cap 10007" in err
+
+
+class TestScanOrderCap:
+    """A finite function file above MAX_SCAN_ORDER is refused when it is
+    read, before any O(q^2) pair scan."""
+
+    @pytest.fixture(scope="class")
+    def above_cap_path(self, tmp_path_factory):
+        # a prime order: rearrange and decompose refuse a composite order
+        # before any scan, so a composite file would not reach the cap
+        q = 10009
+        assert q > finite_functions.MAX_SCAN_ORDER and group_core.is_prime(q)
+        path = tmp_path_factory.mktemp("cap") / "gom.json"
+        path.write_text(gom(q, q - 1).to_json())
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["check", "rearrange", "decompose"])
+    def test_order_above_the_cap_exits_3_before_the_pair_scan(
+        self, capsys, monkeypatch, above_cap_path, command
+    ):
+        def refuse(nums):
+            raise AssertionError(f"pair scan started at q={len(nums)}")
+
+        for module in (finite_functions, polytope):
+            monkeypatch.setattr(module, "_rows", refuse)
+        code, out, err = run(capsys, command, above_cap_path)
+        assert code == 3 and out == ""
+        assert "q=10009 exceeds the pair-scan cap 10007" in err
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    """The interpreter's int <-> str digit limit set to limit (0 lifts it)
+    for the body; a no-op on interpreters without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no int <-> str digit limit",
+)
+
+
+class TestLongExactOutput:
+    """Exact results longer than the interpreter's int <-> str digit limit
+    (4300 digits by default) are printed in full, while input is still
+    parsed under the limit main was called with."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        with _int_digit_limit(4300):
+            yield
+
+    def test_integrate_prints_long_exact_scores(self, capsys, tmp_path):
+        path = tmp_path / "gom977.json"
+        path.write_text(gom(977, 976).to_json())
+        code, out, err = run(capsys, "integrate", str(path))
+        assert code == 0, err
+        assert max(map(len, out.split())) > 4300  # a number past the limit
+        with _int_digit_limit(0):
+            expected = groupcut.score_function(gom(977, 976), ps=(1, 2, 3))
+            assert json.loads(out) == expected.to_dict()
+
+    def test_riemann_prints_a_long_product(self, capsys):
+        code, out, err = run(capsys, "experiment", "riemann", "--q", "1523")
+        assert code == 0, err
+        with _int_digit_limit(0):
+            payload = json.loads(out)
+            floor = experiments.expected_min_product(1523)
+            assert F(payload["product"]) == F(payload["product_bound"]) == floor
+
+    def test_stirling_prints_a_long_ratio(self, capsys):
+        code, out, err = run(capsys, "experiment", "stirling", "--primes", "1601")
+        assert code == 0, err
+        with _int_digit_limit(0):
+            (row,) = json.loads(out)["rows"]
+            assert F(row["ratio"]) == experiments.expected_min_product(1601)
+
+    @needs_digit_limit
+    def test_long_input_number_still_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        values = ["0", "1" * 5000 + "/" + "3" * 5000, "1"]
+        path.write_text(json.dumps({"q": 3, "b": 2, "values": values}))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3 and out == ""
+        assert "limit" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "argv", [["experiment", "stirling", "--primes", "1601"], ["check", "-"]]
+    )
+    def test_main_restores_the_callers_limit(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{"))  # exit 3 for check
+        with _int_digit_limit(5000):
+            main(argv)
+            assert sys.get_int_max_str_digits() == 5000
+        capsys.readouterr()

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupcut import experiments, polytope
+from groupcut import experiments, finite_functions, polytope
 from groupcut import (
     CutInequality,
     DimensionCap,
@@ -351,7 +351,7 @@ class TestOptimizeAndReport:
 
 
 class TestRiemannOrderCap:
-    """An order above RIEMANN_MAX_ORDER is refused by an O(1) comparison,
+    """An order above MAX_SCAN_ORDER is refused by an O(1) comparison,
     before the primality test and before any sampling."""
 
     @pytest.fixture
@@ -362,7 +362,7 @@ class TestRiemannOrderCap:
         monkeypatch.setattr(experiments, "is_prime", refuse)
 
     @pytest.mark.parametrize(
-        "q", [experiments.RIEMANN_MAX_ORDER + 1, 10000000000000061]
+        "q", [finite_functions.MAX_SCAN_ORDER + 1, 10000000000000061]
     )
     def test_order_above_the_cap_refused_first(self, no_primality_test, monkeypatch, q):
         def refuse(*args):
@@ -376,4 +376,4 @@ class TestRiemannOrderCap:
 
     def test_the_cap_itself_reaches_the_primality_test(self, no_primality_test):
         with pytest.raises(AssertionError, match="trial division started at q=10007"):
-            riemann_experiment(identity_fn(), experiments.RIEMANN_MAX_ORDER)
+            riemann_experiment(identity_fn(), finite_functions.MAX_SCAN_ORDER)

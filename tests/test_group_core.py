@@ -26,32 +26,14 @@ class TestPrimality:
 
 
 class TestGroupElements:
-    def test_arithmetic_wraps(self):
-        g = CyclicGroup(7)
-        assert int(g.element(5) + g.element(4)) == 2
-        assert int(g.element(2) - g.element(5)) == 4
-        assert int(-g.element(3)) == 4
-        assert int(-g.element(0)) == 0
-
     def test_element_normalizes_residue(self):
         g = CyclicGroup(5)
         assert g.element(-1).residue == 4
         assert g.element(12).residue == 2
 
-    def test_mixing_groups_raises(self):
-        with pytest.raises(ValueError):
-            CyclicGroup(5).element(1) + CyclicGroup(7).element(1)
-
     def test_order_below_two_rejected(self):
         with pytest.raises(ValueError):
             CyclicGroup(1)
-
-    def test_prime_flag(self):
-        assert CyclicGroup(7).is_prime
-        assert not CyclicGroup(9).is_prime
-
-    def test_elements_iterates_all_residues(self):
-        assert [int(x) for x in CyclicGroup(4).elements()] == [0, 1, 2, 3]
 
 
 class TestModInverse:
@@ -80,8 +62,8 @@ class TestAutomorphism:
         g = CyclicGroup(11)
         phi = Automorphism(7, g)
         inv = phi.inverse()
-        for x in g.elements():
-            assert inv.apply(phi.apply(x)) == x
+        for r in range(11):
+            assert inv.apply(phi.apply(g.element(r))) == g.element(r)
 
     def test_apply_accepts_ints(self):
         phi = Automorphism(2, CyclicGroup(5))

@@ -1,6 +1,8 @@
-"""Numeric helpers: exact coercion, big-integer logs, integer roots."""
+"""Numeric helpers: exact coercion, the JSON field reader, big-integer logs,
+integer roots."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupcut import as_fraction, ln_fraction, nth_root_float
-from groupcut.rationals import iroot
+from groupcut.rationals import iroot, json_field
 
 
 class TestAsFraction:
@@ -29,6 +31,39 @@ class TestAsFraction:
     def test_zero_denominator_is_a_value_error_naming_the_value(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             as_fraction("1/0")
+
+
+class TestJsonField:
+    def test_returns_a_value_of_the_asked_kind(self):
+        data = {"q": 5, "values": ["0"], "name": "s1", "rhs": True}
+        assert json_field(data, "q", int) == 5
+        assert json_field(data, "values", list) == ["0"]
+        assert json_field(data, "name", str) == "s1"
+        assert json_field(data, "rhs") is True  # any kind by default
+
+    @pytest.mark.parametrize(
+        "value, kind, expected",
+        [
+            (True, int, "expected an integer q, got bool"),
+            (5.0, int, "expected an integer q, got float"),
+            ("5", int, "expected an integer q, got str"),
+            ("01", list, "expected a list of q, got str"),
+            (None, str, "expected a string q, got NoneType"),
+            (["a"], str, "expected a string q, got list"),
+        ],
+    )
+    def test_refuses_another_kind(self, value, kind, expected):
+        with pytest.raises(TypeError, match=re.escape(expected)):
+            json_field({"q": value}, "q", kind)
+
+    @pytest.mark.parametrize("data", [["q"], "q", 5, None])
+    def test_refuses_data_that_is_not_an_object(self, data):
+        with pytest.raises(TypeError, match="expected a JSON object"):
+            json_field(data, "q")
+
+    def test_missing_name_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            json_field({}, "q", int)
 
 
 class TestLnFraction:
