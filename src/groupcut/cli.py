@@ -8,10 +8,12 @@ integrate (log integral, L_p norms, layer-cake comparison), experiment
 Exit codes: 0 success, 2 a certified identity failed its check, 3 bad input
 (usage errors included, and an order above a subcommand's cap).
 
-JSON output, on stdout and in files, is exactly json.dumps(payload, indent=2);
-one writer builds it with the C string escaper instead of the stdlib's
-pure-Python indenting encoder, so check stays cheap when it lists tens of
-thousands of violations.
+JSON output, on stdout and in files, is exactly json.dumps(payload, indent=2).
+One writer, experiments._indented_json, builds every payload with the C string
+escaper instead of the stdlib's pure-Python indenting encoder; the one
+exception is check's verdict, which _render_check prints in one pass straight
+from the verdict, in both formats, one template per violation, so check stays
+cheap when it lists tens of thousands of violations.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .criteria import score_function
 from .errors import GroupCutError, ValidationFailure
@@ -37,7 +41,7 @@ from .experiments import (
 )
 from .finite_functions import FiniteGroupFunction, is_minimal, rearrange_finite
 from .polytope import gomory_decomposition
-from .rationals import as_fraction
+from .rationals import as_fraction, strict_int
 from .torus import (
     PwlTorusFunction,
     gmi,
@@ -123,18 +127,42 @@ def _emit(payload: dict, args) -> None:
             print(f"{key}: {value}")
 
 
-def _verdict_dict(verdict) -> dict:
-    return {
-        "is_minimal": verdict.is_minimal,
-        "violations": [
-            {
-                "kind": v.kind,
-                "witness": list(map(str, v.witness)),
-                "amount": str(v.amount),
-            }
-            for v in verdict.violations
-        ],
-    }
+def _render_check(verdict, fmt: str) -> str:
+    """The verdict as _emit would print the payload {"is_minimal": ...,
+    "violations": [{"kind": ..., "witness": [...], "amount": ...}, ...]} with
+    each witness entry and amount as its str: exactly json.dumps(payload,
+    indent=2) for json, the `key: value` lines for text.
+
+    One pass, with no payload built: each violation fills one template in C.
+    Each distinct kind and amount is quoted once, keyed by object identity,
+    which the verdict keeps alive.  The str of an int or a Fraction holds only
+    digits, '-' and '/', so the witness entries need no escaping and are
+    quoted by the separator that joins them."""
+    if fmt == "json":
+        quote, flag = encode_basestring_ascii, json.dumps(verdict.is_minimal)
+        page = '{\n  "is_minimal": %s,\n  "violations": %s\n}'
+        template = (
+            '    {\n      "kind": %s,\n      "witness": [\n        "%s"\n      ],\n'
+            '      "amount": %s\n    }'
+        )
+        joint, separator, listing = '",\n        "', ",\n", "[\n%s\n  ]"
+    else:
+        quote, flag = repr, verdict.is_minimal
+        page = "is_minimal: %s\nviolations: %s"
+        template = "{'kind': %s, 'witness': ['%s'], 'amount': %s}"
+        joint, separator, listing = "', '", ", ", "[%s]"
+    if not verdict.violations:
+        return page % (flag, "[]")
+
+    def quoted(objects):
+        distinct = dict(zip(map(id, objects), objects))
+        text = {key: quote(str(obj)) for key, obj in distinct.items()}
+        return map(text.__getitem__, map(id, objects))
+
+    kinds, witnesses, amounts = zip(*verdict.violations)
+    entries = map(joint.join, map(map, repeat(str), witnesses))
+    items = map(template.__mod__, zip(quoted(kinds), entries, quoted(amounts)))
+    return page % (flag, listing % separator.join(items))
 
 
 def _cmd_check(args) -> int:
@@ -145,7 +173,7 @@ def _cmd_check(args) -> int:
         raise ValueError("--b applies to finite functions only")
     else:
         verdict = is_minimal_pwl(fn)
-    _emit(_verdict_dict(verdict), args)
+    print(_render_check(verdict, args.format))
     return 0
 
 
@@ -328,7 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="certify minimality of a function JSON")
     p.add_argument("path", help="function JSON file, or - for stdin")
     p.add_argument(
-        "--b", type=int, default=None, help="override the rhs residue (finite only)"
+        "--b",
+        type=strict_int,
+        default=None,
+        help="override the rhs residue (finite only)",
     )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_check)
@@ -346,9 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "optimize", help="minimize the value product over all vertices per (q, b)"
     )
-    p.add_argument("--primes", type=int, nargs="+", default=None)
+    p.add_argument("--primes", type=strict_int, nargs="+", default=None)
     p.add_argument("--b-policy", choices=("all", "fixed", "canonical"), default=None)
-    p.add_argument("--fixed-b", type=int, default=None)
+    p.add_argument("--fixed-b", type=strict_int, default=None)
     p.add_argument("--config", default=None, help="flat key = value settings file")
     p.add_argument("--output-csv", default=None)
     p.add_argument("--output-json", default=None)
@@ -359,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "integrate", help="log integral, L_p norms, layer-cake comparison"
     )
     p.add_argument("path", help="function JSON file, or - for stdin")
-    p.add_argument("--p", type=int, action="append", help="norm exponent, repeatable")
+    p.add_argument(
+        "--p", type=strict_int, action="append", help="norm exponent, repeatable"
+    )
     p.add_argument(
         "--layer-cake",
         action="store_true",
@@ -375,13 +408,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="limit experiments: riemann, stirling")
     p.add_argument("kind", choices=("riemann", "stirling"))
-    p.add_argument("--q", type=int, default=None, help="group order (riemann)")
+    p.add_argument("--q", type=strict_int, default=None, help="group order (riemann)")
     p.add_argument(
         "--h",
         default="identity",
         help="profile to discretize: identity, gmi:<b>, or file:<path>",
     )
-    p.add_argument("--primes", type=int, nargs="+", default=None)
+    p.add_argument("--primes", type=strict_int, nargs="+", default=None)
     p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--output-csv", default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")

@@ -19,10 +19,6 @@ class ZeroElement(GroupCutError):
     """The zero residue is not allowed here."""
 
 
-class EmptySet(GroupCutError):
-    """Sumsets are only defined for nonempty subsets."""
-
-
 class NotSubadditive(GroupCutError):
     """Input function violates subadditivity."""
 

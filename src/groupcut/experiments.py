@@ -34,7 +34,7 @@ from .finite_functions import (
 )
 from .group_core import CyclicGroup, automorphism_sending, is_prime
 from .polytope import _admit_order, minimize_volume
-from .rationals import as_fraction, json_field, ln_fraction
+from .rationals import as_fraction, json_field, ln_fraction, strict_int
 from .torus import (
     MODE_RHS,
     MODE_WRAP,
@@ -118,7 +118,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Parse a flat `key = value` file; '#' starts a comment."""
+        """Parse a flat `key = value` file; '#' starts a comment, and every
+        integer is read by rationals.strict_int."""
         fields: dict = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -129,12 +130,12 @@ class ExperimentConfig:
             key, _, value = (part.strip() for part in line.partition("="))
             if key == "prime_list":
                 fields["prime_list"] = tuple(
-                    int(tok) for tok in value.replace(",", " ").split()
+                    map(strict_int, value.replace(",", " ").split())
                 )
             elif key == "b_policy":
                 fields["b_policy"] = value
             elif key == "fixed_b":
-                fields["fixed_b"] = int(value)
+                fields["fixed_b"] = strict_int(value)
             elif key in ("output_csv", "output_json"):
                 fields[key] = value
             else:

@@ -6,9 +6,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DimensionCap, IdenticallyZero, NotPrime, NotSubadditive, ZeroElement
 from .group_core import Automorphism, CyclicGroup, GroupElement, is_prime
@@ -27,9 +27,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed minimality condition, with the exact amount by which it fails."""
+class Violation(NamedTuple):
+    """One failed minimality condition, with the exact amount by which it fails.
+
+    A named tuple, so that a scan can build a row of them in C (see
+    _subadditivity); it compares equal to the plain tuple of its fields."""
 
     kind: str  # origin | subadditivity | symmetry; circle functions add negativity
     witness: tuple[int, ...]
@@ -161,32 +163,38 @@ def _rows(nums: list[int]) -> Iterator[tuple[int, list[int]]]:
         yield x, list(map(sub, nums[x:], wrapped[2 * x : x + q]))
 
 
-def _negative_slacks(nums: list[int]) -> Iterator[tuple[int, int, int]]:
-    """(x, y, slack) for every pair x <= y with a negative slack, in (x, y)
-    order.  One min tells whether a row holds any; in such a row a C-level
-    compress picks out the negative entries, and only those reach Python."""
+def _subadditivity(nums: list[int], den: int) -> Iterator[Iterator[Violation]]:
+    """Per row x that holds a negative slack, the subadditivity violations of
+    nums/den at the pairs (x, y), in y order.
+
+    One min tells whether a row holds any.  In such a row the witnesses,
+    amounts and Violations are built by C-level map and zip over the
+    compressed columns, so no pair takes a Python-level step.  Slacks repeat
+    heavily, so each distinct amount is built as a Fraction once per call and
+    shared by every pair that fails by it."""
     q = len(nums)
+    amounts: dict[int, Fraction] = {}
     for x, row in _rows(nums):
         bound = -nums[x]  # the pair (x, y) is violated when row[y - x] < bound
         if min(row) < bound:
-            for y in compress(range(x, q), map(bound.__gt__, row)):
-                yield x, y, row[y - x] - bound
+            failing = list(map(bound.__gt__, row))
+            slacks = list(map(nums[x].__add__, compress(row, failing)))
+            for slack in set(slacks).difference(amounts):
+                amounts[slack] = Fraction(-slack, den)
+            fields = zip(
+                repeat("subadditivity"),
+                zip(repeat(x), compress(range(x, q), failing)),
+                map(amounts.__getitem__, slacks),
+            )
+            yield map(tuple.__new__, repeat(Violation), fields)
 
 
 def _violations(nums: list[int], den: int, b: int) -> Iterator[Violation]:
-    """Origin, then subadditivity, then symmetry violations of nums/den.
-
-    Slacks repeat heavily, so each distinct subadditivity amount is built as
-    a Fraction once per call and shared by every pair that fails by it."""
+    """Origin, then subadditivity, then symmetry violations of nums/den."""
     q = len(nums)
     if nums[0] != 0:
         yield Violation("origin", (0,), Fraction(nums[0], den))
-    amounts: dict[int, Fraction] = {}
-    for x, y, slack in _negative_slacks(nums):
-        amount = amounts.get(slack)
-        if amount is None:
-            amount = amounts[slack] = Fraction(-slack, den)
-        yield Violation("subadditivity", (x, y), amount)
+    yield from chain.from_iterable(_subadditivity(nums, den))
     for x in range(q):
         partner = (b - x) % q
         gap = nums[x] + nums[partner] - den
@@ -243,11 +251,8 @@ def rearrange_finite(pi: FiniteGroupFunction) -> FiniteGroupFunction:
         raise IdenticallyZero("cannot rearrange the zero function")
     if pi.values[0] != 0:
         raise ValueError("rearrangement requires value 0 at the origin")
-    nums, den = _numerators(pi.values)
-    bad = next(_negative_slacks(nums), None)
+    bad = next(chain.from_iterable(_subadditivity(*_numerators(pi.values))), None)
     if bad is not None:
-        x, y, slack = bad
-        raise NotSubadditive(
-            f"pi({x}) + pi({y}) < pi({(x + y) % q}) by {Fraction(-slack, den)}"
-        )
+        x, y = bad.witness
+        raise NotSubadditive(f"pi({x}) + pi({y}) < pi({(x + y) % q}) by {bad.amount}")
     return FiniteGroupFunction.from_values(q, q - 1, sorted(pi.values))

@@ -1,12 +1,11 @@
-"""Exact arithmetic on the cyclic group Z/qZ: residues, automorphisms, sumsets."""
+"""Exact arithmetic on the cyclic group Z/qZ: residues, automorphisms, primality."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import EmptySet, NotAUnit, NotPrime, ZeroElement
+from .errors import NotAUnit, NotPrime, ZeroElement
 
 __all__ = [
     "CyclicGroup",
@@ -15,7 +14,6 @@ __all__ = [
     "is_prime",
     "mod_inverse",
     "automorphism_sending",
-    "sumset",
 ]
 
 
@@ -106,11 +104,3 @@ def automorphism_sending(b: GroupElement, target: GroupElement) -> Automorphism:
         raise ZeroElement("no automorphism moves 0 anywhere but 0")
     return Automorphism(target.residue * mod_inverse(b.residue, group.q) % group.q, group)
 
-
-def sumset(group: CyclicGroup, a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
-    """Exact sumset {x + y mod q : x in A, y in B}, returned as sorted residues."""
-    a_res = sorted({x % group.q for x in a})
-    b_res = sorted({y % group.q for y in b})
-    if not a_res or not b_res:
-        raise EmptySet("sumset of an empty set is undefined")
-    return tuple(sorted({(x + y) % group.q for x in a_res for y in b_res}))

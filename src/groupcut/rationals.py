@@ -1,5 +1,6 @@
 """Exact-rational helpers: coercion, the one field reader behind the JSON
-loaders, and logarithms and roots that respect big integers."""
+loaders, the one integer reader for text, and logarithms and roots that
+respect big integers."""
 
 from __future__ import annotations
 
@@ -36,6 +37,17 @@ def json_field(data, name: str, kind: type = object):
         expected = _JSON_KINDS[kind].format(name)
         raise TypeError(f"expected {expected}, got {type(value).__name__}")
     return value
+
+
+def strict_int(text: str) -> int:
+    """An integer written as ASCII digits with an optional leading '-': the
+    reader of every integer in a config file or on the command line.  int()
+    also reads '1_3', '+13', ' 13 ' and non-ASCII digits such as '١٣'; those
+    raise ValueError here."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def ln_fraction(x: Fraction) -> float:

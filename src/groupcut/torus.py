@@ -45,8 +45,6 @@ __all__ = [
     "layer_cake_check",
     "lp_power_torus",
     "lp_norm_torus",
-    "interval_sumset",
-    "union_measure",
 ]
 
 MODE_RHS = "rhs"  # symmetry partner of x is (b - x) mod 1
@@ -482,32 +480,6 @@ def _merge_intervals(
         else:
             merged.append((lo, hi))
     return tuple(merged)
-
-
-def union_measure(intervals: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    return sum((hi - lo for lo, hi in _merge_intervals(intervals)), Fraction(0))
-
-
-def interval_sumset(
-    a: Iterable[tuple[Fraction, Fraction]],
-    b: Iterable[tuple[Fraction, Fraction]],
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Minkowski sum of two closed interval unions on the circle."""
-    out: list[tuple[Fraction, Fraction]] = []
-    b = list(b)
-    for a_lo, a_hi in a:
-        for b_lo, b_hi in b:
-            lo, hi = a_lo + b_lo, a_hi + b_hi
-            if hi - lo >= 1:
-                return ((Fraction(0), Fraction(1)),)
-            shift = lo - (lo % 1)
-            lo, hi = lo - shift, hi - shift
-            if hi <= 1:
-                out.append((lo, hi))
-            else:
-                out.append((lo, Fraction(1)))
-                out.append((Fraction(0), hi - 1))
-    return _merge_intervals(out)
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,36 @@ class TestUsage:
         assert exc.value.code == 3
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--primes", "1_3"],
+            ["optimize", "--primes", "\u0661\u0663"],
+            ["optimize", "--primes", "5", "+7"],
+            ["optimize", "--primes", "5", "--b-policy", "fixed", "--fixed-b", "1_3"],
+            ["experiment", "riemann", "--q", "1_1"],
+            ["experiment", "stirling", "--primes", "\u0661\u0663"],
+            ["check", "gom54.json", "--b", "1_3"],
+            ["integrate", "gom54.json", "--p", "\u0663"],
+        ],
+        ids=repr,
+    )
+    def test_integer_flags_read_only_ascii_digits(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "invalid strict_int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["prime_list = 1_3", "prime_list = \u0661\u0663"]
+    )
+    def test_config_integers_read_only_ascii_digits(self, capsys, tmp_path, text):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "optimize", "--config", str(conf))
+        assert code == 3 and out == ""
+        assert "expected an integer" in err
+
     @pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

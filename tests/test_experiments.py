@@ -76,6 +76,22 @@ class TestExperimentConfig:
         assert config.b_policy == "all"
         assert config.output_csv == "out.csv"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "prime_list = 1_3",
+            "prime_list = \u0661\u0663",
+            "prime_list = 5, +7",
+            "b_policy = fixed\nfixed_b = 1_3",
+            "b_policy = fixed\nfixed_b = \u0663",
+        ],
+    )
+    def test_from_file_reads_only_ascii_integers(self, tmp_path, line):
+        path = tmp_path / "run.conf"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected an integer"):
+            ExperimentConfig.from_file(path)
+
     def test_from_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("colour = blue\n")

@@ -1,5 +1,6 @@
 """Construction, minimality certification and rearrangement on Z/qZ."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from groupcut import (
     IdenticallyZero,
     NotPrime,
     NotSubadditive,
+    Violation,
     ZeroElement,
     automorphism_sending,
     compose,
@@ -113,6 +115,61 @@ class TestMinimality:
     def test_zero_rhs_override_rejected(self):
         with pytest.raises(ZeroElement):
             is_minimal(gom(5, 4), b=0)
+
+
+def dense(q=503, den=100):
+    """A seeded value vector with thousands of violations of every kind."""
+    rng = random.Random(q)
+    values = [F(0)] + [F(rng.randrange(1, den + 1), den) for _ in range(q - 1)]
+    return FiniteGroupFunction.from_values(q, rng.randrange(1, q), values)
+
+
+class TestViolation:
+    """A violation is a named tuple: built in C by the pair scan, it keeps the
+    field names, repr, immutability and hashability of a frozen record."""
+
+    def test_fields_by_name_and_repr(self):
+        v = Violation("subadditivity", (2, 4), F(1, 2))
+        assert (v.kind, v.witness, v.amount) == ("subadditivity", (2, 4), F(1, 2))
+        assert repr(v) == (
+            "Violation(kind='subadditivity', witness=(2, 4), amount=Fraction(1, 2))"
+        )
+
+    @pytest.mark.parametrize("field", ["kind", "witness", "amount"])
+    def test_fields_cannot_be_assigned(self, field):
+        v = Violation("origin", (0,), F(1, 5))
+        with pytest.raises(AttributeError):
+            setattr(v, field, None)
+
+    def test_hashable_and_equal_to_the_tuple_of_its_fields(self):
+        v = Violation("symmetry", (0,), F(2, 5))
+        assert hash(v) == hash(Violation("symmetry", (0,), F(2, 5)))
+        assert len({v, Violation("symmetry", (0,), F(2, 5))}) == 1
+        assert v == ("symmetry", (0,), F(2, 5))
+
+    def test_scan_builds_violations_with_shared_amounts(self):
+        found = is_minimal(dense()).violations
+        kinds = {v.kind for v in found}
+        assert kinds == {"subadditivity", "symmetry"} and len(found) > 10_000
+        assert all(type(v) is Violation for v in found)
+        subadditive = [v.amount for v in found if v.kind == "subadditivity"]
+        assert len({id(a) for a in subadditive}) == len(set(subadditive))
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            dense(),
+            dantzig(7, 3),
+            FiniteGroupFunction.from_values(
+                7, 6, fractions("1/5", "1/2", "1/4", "1/2", "1/2", "1/2", "1")
+            ),
+        ],
+        ids=["dense", "dantzig", "origin"],
+    )
+    def test_early_exit_is_the_first_of_the_full_list(self, fn):
+        full = is_minimal(fn).violations
+        assert is_minimal(fn, early_exit=True).violations == full[:1]
+        assert full
 
 
 class TestSerialization:

@@ -1,11 +1,10 @@
-"""Cyclic group arithmetic, automorphisms, sumsets."""
+"""Cyclic group arithmetic and automorphisms."""
 
 import pytest
 
 from groupcut import (
     Automorphism,
     CyclicGroup,
-    EmptySet,
     GroupElement,
     NotAUnit,
     NotPrime,
@@ -13,7 +12,6 @@ from groupcut import (
     automorphism_sending,
     is_prime,
     mod_inverse,
-    sumset,
 )
 
 
@@ -99,21 +97,3 @@ class TestAutomorphismSending:
             automorphism_sending(g.element(0), g.element(3))
         with pytest.raises(ZeroElement):
             automorphism_sending(g.element(3), g.element(0))
-
-
-class TestSumset:
-    def test_example(self):
-        g = CyclicGroup(5)
-        assert sumset(g, [1, 2], [3]) == (0, 4)
-
-    def test_wraps_and_dedupes(self):
-        g = CyclicGroup(4)
-        assert sumset(g, [0, 1, 2, 3], [2]) == (0, 1, 2, 3)
-
-    def test_empty_operand_raises(self):
-        with pytest.raises(EmptySet):
-            sumset(CyclicGroup(5), [], [1])
-
-    def test_negative_inputs_reduced(self):
-        g = CyclicGroup(7)
-        assert sumset(g, [-1], [2]) == (1,)

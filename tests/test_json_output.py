@@ -1,5 +1,6 @@
-"""The indented JSON writer against json.dumps(obj, indent=2), and every
-JSON-emitting subcommand's stdout against its own stdlib round trip, so that
+"""The indented JSON writer against json.dumps(obj, indent=2), every
+JSON-emitting subcommand's stdout against its own stdlib round trip, and
+check's one-pass verdict renderer against the payload it stands for, so that
 the CLI prints exactly the bytes the stdlib encoder would."""
 
 import json
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 
 from groupcut import (
     ExperimentConfig,
+    FiniteGroupFunction,
     PwlTorusFunction,
     gmi,
     gom,
+    is_minimal,
+    is_minimal_pwl,
     md2,
     optimize_and_report,
 )
@@ -59,6 +63,16 @@ class TestWriter:
             _indented_json({1: "one"})
 
 
+def assert_same(out: str, expected: str) -> None:
+    """out == expected, reporting the first difference only: pytest's own diff
+    of megabytes of output would not finish."""
+    if out != expected:
+        pairs = enumerate(zip(out, expected))
+        at = next((i for i, (a, b) in pairs if a != b), min(len(out), len(expected)))
+        near = slice(max(0, at - 80), at + 80)
+        pytest.fail(f"first difference at {at}: {out[near]!r} != {expected[near]!r}")
+
+
 def dense_check_input(q=503, den=100):
     """A seeded value vector on Z/503Z over denominator 100 with thousands of
     subadditivity violations."""
@@ -75,6 +89,12 @@ def corpus(tmp_path):
         "gom54.json": gom(5, 4).to_json(),
         "gmi_half.json": gmi(F(1, 2)).to_json(),
         "md2.json": md2(5, 4).to_json(),
+        # negativity, origin, subadditivity and symmetry, Fraction witnesses
+        "circle_bad.json": PwlTorusFunction(
+            (F(0), F(1, 3), F(2, 3)),
+            ((F(1), F(1, 7)), (F(-3), F(1, 2)), (F(2), F(-1))),
+            b=F(2, 5),
+        ).to_json(),
         "zero_set.json": PwlTorusFunction(
             (F(0), F(1, 2)), ((F(0), F(0)), (F(0), F(1))), b=F(1, 2)
         ).to_json(),
@@ -117,13 +137,74 @@ def test_stdout_is_the_stdlib_round_trip(capsys, corpus, argv):
     code = main([corpus.get(arg, arg) for arg in argv])
     out = capsys.readouterr().out
     assert code == 0
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert_same(out, json.dumps(json.loads(out), indent=2) + "\n")
 
 
 def test_dense_check_reports_many_violations(capsys, corpus):
     main(["check", corpus["dense.json"]])
     violations = json.loads(capsys.readouterr().out)["violations"]
     assert len(violations) > 10_000
+
+
+def check_reference(verdict) -> dict:
+    """check's payload, built field by field from the verdict."""
+    return {
+        "is_minimal": verdict.is_minimal,
+        "violations": [
+            {
+                "kind": v.kind,
+                "witness": [str(w) for w in v.witness],
+                "amount": str(v.amount),
+            }
+            for v in verdict.violations
+        ],
+    }
+
+
+CHECKS = {
+    "dense q=503": ("dense.json", None),
+    "dense q=503 --b 7": ("dense.json", 7),
+    "minimal": ("gom54.json", None),
+    "minimal --b 2": ("gom54.json", 2),
+    "minimal --b -1": ("gom54.json", -1),
+    "circle minimal": ("gmi_half.json", None),
+    "circle, every kind": ("circle_bad.json", None),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_prints_its_reference_payload(capsys, corpus, name, fmt):
+    """json is json.dumps(payload, indent=2); text is one `key: value` line
+    per payload entry, the list printed as Python shows it."""
+    path, b = CHECKS[name]
+    with open(corpus[path]) as handle:
+        data = json.load(handle)
+    if "values" in data:
+        verdict = is_minimal(FiniteGroupFunction.from_dict(data), b=b)
+    else:
+        verdict = is_minimal_pwl(PwlTorusFunction.from_dict(data))
+    ref = check_reference(verdict)
+    flags = [] if b is None else ["--b", str(b)]
+    code = main(["check", corpus[path], *flags, "--format", fmt])
+    out = capsys.readouterr().out
+    if fmt == "json":
+        expected = json.dumps(ref, indent=2) + "\n"
+    else:
+        expected = "".join(f"{key}: {value}\n" for key, value in ref.items())
+    assert code == 0
+    assert_same(out, expected)
+
+
+def test_check_cases_cover_every_kind_and_an_empty_list(corpus):
+    with open(corpus["circle_bad.json"]) as handle:
+        found = is_minimal_pwl(PwlTorusFunction.from_dict(json.load(handle)))
+    kinds = {v.kind for v in found.violations}
+    assert kinds == {"negativity", "origin", "subadditivity", "symmetry"}
+    assert any(w.denominator > 1 for v in found.violations for w in v.witness)
+    with open(corpus["gom54.json"]) as handle:
+        data = json.load(handle)
+    assert not is_minimal(FiniteGroupFunction.from_dict(data)).violations
 
 
 def test_written_files_are_the_stdlib_encoding(capsys, corpus, tmp_path):

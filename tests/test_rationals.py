@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupcut import as_fraction, ln_fraction, nth_root_float
-from groupcut.rationals import iroot, json_field
+from groupcut.rationals import iroot, json_field, strict_int
 
 
 class TestAsFraction:
@@ -31,6 +31,20 @@ class TestAsFraction:
     def test_zero_denominator_is_a_value_error_naming_the_value(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             as_fraction("1/0")
+
+
+class TestStrictInt:
+    @pytest.mark.parametrize("text, value", [("13", 13), ("-1", -1), ("007", 7)])
+    def test_reads_ascii_digits_with_an_optional_minus(self, text, value):
+        assert strict_int(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_3", "\u0661\u0663", "+13", " 13", "13 ", "", "-", "--1", "1.0", "0x1"],
+    )
+    def test_refuses_what_only_int_reads(self, text):
+        with pytest.raises(ValueError, match="expected an integer"):
+            strict_int(text)
 
 
 class TestJsonField:

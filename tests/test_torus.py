@@ -19,7 +19,6 @@ from groupcut import (
     gom,
     identity_fn,
     integral_ln,
-    interval_sumset,
     is_minimal_pwl,
     is_nondecreasing,
     layer_cake_check,
@@ -35,8 +34,8 @@ from groupcut import (
     sublevel_profile,
     sublevel_set,
     tilde_fn,
-    union_measure,
 )
+from sumsets import interval_sumset, union_measure
 
 
 class TestConstructors:
@@ -335,6 +334,8 @@ class TestSublevel:
     def test_sublevel_set_records_degenerate_points(self):
         assert sublevel_set(md2_torus(F(1, 2)), F(0)) == ((F(0), F(0)),)
 
+    # the interval sums that the sublevel growth properties are checked with
+    # (tests/sumsets.py)
     def test_union_measure_merges_overlaps(self):
         intervals = [(F(0), F(1, 2)), (F(1, 4), F(3, 4)), (F(7, 8), F(1))]
         assert union_measure(intervals) == F(7, 8)
