@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -89,6 +90,20 @@ def _int_digits(limit):
         yield previous
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, then restore the
+    caller's state: a command makes many short-lived objects and few
+    cycles, and collections it triggers only cost time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load(from_dict, path: str):
@@ -440,7 +455,7 @@ def main(argv=None) -> int:
     global _input_digits
     parser = _build_parser()
     args = parser.parse_args(argv)
-    with _int_digits(0) as caller_digits:
+    with _int_digits(0) as caller_digits, _collector_paused():
         _input_digits = caller_digits
         try:
             return args.func(args)

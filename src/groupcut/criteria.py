@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .finite_functions import FiniteGroupFunction, _numerators
-from .rationals import ln_fraction, nth_root_float
+from .rationals import check_exponent, ln_fraction, nth_root_float
 
 __all__ = [
     "LpScore",
@@ -64,10 +64,12 @@ class CriterionReport:
 
 
 def lp_norm(pi: FiniteGroupFunction, p: int) -> LpScore:
-    """L_p norm under uniform measure: exact p-th power plus a float root."""
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    power = Fraction(sum(v**p for v in pi.values), pi.q)
+    """L_p norm under uniform measure: the exact p-th power as one integer sum
+    over the values' common denominator, plus a float root.  p is checked by
+    `check_exponent` before any arithmetic."""
+    check_exponent(p)
+    nums, den = _numerators(pi.values)
+    power = Fraction(sum(n**p for n in nums), den**p * pi.q)
     return LpScore(power=power, root=nth_root_float(power, p))
 
 

@@ -15,11 +15,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable
 
 from .errors import NotMinimal, NotNondecreasing, OutOfRange, ValidationFailure
 from .finite_functions import FiniteGroupFunction, MinimalityVerdict, Violation
-from .rationals import as_fraction, json_field, ln_fraction, nth_root_float
+from .rationals import (
+    as_fraction,
+    check_exponent,
+    json_field,
+    ln_fraction,
+    nth_root_float,
+)
 
 __all__ = [
     "PwlTorusFunction",
@@ -303,27 +310,45 @@ def _subadditivity_scan(
     limit, value and right limit at every corner coordinate as integers over
     one common denominator w; both scalings are positive, so the corner
     order, the witness and the violations are those of the exact scan.
+
+    The sorted corners are scanned column-wise: the 13 patterns fold into 9
+    slack columns, because the three (2,0,.) patterns share Rx+Ly and the
+    three (0,2,.) patterns share Lx+Ry, each against the largest entry of
+    x+y.  The pattern of the witness is found once, at the winning corner.
     """
     dx = math.lcm(*(x.denominator for x in fn.breakpoints))
     xs = [x.numerator * (dx // x.denominator) for x in fn.breakpoints]
     corners = {(x, y) for x in xs for y in xs}
     corners |= {(x, (y - x) % dx) for x in xs for y in xs}
-    points = sorted({p for x, y in corners for p in (x, y, (x + y) % dx)})
-    nums, w = _walk_pieces(fn, dx, points)
+    corners = sorted(corners)
+    sums = [(x + y) % dx for x, y in corners]
+    nums, w = _walk_pieces(fn, dx, sorted({*xs, *(y for _x, y in corners), *sums}))
 
-    best, witness = None, ()
-    violations: list[tuple[tuple, Fraction]] = []
-    for x, y in sorted(corners):
-        tx, ty, tz = nums[x], nums[y], nums[(x + y) % dx]
-        slacks = [tx[sx] + ty[sy] - tz[sz] for sx, sy, sz in _LIMIT_COMBOS]
-        worst = min(slacks)
-        if best is None or worst < best:
-            best, witness = worst, (x, y, _LIMIT_COMBOS[slacks.index(worst)])
-        if worst < 0:
-            corner = (Fraction(x, dx), Fraction(y, dx))
-            violations.append((corner, Fraction(-worst, w)))
-    x, y, pattern = witness
-    return Fraction(best, w), (Fraction(x, dx), Fraction(y, dx), pattern), violations
+    lx, vx, rx = zip(*[nums[x] for x, _y in corners])
+    ly, vy, ry = zip(*[nums[y] for _x, y in corners])
+    lz, vz, rz = zip(*map(nums.__getitem__, sums))
+    top = list(map(max, lz, vz, rz))
+    columns = [
+        map(sub, map(add, a, b), z)
+        for a, b, z in (
+            (vx, vy, vz), (vx, ry, rz), (vx, ly, lz), (rx, vy, rz), (lx, vy, lz),
+            (rx, ry, rz), (lx, ly, lz), (rx, ly, top), (lx, ry, top),
+        )
+    ]
+    worst = list(map(min, *columns))
+
+    best = min(worst)
+    k = worst.index(best)
+    x, y = corners[k]
+    tx, ty, tz = nums[x], nums[y], nums[sums[k]]
+    slacks = [tx[sx] + ty[sy] - tz[sz] for sx, sy, sz in _LIMIT_COMBOS]
+    witness = (Fraction(x, dx), Fraction(y, dx), _LIMIT_COMBOS[slacks.index(best)])
+    violations = [
+        ((Fraction(x, dx), Fraction(y, dx)), Fraction(-slack, w))
+        for (x, y), slack in zip(corners, worst)
+        if slack < 0
+    ]
+    return Fraction(best, w), witness, violations
 
 
 def subadditivity_slack(fn: PwlTorusFunction) -> tuple[Fraction, tuple]:
@@ -427,32 +452,61 @@ def is_minimal_pwl(fn: PwlTorusFunction) -> MinimalityVerdict:
     return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
 
 
+def _spans(fn: PwlTorusFunction) -> tuple[list[tuple[int, int, int]], int, int]:
+    """Per piece (start value, end value, length) as integers, and dx and w:
+    the lengths are over dx, the lcm of the breakpoint denominators, and the
+    end values over w, from one `_walk_pieces` at the breakpoints.  Piece i
+    starts at breakpoint i's right limit and ends at breakpoint i+1's left
+    limit; the last piece ends at breakpoint 0's left limit, its value at 1.
+    """
+    dx = math.lcm(*(x.denominator for x in fn.breakpoints))
+    xs = [x.numerator * (dx // x.denominator) for x in fn.breakpoints]
+    scaled, w = _walk_pieces(fn, dx, xs)
+    triples = list(scaled.values())  # one per breakpoint, in order
+    starts = [right for _left, _value, right in triples]
+    ends = [left for left, _value, _right in triples[1:] + triples[:1]]
+    return list(zip(starts, ends, map(sub, xs[1:] + [dx], xs))), dx, w
+
+
+def _rise_lcm(spans: list[tuple[int, int, int]]) -> int:
+    """M, the lcm of |end - start| over the sloped pieces (1 if none)."""
+    return math.lcm(*(abs(end - start) for start, end, _n in spans if end != start))
+
+
 def _piece_sublevels(
     fn: PwlTorusFunction, alpha: Fraction
-) -> list[tuple[Fraction, Fraction]]:
+) -> tuple[list[tuple[int, int]], int]:
     """Per piece, the closed interval of its domain where the piece is <= alpha
-    (possibly one point); pieces wholly above alpha give none."""
-    intervals: list[tuple[Fraction, Fraction]] = []
-    for i, (s, t) in enumerate(fn.pieces):
-        u, v = fn.piece_domain(i)
-        if s == 0:
-            if t <= alpha:
-                intervals.append((u, v))
-        elif s > 0:
-            hi = min(v, (alpha - t) / s)
-            if hi >= u:
-                intervals.append((u, hi))
-        else:
-            lo = max(u, (alpha - t) / s)
-            if lo <= v:
-                intervals.append((lo, v))
-    return intervals
+    (possibly one point), as a pair of integers over one denominator D, and
+    D; pieces wholly above alpha give none.
+
+    With alpha = a / d, the span table over dx and w, and M = `_rise_lcm`,
+    D is dx d M, so a sloped piece crosses alpha at an integer: its left
+    end plus length (a w - start d) M / (end - start)."""
+    spans, dx, w = _spans(fn)
+    rise_lcm = _rise_lcm(spans)
+    d = alpha.denominator
+    level, unit = alpha.numerator * w, d * rise_lcm
+    intervals: list[tuple[int, int]] = []
+    lo = 0
+    for start, end, length in spans:
+        hi = lo + length * unit
+        if level >= max(start, end) * d:  # the whole piece, constant ones too
+            intervals.append((lo, hi))
+        elif end > start and level >= start * d:
+            cross = length * (level - start * d) * (rise_lcm // (end - start))
+            intervals.append((lo, lo + cross))
+        elif end < start and level >= end * d:
+            cross = length * (start * d - level) * (rise_lcm // (start - end))
+            intervals.append((lo + cross, hi))
+        lo = hi
+    return intervals, dx * unit
 
 
 def sublevel_measure(fn: PwlTorusFunction, alpha) -> Fraction:
     """Exact Lebesgue measure of {x : pi(x) <= alpha}; point values carry none."""
-    intervals = _piece_sublevels(fn, as_fraction(alpha))
-    return sum((hi - lo for lo, hi in intervals), Fraction(0))
+    intervals, den = _piece_sublevels(fn, as_fraction(alpha))
+    return Fraction(sum(hi - lo for lo, hi in intervals), den)
 
 
 def sublevel_set(fn: PwlTorusFunction, alpha) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -463,7 +517,8 @@ def sublevel_set(fn: PwlTorusFunction, alpha) -> tuple[tuple[Fraction, Fraction]
     can differ from the literal preimage on a null set.
     """
     alpha = as_fraction(alpha)
-    intervals = _piece_sublevels(fn, alpha)
+    clipped, den = _piece_sublevels(fn, alpha)
+    intervals = [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in clipped]
     for x, value in zip(fn.breakpoints, fn.point_values):
         if value <= alpha:
             intervals.append((x, x))
@@ -507,54 +562,62 @@ class SublevelProfile:
 
 def _assert_nonnegative(fn: PwlTorusFunction) -> None:
     for x, triple in zip(fn.breakpoints, fn.limits()):
-        if min(triple) < 0:
+        if min(v.numerator for v in triple) < 0:
             raise ValueError(f"function is negative near breakpoint {x}")
 
 
 def sublevel_profile(fn: PwlTorusFunction) -> SublevelProfile:
-    """Exact sublevel-measure profile of a nonnegative function, in one sweep.
+    """Exact sublevel-measure profile of a nonnegative function, in one sweep
+    over integer levels.
 
-    The levels are 0 and the end values of every piece.  A sloped piece adds
-    measure at rate 1/|s| between its two end values; a constant piece adds
-    its length at once, at its value.  Walking the sorted levels with the
-    running measure m and rate r gives the profile piece (r, m - r a) at each
-    level a.  At the top level the rate must be back to 0 and m exactly 1,
-    and at the median level an independent `sublevel_measure` must agree
-    with the sweep; otherwise `ValidationFailure`.
+    The levels are 0 and the end values of every piece, as integers over w
+    from `_spans`.  With M the lcm of |end - start| over the sloped pieces, a
+    piece of length l (over dx) adds measure in units of 1/(dx M): a sloped
+    piece at the integer rate l M / |end - start| per level unit between its
+    two end values, a constant piece l M at once, at its value.  Walking the
+    sorted levels with the running measure m and rate r gives the profile
+    piece (r w, m - r A) / (dx M) at each level A.  At the top level the rate
+    must be back to 0 and m exactly dx M, and at the median level an
+    independent `sublevel_measure` must agree with the sweep; otherwise
+    `ValidationFailure`.
     """
     _assert_nonnegative(fn)
-    limits = fn.limits()
-    levels = {Fraction(0)}
-    rate_change: dict[Fraction, Fraction] = {}
-    jump: dict[Fraction, Fraction] = {}  # measure gained at once
-    for i, (s, _t) in enumerate(fn.pieces):
-        u, v = fn.piece_domain(i)
-        start, end = limits[i][2], limits[(i + 1) % len(limits)][0]
+    spans, dx, w = _spans(fn)
+    rise_lcm = _rise_lcm(spans)
+    levels = {0}
+    rate_change: dict[int, int] = {}
+    jump: dict[int, int] = {}  # measure gained at once
+    for start, end, length in spans:
         levels.add(start)
         levels.add(end)
-        if s == 0:
-            jump[start] = jump.get(start, 0) + (v - u)
+        if start == end:
+            jump[start] = jump.get(start, 0) + length * rise_lcm
         else:
-            lo, hi = (start, end) if s > 0 else (end, start)
-            r = 1 / abs(s)
-            rate_change[lo] = rate_change.get(lo, 0) + r
-            rate_change[hi] = rate_change.get(hi, 0) - r
-    alphas = sorted(levels)
-    pieces: list[Piece] = []
-    measure = rate = Fraction(0)
-    previous = alphas[0]
-    for alpha in alphas:
-        measure += rate * (alpha - previous) + jump.get(alpha, 0)
-        rate += rate_change.get(alpha, 0)
-        pieces.append((rate, measure - rate * alpha))
-        previous = alpha
-    pieces.pop()  # the top level starts no piece: the measure stays 1 beyond
-    if rate != 0 or measure != 1:
+            lo, hi = (start, end) if start < end else (end, start)
+            rate = length * (rise_lcm // (hi - lo))
+            rate_change[lo] = rate_change.get(lo, 0) + rate
+            rate_change[hi] = rate_change.get(hi, 0) - rate
+    levels = sorted(levels)
+    den = dx * rise_lcm
+    sweep: list[tuple[int, int]] = []  # (rate, measure - rate * level)
+    measure = rate = previous = 0
+    for level in levels:
+        measure += rate * (level - previous) + jump.get(level, 0)
+        rate += rate_change.get(level, 0)
+        sweep.append((rate, measure - rate * level))
+        previous = level
+    alphas = tuple(Fraction(level, w) for level in levels)
+    if rate != 0 or measure != den:
         raise ValidationFailure(
-            f"sublevel sweep ends at level {alphas[-1]} with rate {rate} and "
-            f"measure {measure}, not 0 and 1"
+            f"sublevel sweep ends at level {alphas[-1]} with rate "
+            f"{Fraction(rate * w, den)} and measure {Fraction(measure, den)}, "
+            "not 0 and 1"
         )
-    profile = SublevelProfile(alphas=tuple(alphas), pieces=tuple(pieces))
+    # the top level starts no piece: the measure stays 1 beyond
+    profile = SublevelProfile(
+        alphas=alphas,
+        pieces=tuple((Fraction(r * w, den), Fraction(t, den)) for r, t in sweep[:-1]),
+    )
     # at the top level every piece lies below, so a direct measure there
     # repeats the end check; the median level tests the sweep in between
     level = alphas[len(alphas) // 2]
@@ -652,19 +715,21 @@ def _ln_antiderivative_term(w: Fraction) -> float:
 
 def integral_ln(fn: PwlTorusFunction) -> float:
     """Closed-form integral of ln(pi) over [0, 1); -inf if pi vanishes on a set
-    of positive measure.  Endpoint zeros integrate properly (t ln t -> 0)."""
+    of positive measure.  Endpoint zeros integrate properly (t ln t -> 0).
+    Each piece's end values are read from `limits()`."""
     _assert_nonnegative(fn)
+    limits = fn.limits()
     total = 0.0
     for i, (s, t) in enumerate(fn.pieces):
-        u, v = fn.piece_domain(i)
+        start, end = limits[i][2], limits[i + 1 - len(limits)][0]
         if s == 0:
             if t == 0:
                 return float("-inf")
+            u, v = fn.piece_domain(i)
             total += float(v - u) * ln_fraction(t)
         else:
             total += (
-                _ln_antiderivative_term(s * v + t)
-                - _ln_antiderivative_term(s * u + t)
+                _ln_antiderivative_term(end) - _ln_antiderivative_term(start)
             ) / float(s)
     return total
 
@@ -708,20 +773,23 @@ def layer_cake_check(fn: PwlTorusFunction) -> LayerCakeReport:
 
 
 def lp_power_torus(fn: PwlTorusFunction, p: int) -> Fraction:
-    """Exact integral of pi^p over [0, 1) for a nonnegative function."""
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
+    """Exact integral of pi^p over [0, 1) for a nonnegative function.
+
+    One integer sum over the span table (end values S, E over w, length l
+    over dx): a sloped piece adds l (E^(p+1) - S^(p+1)) / (E - S), an exact
+    division, and a constant piece (p+1) l S^p; the sum is over
+    dx w^p (p+1).  p is checked by `check_exponent` before any arithmetic.
+    """
+    check_exponent(p)
     _assert_nonnegative(fn)
-    total = Fraction(0)
-    for i, (s, t) in enumerate(fn.pieces):
-        u, v = fn.piece_domain(i)
-        if s == 0:
-            total += (v - u) * t**p
+    spans, dx, w = _spans(fn)
+    total = 0
+    for start, end, length in spans:
+        if start == end:
+            total += (p + 1) * length * start**p
         else:
-            total += ((s * v + t) ** (p + 1) - (s * u + t) ** (p + 1)) / (
-                s * (p + 1)
-            )
-    return total
+            total += length * ((end ** (p + 1) - start ** (p + 1)) // (end - start))
+    return Fraction(total, dx * w**p * (p + 1))
 
 
 def lp_norm_torus(fn: PwlTorusFunction, p: int) -> float:

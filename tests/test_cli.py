@@ -4,6 +4,7 @@ formats, stdin handling, and file outputs."""
 import ast
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -16,7 +17,14 @@ import pytest
 
 import groupcut
 from groupcut import PwlTorusFunction, gmi, gom, identity_fn, md2
-from groupcut import experiments, finite_functions, group_core, polytope, torus
+from groupcut import (
+    criteria,
+    experiments,
+    finite_functions,
+    group_core,
+    polytope,
+    torus,
+)
 from groupcut.cli import main
 
 
@@ -478,6 +486,21 @@ class TestIntegrate:
         assert payload["lp_norms"] == {"1": 0.5}
         assert payload["layer_cake"] == {"lhs": "inf", "rhs": "inf", "gap": 0.0}
 
+    @pytest.mark.parametrize("path", ["gmi_half_path", "gom54_path"])
+    @pytest.mark.parametrize("p", ["1001", "100000", "1" + "0" * 400])
+    def test_exponent_above_the_cap_exits_3(
+        self, capsys, monkeypatch, request, path, p
+    ):
+        def fail(*_args):
+            raise AssertionError("arithmetic ran before the exponent check")
+
+        monkeypatch.setattr(torus, "_spans", fail)
+        monkeypatch.setattr(criteria, "_numerators", fail)
+        path = request.getfixturevalue(path)
+        code, out, err = run(capsys, "integrate", path, "--p", p)
+        assert (code, out) == (3, "")
+        assert "exceeds the exponent cap 1000" in err
+
     @pytest.mark.parametrize("flag", ["--layer-cake", "--sublevel-csv"])
     def test_circle_flags_rejected_for_finite_input(
         self, capsys, tmp_path, gom54_path, flag
@@ -835,3 +858,43 @@ class TestLongExactOutput:
             main(argv)
             assert sys.get_int_max_str_digits() == 5000
         capsys.readouterr()
+
+
+class TestCollector:
+    """main pauses the cyclic garbage collector while a command runs and
+    gives the caller's state back, whatever the exit code."""
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    @pytest.mark.parametrize(
+        "flags, off, expected",
+        [
+            (["--layer-cake"], 0, 0),
+            (["--layer-cake"], F(1, 7), 2),
+            (["--p", "1001"], 0, 3),
+        ],
+    )
+    def test_state_comes_back(
+        self, capsys, monkeypatch, gmi_half_path, caller_enabled, flags, off, expected
+    ):
+        during = []
+        exact_ln, exact_measure = torus.integral_ln, torus.sublevel_measure
+
+        def spy_ln(fn):
+            during.append(gc.isenabled())
+            return exact_ln(fn)
+
+        def off_measure(fn, alpha):  # a nonzero offset fails the sweep check
+            return exact_measure(fn, alpha) + off
+
+        monkeypatch.setattr("groupcut.cli.integral_ln", spy_ln)
+        monkeypatch.setattr(torus, "sublevel_measure", off_measure)
+        previous = gc.isenabled()
+        (gc.enable if caller_enabled else gc.disable)()
+        try:
+            code, _out, _err = run(capsys, "integrate", gmi_half_path, *flags)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if previous else gc.disable)()
+        assert code == expected
+        assert during == [False]
+        assert after is caller_enabled

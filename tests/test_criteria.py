@@ -8,6 +8,7 @@ import pytest
 
 from groupcut import (
     INFINITE,
+    DimensionCap,
     FiniteGroupFunction,
     dantzig,
     gom,
@@ -19,8 +20,10 @@ from groupcut import (
     simplex_volume,
     volume_product,
 )
+from groupcut import criteria
 from groupcut.finite_functions import compose
 from groupcut.group_core import Automorphism, CyclicGroup
+from groupcut.rationals import MAX_EXPONENT
 
 
 class TestLpNorm:
@@ -50,6 +53,43 @@ class TestLpNorm:
         for b in range(1, 7):
             for vertex in vertices_for(7, b):
                 assert lp_norm(vertex, 1).power == F(1, 2)
+
+    def test_power_is_the_fraction_sum(self):
+        values = [F(0)] + [F(k, 9 + k) for k in range(1, 11)]
+        pi = FiniteGroupFunction.from_values(11, 10, values)
+        for p in (1, 2, 5, 17):
+            assert lp_norm(pi, p).power == sum(v**p for v in pi.values) / F(11)
+
+    def test_the_cap_admits_its_own_exponent(self):
+        p, half = MAX_EXPONENT, F(1, 2)
+        assert lp_norm(md2(5, 4), p).power == half**p + (1 - 2 * half**p) / 5
+
+
+class TestExponentRefusal:
+    """A bad exponent is refused before any arithmetic: with every
+    arithmetic step patched to fail, the refusal must still come first."""
+
+    @pytest.fixture(autouse=True)
+    def no_arithmetic(self, monkeypatch):
+        def fail(*_args):
+            raise AssertionError("arithmetic ran before the exponent check")
+
+        monkeypatch.setattr(criteria, "_numerators", fail)
+        monkeypatch.setattr(criteria, "nth_root_float", fail)
+
+    @pytest.mark.parametrize("p", [MAX_EXPONENT + 1, 100000, 10**100])
+    def test_above_the_cap(self, p):
+        with pytest.raises(DimensionCap, match="exceeds the exponent cap 1000"):
+            lp_norm(gom(5, 4), p)
+
+    @pytest.mark.parametrize("p", [1.5, True, F(2), "2"])
+    def test_not_an_int(self, p):
+        with pytest.raises(TypeError, match="p must be an integer"):
+            lp_norm(gom(5, 4), p)
+
+    def test_below_one(self):
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            lp_norm(gom(5, 4), 0)
 
 
 class TestVolumeProduct:

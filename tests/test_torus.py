@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from groupcut import (
+    DimensionCap,
     MODE_RHS,
     MODE_WRAP,
     NotMinimal,
@@ -35,6 +36,8 @@ from groupcut import (
     sublevel_set,
     tilde_fn,
 )
+from groupcut import torus
+from groupcut.rationals import MAX_EXPONENT
 from sumsets import interval_sumset, union_measure
 
 
@@ -569,3 +572,41 @@ class TestNorms:
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
             lp_power_torus(identity_fn(), 0)
+
+    def test_the_cap_admits_its_own_exponent(self):
+        p = MAX_EXPONENT
+        assert lp_power_torus(identity_fn(), p) == F(1, p + 1)
+        assert lp_norm_torus(md2_torus(F(1, 3)), p) == 0.5
+
+
+def fail(*_args):
+    raise AssertionError("arithmetic ran before the exponent check")
+
+
+class TestExponentRefusal:
+    """A bad exponent is refused before any arithmetic: with every
+    arithmetic step patched to fail, the refusal must still come first."""
+
+    @pytest.fixture(autouse=True)
+    def no_arithmetic(self, monkeypatch):
+        for name in ("_spans", "_assert_nonnegative", "nth_root_float"):
+            monkeypatch.setattr(torus, name, fail)
+
+    @pytest.mark.parametrize("call", [lp_power_torus, lp_norm_torus])
+    @pytest.mark.parametrize(
+        "p", [MAX_EXPONENT + 1, 100000, pytest.param(10**5000, id="5001-digits")]
+    )
+    def test_above_the_cap(self, call, p):
+        with pytest.raises(DimensionCap, match="exceeds the exponent cap 1000"):
+            call(gmi(F(1, 2)), p)
+
+    @pytest.mark.parametrize("call", [lp_power_torus, lp_norm_torus])
+    @pytest.mark.parametrize("p", [1.5, 2.0, True, False, F(2), "2", None])
+    def test_not_an_int(self, call, p):
+        with pytest.raises(TypeError, match="p must be an integer"):
+            call(gmi(F(1, 2)), p)
+
+    @pytest.mark.parametrize("call", [lp_power_torus, lp_norm_torus])
+    def test_below_one(self, call):
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            call(gmi(F(1, 2)), 0)

@@ -422,3 +422,199 @@ def test_riemann_sample_matches_value_at(monkeypatch, q):
     assert got == expected
     # every profile is sampled, at odd q across the jump at 1/2 too
     assert sum(o.startswith("RiemannResult") for o in got) == len(profiles)
+
+
+# `_spans` gives each piece's start value, end value and length as integers;
+# `_piece_sublevels` (behind `sublevel_measure` and `sublevel_set`) and
+# `lp_power_torus` read it, `integral_ln` reads the end values from
+# `limits()`, and `ln_fraction` branches on integers.  Their oracles are the
+# `Fraction` routines they replaced: each piece from its slope and intercept.
+
+
+def oracle_assert_nonnegative(fn):
+    for x, triple in zip(fn.breakpoints, fn.limits()):
+        if min(triple) < 0:
+            raise ValueError(f"function is negative near breakpoint {x}")
+
+
+def oracle_piece_sublevels(fn, alpha):
+    intervals = []
+    for i, (s, t) in enumerate(fn.pieces):
+        u, v = fn.piece_domain(i)
+        if s == 0:
+            if t <= alpha:
+                intervals.append((u, v))
+        elif s > 0:
+            hi = min(v, (alpha - t) / s)
+            if hi >= u:
+                intervals.append((u, hi))
+        else:
+            lo = max(u, (alpha - t) / s)
+            if lo <= v:
+                intervals.append((lo, v))
+    return intervals
+
+
+def oracle_sublevel_measure(fn, alpha):
+    return sum((hi - lo for lo, hi in oracle_piece_sublevels(fn, alpha)), F(0))
+
+
+def oracle_sublevel_set(fn, alpha):
+    intervals = oracle_piece_sublevels(fn, alpha)
+    for x, value in zip(fn.breakpoints, fn.point_values):
+        if value <= alpha:
+            intervals.append((x, x))
+    return torus._merge_intervals(intervals)
+
+
+def oracle_lp_power(fn, p):
+    oracle_assert_nonnegative(fn)
+    total = F(0)
+    for i, (s, t) in enumerate(fn.pieces):
+        u, v = fn.piece_domain(i)
+        if s == 0:
+            total += (v - u) * t**p
+        else:
+            total += ((s * v + t) ** (p + 1) - (s * u + t) ** (p + 1)) / (s * (p + 1))
+    return total
+
+
+def oracle_ln(x):
+    if x < 0:
+        raise ValueError(f"logarithm of negative rational {x}")
+    if x == 0:
+        return float("-inf")
+    if F(2, 3) < x < 2:
+        return math.log1p(float(x - 1))
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def oracle_integral_ln(fn):
+    def term(w):
+        return 0.0 if w == 0 else float(w) * (oracle_ln(w) - 1.0)
+
+    oracle_assert_nonnegative(fn)
+    total = 0.0
+    for i, (s, t) in enumerate(fn.pieces):
+        u, v = fn.piece_domain(i)
+        if s == 0:
+            if t == 0:
+                return float("-inf")
+            total += float(v - u) * oracle_ln(t)
+        else:
+            total += (term(s * v + t) - term(s * u + t)) / float(s)
+    return total
+
+
+def hex_outcome(call, fn):
+    """float.hex of each float the call returns, or the exception."""
+    try:
+        got = call(fn)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(got, float):
+        return got.hex()
+    return tuple(value.hex() for value in (got.lhs, got.rhs, got.gap))
+
+
+def probe_levels(fn):
+    """Every limit and point value, the midpoints between them, and levels
+    below, inside and above the range."""
+    levels = sorted({v for triple in fn.limits() for v in triple} | {F(0), F(1, 3)})
+    levels += [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    return levels + [F(-1, 2), levels[-1] + F(1, 5)]
+
+
+def test_lp_power_matches_fraction_oracle():
+    kinds = Counter()
+    for fn in CORPUS:
+        for p in range(1, 6):
+            expected = outcome(lambda f: oracle_lp_power(f, p), fn)
+            assert outcome(lambda f: torus.lp_power_torus(f, p), fn) == expected
+            kinds[expected.split("(")[0]] += 1
+    assert kinds["Fraction"] > 500
+    assert kinds["ValueError: function is negative near breakpoint 0"]
+
+
+def test_sublevel_measure_and_set_match_piece_clip():
+    clipped = 0
+    for fn in CORPUS:
+        for alpha in probe_levels(fn):
+            measure = sublevel_measure(fn, alpha)
+            assert measure == oracle_sublevel_measure(fn, alpha)
+            assert repr(measure) == repr(oracle_sublevel_measure(fn, alpha))
+            assert torus.sublevel_set(fn, alpha) == oracle_sublevel_set(fn, alpha)
+            clipped += 0 < measure < 1
+    assert clipped > 1000
+
+
+def test_integral_ln_matches_fraction_oracle():
+    outcomes = Counter()
+    for fn in CORPUS:
+        expected = hex_outcome(oracle_integral_ln, fn)
+        assert hex_outcome(torus.integral_ln, fn) == expected
+        outcomes[expected.split(":")[0]] += 1
+    assert outcomes["ValueError"] and outcomes["-inf"] and len(outcomes) > 50
+
+
+def test_layer_cake_floats_match_the_oracles(monkeypatch):
+    tildes = [tilde_fn(fn) for fn in CORPUS if is_minimal_pwl(fn).is_minimal]
+    functions = CORPUS + tildes
+    got = [hex_outcome(layer_cake_check, fn) for fn in functions]
+    lns = [hex_outcome(torus.integral_ln, fn) for fn in functions]
+    monkeypatch.setattr(torus, "sublevel_profile", oracle_profile)
+    monkeypatch.setattr(torus, "integral_ln", oracle_integral_ln)
+    monkeypatch.setattr(torus, "ln_fraction", oracle_ln)
+    assert got == [hex_outcome(layer_cake_check, fn) for fn in functions]
+    assert lns == [hex_outcome(oracle_integral_ln, fn) for fn in functions]
+    assert sum(isinstance(row, tuple) for row in got) > 150
+
+
+def ln_probes():
+    big = 10**400
+    around = []
+    for n, d in ((2, 3), (1, 1), (2, 1)):
+        for eps in (F(0), F(1, 10**30), F(1, 7 * big), F(1, 1000)):
+            around += [F(n, d) + eps, F(n, d) - eps]
+    huge = [
+        F(big + 1, big),
+        F(big - 1, big),
+        F(3**900, 2**1400),
+        F(2**1400, 3**900),
+        F(1, 7**500),
+        F(11**600, 1),
+        F(2 * big + 1, 3 * big),
+        F(2 * big - 1, big),
+    ]
+    return around + huge + [F(0), F(1, 2), F(5, 7), F(3, 2), F(7, 3), 2, 1]
+
+
+def test_ln_fraction_matches_fraction_oracle():
+    from groupcut.rationals import ln_fraction
+
+    probes = ln_probes()
+    assert all(ln_fraction(x).hex() == oracle_ln(F(x)).hex() for x in probes)
+    # both branches and both edges are reached
+    assert {F(2, 3), F(1), F(2)} <= set(probes) and len(probes) > 30
+    for x in (F(-1, 2), F(-(10**500), 3)):
+        with pytest.raises(ValueError) as got:
+            ln_fraction(x)
+        with pytest.raises(ValueError) as expected:
+            oracle_ln(x)
+        assert str(got.value) == str(expected.value)
+
+
+def test_a_negative_point_value_alone_is_refused():
+    # the limits are 1/2 everywhere; only the point value at 1/2 is negative
+    half = F(1, 2)
+    fn = PwlTorusFunction(
+        (F(0), half), ((F(0), half), (F(0), half)), (F(0), F(-1, 4)), b=half
+    )
+    pairs = [
+        (lambda f: torus.lp_power_torus(f, 2), lambda f: oracle_lp_power(f, 2)),
+        (torus.integral_ln, oracle_integral_ln),
+        (sublevel_profile, oracle_profile),
+    ]
+    expected = "ValueError: function is negative near breakpoint 1/2"
+    for call, oracle in pairs:
+        assert outcome(call, fn) == outcome(oracle, fn) == expected
