@@ -38,6 +38,17 @@ class NotMinimal(GroupCutError):
 class DimensionCap(GroupCutError):
     """Group order exceeds the configured enumeration cap."""
 
+    @classmethod
+    def order(cls, q: int, cap: str, limit: int) -> DimensionCap:
+        """'q=<q> exceeds the <cap> cap <limit>'.  An order too long for the
+        interpreter's int-to-string digit limit is named by its bit length,
+        so that the refusal cannot fail on its own message."""
+        try:
+            name = f"q={q}"
+        except ValueError:
+            name = f"a q of {q.bit_length()} bits"
+        return cls(f"{name} exceeds the {cap} cap {limit}")
+
 
 class OutOfRange(GroupCutError):
     """Index or coordinate outside its admissible range."""

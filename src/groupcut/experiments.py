@@ -27,6 +27,7 @@ from .errors import (
 from .finite_functions import (
     MAX_SCAN_ORDER,
     FiniteGroupFunction,
+    _violations,
     compose,
     gom,
     is_minimal,
@@ -268,7 +269,7 @@ def riemann_experiment(
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if q > MAX_SCAN_ORDER:
-        raise DimensionCap(f"q={q} exceeds the riemann cap {MAX_SCAN_ORDER}")
+        raise DimensionCap.order(q, "riemann", MAX_SCAN_ORDER)
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if h.mode != MODE_WRAP:
@@ -280,15 +281,13 @@ def riemann_experiment(
         raise NotInClassG(f"not minimal: {verdict.violations[0]}")
     # h at x/(q-1) for x < q-1 is h at x * (d // (q-1)) over d
     d = math.lcm(q - 1, *(x.denominator for x in h.breakpoints))
+    # the sample is checked and scored as integers over w: h(1) = 1 is w
     scaled, w = _walk_pieces(h, d, range(0, d, d // (q - 1)))
-    values = [Fraction(v, w) for _left, v, _right in scaled.values()] + [Fraction(1)]
-    sampled = FiniteGroupFunction.from_values(q=q, b=q - 1, values=values)
-    sampled_verdict = is_minimal(sampled)
-    if not sampled_verdict.is_minimal:
-        raise ValidationFailure(
-            f"discretized sample is not minimal: {sampled_verdict.violations[0]}"
-        )
-    product = volume_product(sampled)
+    nums = [v for _left, v, _right in scaled.values()] + [w]
+    first = next(_violations(nums, w, q - 1), None)
+    if first is not None:
+        raise ValidationFailure(f"discretized sample is not minimal: {first}")
+    product = Fraction(math.prod(nums[1:]), w ** (q - 1))
     bound = expected_min_product(q)
     if product < bound:
         raise ValidationFailure(
@@ -324,7 +323,7 @@ def stirling_table(primes: Sequence[int]) -> tuple[StirlingRow, ...]:
     order above MAX_SCAN_ORDER raises DimensionCap before any primality test."""
     qs = sorted(set(primes))
     if qs and qs[-1] > MAX_SCAN_ORDER:
-        raise DimensionCap(f"q={qs[-1]} exceeds the stirling cap {MAX_SCAN_ORDER}")
+        raise DimensionCap.order(qs[-1], "stirling", MAX_SCAN_ORDER)
     for q in qs:
         if not is_prime(q):
             raise NotPrime(f"{q} is not prime")

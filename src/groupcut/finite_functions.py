@@ -98,7 +98,7 @@ class FiniteGroupFunction:
             json_field(data, "values", list),
         )
         if fn.q > MAX_SCAN_ORDER:
-            raise DimensionCap(f"q={fn.q} exceeds the pair-scan cap {MAX_SCAN_ORDER}")
+            raise DimensionCap.order(fn.q, "pair-scan", MAX_SCAN_ORDER)
         return fn
 
     def to_json(self) -> str:
@@ -143,50 +143,71 @@ def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 # Largest order whose O(q^2) pair scan has been measured to finish: at
-# q = 10007 riemann_experiment's scan of its sample takes 3.9 s for the
-# identity and 4.2 s for tilde(gmi(1/3)), in one process on an Intel Xeon
-# core (Python 3.11).  Every order read from input is refused above it.
+# q = 10007 riemann_experiment's scan of its sample takes 0.25-0.38 s and the
+# whole call 0.3-0.5 s, for the identity and for tilde(gmi(1/3)) alike, in
+# one process on a shared Intel Xeon core (Python 3.11).  Every order read
+# from input is refused above it.
 MAX_SCAN_ORDER = 10007
 
 
-def _rows(nums: list[int]) -> Iterator[tuple[int, list[int]]]:
-    """(x, row) for 0 <= x < q, where row[k] = nums[y] - nums[(x + y) % q] at
-    y = x + k for x <= y < q, so that nums[x] + row[k] is the slack of the
-    pair (x, y): the one pair scan behind every finite subadditivity check.
+def _negative_rows(nums: list[int]) -> Iterator[int]:
+    """The rows x, ascending, that hold a pair (x, y) with x <= y < q and
+    nums[x] + nums[y] < nums[(x + y) % q]: the one pair scan behind every
+    finite subadditivity check.  The numerators must be nonnegative, as a
+    FiniteGroupFunction's are.
 
-    Each row is built by one C-level map, and only the row in hand is alive,
-    never all q^2/2 slacks.
+    The numerators are packed into one int, a field of `width` bits each,
+    with 2^(width-1) > 2 max(nums).  Row x's slacks plus 2^(width-1) then
+    lie in (0, 2^width), so one shifted add and subtract gives every field
+    of the row with no borrow between fields, and a field's top bit is clear
+    exactly when its slack is negative: a row is a few big-int operations
+    (SIMD within a register, in exact arithmetic).
     """
     q = len(nums)
-    wrapped = nums * 2  # wrapped[x + y] == nums[(x + y) % q]
+    size = (2 * max(nums)).bit_length() // 8 + 1  # bytes per field
+    width = 8 * size
+    packed = int.from_bytes(
+        b"".join(map(int.to_bytes, nums, repeat(size), repeat("little"))), "little"
+    )
+    wrapped = packed | packed << (q * width)  # field x + y is nums[(x + y) % q]
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * q, "little")
+    tops = ones << (width - 1)
+    mask = (ones << width) - ones
+    half = 1 << (width - 1)
     for x in range(q):
-        yield x, list(map(sub, nums[x:], wrapped[2 * x : x + q]))
+        s = x * width
+        top = tops >> s
+        row = (packed >> s) + (nums[x] + half) * (ones >> s)
+        row -= (wrapped >> 2 * s) & (mask >> s)
+        if row & top != top:
+            yield x
 
 
 def _subadditivity(nums: list[int], den: int) -> Iterator[Iterator[Violation]]:
     """Per row x that holds a negative slack, the subadditivity violations of
     nums/den at the pairs (x, y), in y order.
 
-    One min tells whether a row holds any.  In such a row the witnesses,
+    `_negative_rows` finds the rows.  In such a row the slacks, witnesses,
     amounts and Violations are built by C-level map and zip over the
     compressed columns, so no pair takes a Python-level step.  Slacks repeat
     heavily, so each distinct amount is built as a Fraction once per call and
     shared by every pair that fails by it."""
     q = len(nums)
+    wrapped = nums * 2  # wrapped[x + y] == nums[(x + y) % q]
     amounts: dict[int, Fraction] = {}
-    for x, row in _rows(nums):
+    for x in _negative_rows(nums):
+        row = list(map(sub, nums[x:], wrapped[2 * x : x + q]))
         bound = -nums[x]  # the pair (x, y) is violated when row[y - x] < bound
-        if min(row) < bound:
-            failing = list(map(bound.__gt__, row))
-            slacks = list(map(nums[x].__add__, compress(row, failing)))
-            for slack in set(slacks).difference(amounts):
-                amounts[slack] = Fraction(-slack, den)
-            fields = zip(
-                repeat("subadditivity"),
-                zip(repeat(x), compress(range(x, q), failing)),
-                map(amounts.__getitem__, slacks),
-            )
-            yield map(tuple.__new__, repeat(Violation), fields)
+        failing = list(map(bound.__gt__, row))
+        slacks = list(map(nums[x].__add__, compress(row, failing)))
+        for slack in set(slacks).difference(amounts):
+            amounts[slack] = Fraction(-slack, den)
+        fields = zip(
+            repeat("subadditivity"),
+            zip(repeat(x), compress(range(x, q), failing)),
+            map(amounts.__getitem__, slacks),
+        )
+        yield map(tuple.__new__, repeat(Violation), fields)
 
 
 def _violations(nums: list[int], den: int, b: int) -> Iterator[Violation]:

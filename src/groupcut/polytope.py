@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .criteria import volume_product
@@ -18,7 +18,13 @@ from .errors import (
     ValidationFailure,
     ZeroElement,
 )
-from .finite_functions import FiniteGroupFunction, _numerators, _rows, gom, is_minimal
+from .finite_functions import (
+    FiniteGroupFunction,
+    _negative_rows,
+    _numerators,
+    gom,
+    is_minimal,
+)
 from .group_core import is_prime
 
 __all__ = [
@@ -312,7 +318,7 @@ def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
     they must have rank equal to the dimension.
     """
     if polytope.q > MAX_ORDER:
-        raise DimensionCap(f"q={polytope.q} exceeds the enumeration cap {MAX_ORDER}")
+        raise DimensionCap.order(polytope.q, "enumeration", MAX_ORDER)
     rows = list(polytope.box_rows) + list(polytope.other_rows)
     d = polytope.dimension
     functions = []
@@ -335,7 +341,7 @@ def _admit_order(q: int) -> None:
     """Refuse an order above MAX_ORDER, an O(1) test, and then a composite
     one, whose trial division grows with the square root of q."""
     if q > MAX_ORDER:
-        raise DimensionCap(f"q={q} exceeds the enumeration cap {MAX_ORDER}")
+        raise DimensionCap.order(q, "enumeration", MAX_ORDER)
     if not is_prime(q):
         raise NotPrime(f"q={q} is composite")
 
@@ -377,24 +383,22 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
     if pi.b_residue != q - 1:
         raise NotMinimal(f"decomposition expects rhs q-1={q - 1}, got {pi.b_residue}")
     vals = pi.values
-    # one walk over the pair rows screens subadditivity and finds gamma: row
-    # x's wrap-around pairs are y = x + k with k >= q - 2x; row 0 has none.
-    # On a failed screen, is_minimal names the first violation.
+    # the pair scan screens subadditivity; on a failed screen, is_minimal
+    # names the first violation
     nums, den = _numerators(vals)
-    minimal = nums[0] == 0
-    wrap_minima = []
-    for x, row in _rows(nums):
-        if min(row) < -nums[x]:
-            minimal = False
-            break
-        if x:
-            wrap_minima.append(nums[x] + min(row[max(0, q - 2 * x) :]))
+    minimal = nums[0] == 0 and next(_negative_rows(nums), None) is None
     if not (minimal and all(n + m == den for n, m in zip(nums, reversed(nums)))):
         first = is_minimal(pi, early_exit=True).violations[0]
         raise NotMinimal(f"not minimal: {first}")
     if any(vals[x] > vals[x + 1] for x in range(q - 1)):
         raise NotNondecreasing("decomposition expects a nondecreasing function")
 
+    # gamma over the wrap-around pairs x <= y, x + y >= q: row x's start at
+    # y = max(x, q - x), and the pair (x, y) wraps to x + y - q; row 0 has none
+    wrap_minima = []
+    for x in range(1, q):
+        y = max(x, q - x)
+        wrap_minima.append(nums[x] + min(map(sub, nums[y:], nums[y + x - q : x])))
     gamma = Fraction(min(wrap_minima), den)
     lam = min([gamma * Fraction(q - 1, q)] + [vals[x] / x for x in range(1, q)])
     if lam >= 1:  # only the two-element group reaches this; any split works

@@ -777,7 +777,7 @@ class TestScanOrderCap:
             raise AssertionError(f"pair scan started at q={len(nums)}")
 
         for module in (finite_functions, polytope):
-            monkeypatch.setattr(module, "_rows", refuse)
+            monkeypatch.setattr(module, "_negative_rows", refuse)
         code, out, err = run(capsys, command, above_cap_path)
         assert code == 3 and out == ""
         assert "q=10009 exceeds the pair-scan cap 10007" in err

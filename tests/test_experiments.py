@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -24,20 +25,28 @@ from groupcut import (
     PwlTorusFunction,
     Report,
     RhsMismatch,
+    RiemannResult,
     STATUS_MISMATCH,
     STATUS_OK,
     TableauRow,
+    ValidationFailure,
     emit_cut,
     expected_min_product,
+    from_finite_function,
     gmi,
     gom,
     identity_fn,
+    integral_ln,
+    is_minimal,
+    ln_fraction,
+    md2,
     md2_torus,
     minimize_volume,
     optimize_and_report,
     riemann_experiment,
     stirling_table,
     tilde_fn,
+    volume_product,
     write_report_csv,
 )
 
@@ -212,6 +221,79 @@ class TestRiemannExperiment:
         )
         with pytest.raises(NotInClassG):
             riemann_experiment(lifted, 5)
+
+
+def sampled_function(h, q):
+    """h at x/(q-1) for x < q - 1, and 1 at q - 1, by value_at."""
+    values = [h.value_at(F(x, q - 1)) for x in range(q - 1)] + [F(1)]
+    return FiniteGroupFunction.from_values(q, q - 1, values)
+
+
+def sampled_result(h, q):
+    """The discretization experiment over Fractions: the sample as a
+    FiniteGroupFunction, certified by is_minimal and scored by
+    volume_product."""
+    sampled = sampled_function(h, q)
+    assert is_minimal(sampled).is_minimal
+    product, bound = volume_product(sampled), expected_min_product(q)
+    return RiemannResult(
+        q=q,
+        product=product,
+        product_bound=bound,
+        discrete_mean=ln_fraction(product) / (q - 1),
+        lower_bound=ln_fraction(bound) / (q - 1),
+        integral=integral_ln(h),
+    )
+
+
+RIEMANN_PROFILES = {
+    "identity": identity_fn(),
+    "tilde(gmi(1/3))": tilde_fn(gmi(F(1, 3))),
+    "tilde(gmi(3/5))": tilde_fn(gmi(F(3, 5))),
+    "tilde(md2_torus(1/2))": tilde_fn(md2_torus(F(1, 2))),
+    # three pieces, breakpoints at sevenths: q = 29 samples them
+    "tilde(md2(7, 6))": tilde_fn(from_finite_function(md2(7, 6))),
+}
+
+
+class TestRiemannMatchesTheFractionRoute:
+    """riemann_experiment checks and scores its sample as integers over one
+    common denominator; every field, floats included, must equal the route
+    over Fractions."""
+
+    @pytest.mark.parametrize("q", [29, 101, 503])
+    @pytest.mark.parametrize("name", RIEMANN_PROFILES)
+    def test_result_is_the_fraction_result(self, name, q):
+        h = RIEMANN_PROFILES[name]
+        got = riemann_experiment(h, q)
+        expected = sampled_result(h, q)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("q", [29, 101])
+    def test_a_failing_sample_names_the_first_violation(self, monkeypatch, q):
+        # lift one sampled value: the error names the first violation that
+        # is_minimal finds in the lifted Fraction sample
+        h = RIEMANN_PROFILES["tilde(md2(7, 6))"]
+        walk = experiments._walk_pieces
+        z = q // 3
+
+        def lifted_walk(fn, d, points):
+            scaled, w = walk(fn, d, points)
+            p = sorted(scaled)[z]
+            left, value, right = scaled[p]
+            scaled[p] = (left, value + w, right)
+            return scaled, w
+
+        monkeypatch.setattr(experiments, "_walk_pieces", lifted_walk)
+        values = list(sampled_function(h, q).values)
+        values[z] += 1
+        lifted = FiniteGroupFunction.from_values(q, q - 1, values)
+        first = is_minimal(lifted).violations[0]
+        assert first.kind == "subadditivity"
+        with pytest.raises(ValidationFailure) as info:
+            riemann_experiment(h, q)
+        assert str(info.value) == f"discretized sample is not minimal: {first}"
 
 
 class TestStirlingTable:
@@ -393,3 +475,43 @@ class TestRiemannOrderCap:
     def test_the_cap_itself_reaches_the_primality_test(self, no_primality_test):
         with pytest.raises(AssertionError, match="trial division started at q=10007"):
             riemann_experiment(identity_fn(), finite_functions.MAX_SCAN_ORDER)
+
+
+class TestOrdersPastTheDigitLimit:
+    """An order with more digits than the interpreter converts to text is
+    still refused with DimensionCap, not a ValueError from the message."""
+
+    Q = 10**5000
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            yield
+            return
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    def refused(self, call, cap):
+        with pytest.raises(DimensionCap) as info:
+            call()
+        text = str(info.value)
+        assert text.endswith(f" exceeds the {cap}")
+        if hasattr(sys, "set_int_max_str_digits"):
+            assert text.startswith(f"a q of {self.Q.bit_length()} bits ")
+
+    def test_minimize_volume(self):
+        self.refused(lambda: minimize_volume(self.Q, 1), "enumeration cap 23")
+
+    def test_optimize_and_report(self):
+        config = ExperimentConfig(prime_list=(5, self.Q))
+        self.refused(lambda: optimize_and_report(config), "enumeration cap 23")
+
+    def test_riemann_experiment(self):
+        self.refused(lambda: riemann_experiment(identity_fn(), self.Q), "riemann cap 10007")
+
+    def test_stirling_table(self):
+        self.refused(lambda: stirling_table([5, self.Q]), "stirling cap 10007")

@@ -18,6 +18,7 @@ import pytest
 from groupcut import (
     FiniteGroupFunction,
     MinimalityVerdict,
+    NotMinimal,
     NotSubadditive,
     Violation,
     gmi,
@@ -28,6 +29,7 @@ from groupcut import (
     rearrange_finite,
     tilde_fn,
 )
+from groupcut.finite_functions import _negative_rows
 
 ORDERS = (2, 5, 9, 13, 31)
 PRIMES = tuple(q for q in ORDERS if q != 9)
@@ -185,8 +187,8 @@ def test_gomory_gamma_matches_fraction_scan(q):
         assert gomory_decomposition(pi).gamma == oracle_gamma(pi)
 
 
-# The row kernel: row x is built as one list, one min over it tells whether
-# the row holds a negative slack, and only such rows are walked.  The cases
+# The row kernel: a packed screen tells which rows hold a negative slack, and
+# only those rows are built as lists and walked.  The cases
 # below aim at its edges: the smallest groups, rows full of violations,
 # slacks of exactly 0, violations confined to one diagonal or one column, and
 # the boundary of gamma's wrap-around slice.
@@ -237,14 +239,29 @@ def test_smallest_groups_match_the_oracle(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_smallest_groups_gamma(q):
-    # row x's wrap-around pairs start at y = q - x (k = q - 2x): row 0 has
-    # none, and rows x >= q/2 are wrap-around whole.  A slice one pair early
+    # row x's wrap-around pairs start at y = max(x, q - x): row 0 has none,
+    # and rows x >= q/2 are wrap-around whole.  A slice one pair early
     # takes in a pair with x + y = q - 1, whose slack is 0 for a function
     # symmetric about q - 1; one pair late leaves row 1 empty
     rng = random.Random(4000 + q)
     for _ in range(20):
         pi = nondecreasing_minimal(rng, q)
         assert gomory_decomposition(pi).gamma == oracle_gamma(pi)
+
+
+def test_gomory_screen_refuses_a_symmetric_function_that_is_not_subadditive():
+    # nondecreasing, 0 at the origin and symmetric about q - 1, so only the
+    # pair screen can refuse it: pi(1) + pi(2) < pi(3) and more
+    for values in (
+        [F(0), F(1, 10), F(1, 5), F(1, 2), F(4, 5), F(9, 10), F(1)],
+        [F(0), F(1, 4), F(1, 4), F(1, 2), F(3, 4), F(3, 4), F(1)],
+    ):
+        pi = FiniteGroupFunction.from_values(7, 6, values)
+        first = oracle_is_minimal(pi, early_exit=True).violations[0]
+        assert first.kind == "subadditivity"
+        with pytest.raises(NotMinimal) as info:
+            gomory_decomposition(pi)
+        assert str(info.value) == f"not minimal: {first}"
 
 
 def dense_function(rng, q, den=100):
@@ -369,3 +386,112 @@ def test_tilde_gmi_sample_at_q_211(b):
     with pytest.raises(NotSubadditive) as info:
         rearrange_finite(lifted)
     assert str(info.value) == oracle_subadditivity_error(lifted)
+
+
+# The packed row screen itself: `_negative_rows` packs the numerators into
+# one int, a fixed-width field per value, and flags a row when some field's
+# top bit is clear.  Against the definition on nonnegative integer vectors:
+# the smallest groups, all-zero vectors, maxima at both sides of a field-width
+# boundary (the width grows when 2 max(nums) reaches 2^(8B-1)), values near
+# 10^30, slacks of exactly 0 and -1, and sorted and unsorted vectors.
+
+
+def oracle_negative_rows(nums):
+    q = len(nums)
+    return [
+        x
+        for x in range(q)
+        if any(nums[x] + nums[y] < nums[(x + y) % q] for y in range(x, q))
+    ]
+
+
+def assert_rows_match(nums):
+    expected = oracle_negative_rows(nums)
+    assert list(_negative_rows(nums)) == expected, nums
+    return expected
+
+
+def random_vector(rng, q, top):
+    """Values in [0, top] with top itself present, sometimes 0 at the origin,
+    sometimes only the extremes 0 and top (slacks of 2 top and -top)."""
+    if rng.random() < 0.3:
+        nums = [rng.choice((0, top)) for _ in range(q)]
+    else:
+        nums = [rng.randint(0, top) for _ in range(q)]
+    nums[rng.randrange(q)] = top
+    if rng.random() < 0.5:
+        nums[0] = 0
+    if rng.random() < 0.3:
+        nums.sort()
+    return nums
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_packed_rows_on_the_smallest_groups(q):
+    outcomes = Counter()
+    for nums in grid_functions(q, (0, 1, 2, 3, 5, 127, 128, 2**62, 2**62 + 1)):
+        outcomes[bool(assert_rows_match(nums))] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 31])
+def test_packed_rows_on_zero_vectors(q):
+    assert assert_rows_match([0] * q) == []
+
+
+@pytest.mark.parametrize("k", range(1, 72))
+def test_packed_rows_at_field_width_boundaries(k):
+    rng = random.Random(5000 + k)
+    for top in (2**k - 1, 2**k):
+        for _ in range(12):
+            assert_rows_match(random_vector(rng, rng.randint(2, 23), top))
+
+
+def test_packed_rows_near_10_to_the_30():
+    # values within 5 of 0 or of 10^30: a row fails when two small values
+    # sum below a large one, and a vector of large values alone passes
+    rng = random.Random(5100)
+    flagged = Counter()
+    for _ in range(60):
+        q = rng.randint(2, 29)
+        share = rng.choice((0.0, 0.3, 0.7))
+        nums = [
+            rng.randint(0, 5) + (10**30 if rng.random() >= share else 0)
+            for _ in range(q)
+        ]
+        nums[0] = 0
+        if rng.random() < 0.5:
+            nums.sort()
+        flagged[bool(assert_rows_match(nums))] += 1
+    assert flagged[True] > 0 and flagged[False] > 0
+
+
+def test_packed_rows_on_random_vectors():
+    rng = random.Random(5200)
+    tops = (1, 2, 9, 100, 255, 256, 65535, 10**9, 2**40, 10**30 + 7)
+    flagged = Counter()
+    for _ in range(500):
+        nums = random_vector(rng, rng.randint(2, 40), rng.choice(tops))
+        flagged[bool(assert_rows_match(nums))] += 1
+    assert flagged[True] > 50 and flagged[False] > 20
+
+
+@pytest.mark.parametrize("q", [2, 5, 13, 31])
+@pytest.mark.parametrize("scale", [1, 3, 2**31 - 1, 10**30])
+def test_packed_rows_at_slack_zero_and_minus_one(q, scale):
+    # scale * x is subadditive with slack exactly 0 on every pair x + y < q:
+    # no row is flagged.  One value raised by 1 gives slack exactly -1 on the
+    # pairs (x, z - x), 0 < x < z, and slack 1 or more on every other pair;
+    # one lowered by 1 gives -1 on the pairs (x, z) and (z, y) below q
+    line = [scale * x for x in range(q)]
+    assert assert_rows_match(line) == []
+    for z in range(1, q):
+        raised = line.copy()
+        raised[z] += 1
+        assert assert_rows_match(raised) == list(range(1, z // 2 + 1))
+        lowered = line.copy()
+        lowered[z] -= 1
+        assert_rows_match(lowered)
+        # unsorted: the same values in reverse
+        assert_rows_match(raised[::-1])
+        assert_rows_match(lowered[::-1])
