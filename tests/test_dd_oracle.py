@@ -4,22 +4,35 @@
 pair that made it, (mu & mw) | bit, and tests adjacency with incidence
 bitsets ANDed over the pair's common tight rows.  The oracle below is the
 earlier loop: every new point's tight set is recomputed by dot products with
-every processed row, and a pair is adjacent when no other current vertex mask
+every processed row (by the oracle's own `slack`, not the enumerator's),
+and a pair is adjacent when no other current vertex mask
 contains its common tight set.  Both must return the same (point, mask)
 list once sorted, on prime and composite orders and on canonical and
 non-canonical rhs.
 
 `_partners` finds the candidate pairs from the incidence bitsets alone; the
 second test checks it, on the vertex set before every cutting row, against
-the pair-by-pair count of common tight rows.
+the pair-by-pair count of common tight rows.  The third checks that the
+sparse-first row order `build_polytope` emits, the lexicographic order and
+seeded shuffles all enumerate the same points.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from groupcut import build_polytope
-from groupcut.polytope import _canonical, _dot, _enumerate_reduced, _partners
+from groupcut.polytope import _canonical, _enumerate_reduced, _partners
+
+
+def slack(a, nums, rhs, den):
+    """a . z - rhs at the point z = nums / den, scaled by den > 0."""
+    total = -rhs * den
+    for coeff, n in zip(a, nums):
+        total += coeff * n
+    return total
 
 
 def oracle_enumerate(rows, d):
@@ -36,7 +49,7 @@ def oracle_enumerate(rows, d):
         mask = 0
         for idx in range(upto + 1):
             a, c = rows[idx]
-            if _dot(a, nums, c, den) == 0:
+            if slack(a, nums, c, den) == 0:
                 mask |= 1 << idx
         return mask
 
@@ -50,7 +63,7 @@ def oracle_enumerate(rows, d):
         bit = 1 << idx
         pos, zero, neg = [], [], []
         for v, mask in vertices.items():
-            s = _dot(a, v[0], c, v[1])
+            s = slack(a, v[0], c, v[1])
             if s > 0:
                 pos.append((v, mask, s))
             elif s == 0:
@@ -109,7 +122,7 @@ def test_partner_screen_keeps_exactly_the_pairs_with_d_minus_1_common_rows(q, b)
         # checks the masks against the oracle's recomputed ones)
         vertices = _enumerate_reduced(rows[:idx], d)
         a, c = rows[idx]
-        slacks = [_dot(a, nums, c, den) for (nums, den), _mask in vertices]
+        slacks = [slack(a, nums, c, den) for (nums, den), _mask in vertices]
         pos = [k for k, s in enumerate(slacks) if s > 0]
         neg = [k for k, s in enumerate(slacks) if s < 0]
         if not pos or not neg:
@@ -132,3 +145,25 @@ def test_partner_screen_keeps_exactly_the_pairs_with_d_minus_1_common_rows(q, b)
     assert smaller_sides == {"pos", "neg"}
     # degenerate outer vertices: up to d + 14 tight rows at (17, 3)
     assert most_tight >= 2 * d
+
+
+@pytest.mark.parametrize("q, b", [(13, 12), (13, 5), (17, 16)])
+def test_row_order_changes_no_vertex(q, b):
+    # build_polytope lists the rows sparse first; the lexicographic order and
+    # seeded shuffles must enumerate the same points
+    poly = build_polytope(q, b)
+    rows = list(poly.other_rows)
+    assert rows == sorted(rows, key=lambda row: (sum(c != 0 for c in row[0]), row))
+    orders = [rows, sorted(rows)]
+    for seed in (1, 2, 3):
+        shuffled = rows[:]
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    assert orders[0] != orders[1]
+    box, d = list(poly.box_rows), poly.dimension
+    point_sets = [
+        sorted(point for point, _mask in _enumerate_reduced(box + order, d))
+        for order in orders
+    ]
+    assert len(point_sets[0]) > 1
+    assert all(points == point_sets[0] for points in point_sets)

@@ -151,6 +151,24 @@ class TestEnumerateVertices:
         with pytest.raises(ValidationFailure, match="tight rank below"):
             enumerate_vertices(build_polytope(7, 6))
 
+    def test_certificate_checks_every_row_at_the_point(self, monkeypatch):
+        # z = (0, 0) is tight on two box rows, rank 2, but violates
+        # subadditivity: its value vector (0, 0, 0, 1/2, 1, 1, 1) is not minimal
+        enumerate_reduced = polytope._enumerate_reduced
+
+        def with_origin(rows, d):
+            return enumerate_reduced(rows, d) + [(((0, 0), 1), 0b101)]
+
+        poly = build_polytope(7, 6)
+        values = poly.value_vector((F(0), F(0)))
+        assert values == (0, 0, 0, F(1, 2), 1, 1, 1)
+        assert not is_minimal(FiniteGroupFunction.from_values(7, 6, values)).is_minimal
+        monkeypatch.setattr(polytope, "_enumerate_reduced", with_origin)
+        with pytest.raises(ValidationFailure, match="violates a row"):
+            enumerate_vertices(poly)
+        with pytest.raises(ValidationFailure, match="violates a row"):
+            minimize_volume(7, 6)
+
     def test_md2_is_a_strict_convex_combination(self, vertices_for):
         v1, v2 = vertices_for(5, 4)
         mixed = tuple(
@@ -207,6 +225,21 @@ class TestMinimizeVolume:
         result = minimize_volume(7, 3)
         products = [volume_product(v) for v in vertices_for(7, 3)]
         assert result.value == min(products)
+
+    @pytest.mark.parametrize(
+        "q, b", [(q, b) for q in (5, 7, 11, 13) for b in range(1, q)] + [(17, 16)]
+    )
+    def test_integer_scoring_matches_the_fraction_route(self, q, b, vertices_for):
+        # the value product of every enumerated vertex, scored as Fractions
+        vertices = vertices_for(q, b)
+        products = [volume_product(v) for v in vertices]
+        best = min(products)
+        argmins = [v for v, product in zip(vertices, products) if product == best]
+        result = minimize_volume(q, b)
+        assert result.value == best
+        assert result.argmin == argmins[0]
+        assert result.unique == (len(argmins) == 1)
+        assert result.n_vertices == len(vertices)
 
     def test_frontier_order_19(self):
         result = minimize_volume(19, 18)
