@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .finite_functions import FiniteGroupFunction, _numerators
 from .rationals import check_exponent, ln_fraction, nth_root_float
@@ -74,10 +74,14 @@ def lp_norm(pi: FiniteGroupFunction, p: int) -> LpScore:
 
 
 def volume_product(pi: FiniteGroupFunction) -> Fraction:
-    """Product of the values away from the origin, exact: the product of their
-    integer numerators over den^(q-1), normalized once."""
-    nums, den = _numerators(pi.values)
-    return Fraction(math.prod(nums[1:]), den ** (pi.q - 1))
+    """Product of the values away from the origin, exact."""
+    return _value_product(*_numerators(pi.values))
+
+
+def _value_product(nums: Sequence[int], den: int) -> Fraction:
+    """The product of the values nums[x] / den over x != 0: the product of
+    the integer numerators over den^(q-1), normalized once."""
+    return Fraction(math.prod(nums[1:]), den ** (len(nums) - 1))
 
 
 def simplex_volume(pi: FiniteGroupFunction) -> Fraction | float:

@@ -3,12 +3,14 @@ enumeration by double description, and volume optimization over its vertices."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 from typing import Sequence
 
+from .criteria import _value_product
 from .errors import (
     DimensionCap,
     NotMinimal,
@@ -61,9 +63,10 @@ class MinimalFunctionPolytope:
     q: int
     b: int
     free: tuple[int, ...]  # residues serving as free coordinates, ascending
-    # per residue (const, j, sign): the value is const + sign * z_j, and just
-    # const when sign is 0 (then j is 0 and unused)
-    expressions: tuple[tuple[Fraction, int, int], ...]
+    # per residue (doubled const, j, sign): the value is const + sign * z_j,
+    # and just const when sign is 0 (then j is 0 and unused); const is 0, 1/2
+    # or 1, kept doubled as the integer 0, 1 or 2
+    terms: tuple[tuple[int, int, int], ...]
     box_rows: tuple[IntRow, ...]  # 0 <= z_j <= 1, two rows per free coordinate
     # remaining reduced rows, deduplicated, sparse first: sorted by (number of
     # nonzero coefficients, row), the insertion order that keeps the double
@@ -77,8 +80,8 @@ class MinimalFunctionPolytope:
     def value_vector(self, z: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Full value vector for a point of the reduced coordinate space."""
         return tuple(
-            const + z[j] if sign > 0 else const - z[j] if sign else const
-            for const, j, sign in self.expressions
+            Fraction(const2, 2) + sign * z[j] if sign else Fraction(const2, 2)
+            for const2, j, sign in self.terms
         )
 
 
@@ -86,10 +89,23 @@ class MinimalFunctionPolytope:
 class VertexSet:
     q: int
     b: int
-    vertices: tuple[FiniteGroupFunction, ...]  # sorted by value vector
+    # each certified vertex as its value vector's integer numerators over
+    # one denominator, in the enumerator's order
+    points: tuple[tuple[tuple[int, ...], int], ...]
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.points)
+
+    @functools.cached_property
+    def vertices(self) -> tuple[FiniteGroupFunction, ...]:
+        """The vertices as functions, sorted by value vector, built on first
+        access."""
+        functions = [
+            FiniteGroupFunction.from_values(self.q, self.b, _fractions(*point))
+            for point in self.points
+        ]
+        functions.sort(key=lambda f: f.values)
+        return tuple(functions)
 
 
 @dataclass(frozen=True)
@@ -118,9 +134,8 @@ def build_polytope(q: int, b: int) -> MinimalFunctionPolytope:
     if b == 0:
         raise ZeroElement("polytope needs a nonzero right-hand side")
 
-    # symmetry substitution: pi(0)=0, pi(b)=1, halfway points 1/2, pairs z / 1-z.
-    # Per residue (doubled const, j, sign), as in expressions but with the
-    # constants 0, 1/2 and 1 doubled to the integers 0, 1 and 2.
+    # symmetry substitution: pi(0)=0, pi(b)=1, halfway points 1/2, pairs z / 1-z,
+    # per residue as (doubled const, j, sign)
     term_of: dict[int, tuple[int, int, int]] = {0: (0, 0, 0), b: (2, 0, 0)}
     free: list[int] = []
     for x in range(1, q):
@@ -169,7 +184,7 @@ def build_polytope(q: int, b: int) -> MinimalFunctionPolytope:
         q=q,
         b=b,
         free=tuple(free),
-        expressions=tuple((Fraction(c, 2), j, sign) for c, j, sign in terms),
+        terms=tuple(terms),
         box_rows=tuple(box_rows),
         other_rows=tuple(
             sorted(other_rows, key=lambda row: (sum(map(bool, row[0])), row))
@@ -249,7 +264,7 @@ def _enumerate_reduced(
     other side down to the vertices sharing at least d - 1 of its tight rows,
     so no pair below that count is ever visited; a screened pair is adjacent
     iff ANDing the incidence bitsets over its common rows leaves only its own
-    two bits.  The returned masks are the inherited ones; `_certified_vertices`
+    two bits.  The returned masks are the inherited ones; `enumerate_vertices`
     does not rely on them.  With d = 0 the box is the one empty point, which
     each row keeps (c <= 0) or cuts away (c > 0).
 
@@ -317,24 +332,24 @@ def _enumerate_reduced(
     return vertices
 
 
-def _certified_vertices(
-    polytope: MinimalFunctionPolytope,
-) -> list[tuple[list[int], int]]:
-    """Every vertex as its value vector's integer numerators over one
-    denominator, each certified from the point alone.
+def _fractions(values: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n, den) for n in values)
+
+
+def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
+    """All vertices of the polytope, each certified from the point alone.
 
     The certificate does not rest on the enumerator's inherited masks: every
     row's slack is recomputed at each returned point nums/den, a negative one
     raises, and the rows it leaves tight must have rank equal to the
-    dimension.  The value const + sign * z_j is (2 * const * den + 2 * sign *
-    n_j) / (2 * den), where 2 * const is 0, 1 or 2.
+    dimension.  Each vertex is kept as integers: the value const + sign * z_j
+    is (2 * const * den + 2 * sign * n_j) / (2 * den).
     """
     if polytope.q > MAX_ORDER:
         raise DimensionCap.order(polytope.q, "enumeration", MAX_ORDER)
     rows = list(polytope.box_rows) + list(polytope.other_rows)
     d = polytope.dimension
-    terms = [(int(2 * const), j, 2 * sign) for const, j, sign in polytope.expressions]
-    vertices = []
+    points = []
     for (nums, den), _mask in _enumerate_reduced(rows, d):
         slacks = [sum(map(mul, a, nums)) - c * den for a, c in rows]
         if min(slacks, default=0) < 0:
@@ -346,27 +361,12 @@ def _certified_vertices(
             raise ValidationFailure(
                 f"point {nums}/{den} has tight rank below the dimension {d}"
             )
-        values = [
-            const2 * den + sign2 * nums[j] if sign2 else const2 * den
-            for const2, j, sign2 in terms
-        ]
-        vertices.append((values, 2 * den))
-    return vertices
-
-
-def _fractions(values: list[int], den: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(n, den) for n in values)
-
-
-def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
-    """All vertices of the polytope, each certified by a feasibility and
-    tight-row rank check, sorted by value vector."""
-    functions = [
-        FiniteGroupFunction.from_values(polytope.q, polytope.b, _fractions(*vertex))
-        for vertex in _certified_vertices(polytope)
-    ]
-    functions.sort(key=lambda f: f.values)
-    return VertexSet(q=polytope.q, b=polytope.b, vertices=tuple(functions))
+        values = tuple(
+            const2 * den + 2 * sign * nums[j] if sign else const2 * den
+            for const2, j, sign in polytope.terms
+        )
+        points.append((values, 2 * den))
+    return VertexSet(q=polytope.q, b=polytope.b, points=tuple(points))
 
 
 def _admit_order(q: int) -> None:
@@ -387,24 +387,23 @@ def minimize_volume(q: int, b: int) -> MinimizeResult:
     the minimizer is unique and an automorphic image of gom(q, q-1).
     """
     _admit_order(q)  # before the O(q^2) row system is built
-    polytope = build_polytope(q, b)
-    vertices = _certified_vertices(polytope)
-    # the value product from the integer numerators, one exact Fraction per
-    # vertex; a FiniteGroupFunction is built for the argmin alone
-    scores = [
-        Fraction(math.prod(values[1:]), den ** (q - 1)) for values, den in vertices
-    ]
+    vertex_set = enumerate_vertices(build_polytope(q, b))
+    # scored on the integer points; a FiniteGroupFunction is built for the
+    # argmin alone, the first by value vector on a tie
+    scores = [_value_product(values, den) for values, den in vertex_set.points]
     best = min(scores)
     argmins = sorted(
-        _fractions(*vertex) for vertex, score in zip(vertices, scores) if score == best
+        _fractions(*point)
+        for point, score in zip(vertex_set.points, scores)
+        if score == best
     )
     return MinimizeResult(
         q=q,
-        b=polytope.b,
+        b=vertex_set.b,
         value=best,
-        argmin=FiniteGroupFunction.from_values(q, polytope.b, argmins[0]),
+        argmin=FiniteGroupFunction.from_values(q, vertex_set.b, argmins[0]),
         unique=len(argmins) == 1,
-        n_vertices=len(vertices),
+        n_vertices=len(vertex_set),
     )
 
 

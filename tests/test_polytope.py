@@ -132,6 +132,15 @@ class TestEnumerateVertices:
         values = [v.values for v in vertices]
         assert values == sorted(set(values))
 
+    def test_functions_are_built_once_from_the_integer_points(self):
+        vertex_set = enumerate_vertices(build_polytope(7, 6))
+        assert len(vertex_set) == len(vertex_set.vertices) == 4
+        assert vertex_set.vertices is vertex_set.vertices
+        from_points = sorted(
+            tuple(F(n, den) for n in values) for values, den in vertex_set.points
+        )
+        assert from_points == [v.values for v in vertex_set.vertices]
+
     def test_order_cap_enforced(self):
         with pytest.raises(DimensionCap):
             enumerate_vertices(build_polytope(37, 36))
@@ -221,15 +230,10 @@ class TestMinimizeVolume:
         with pytest.raises(NotPrime):
             minimize_volume(9, 8)
 
-    def test_argmin_is_true_minimum_over_vertices(self, vertices_for):
-        result = minimize_volume(7, 3)
-        products = [volume_product(v) for v in vertices_for(7, 3)]
-        assert result.value == min(products)
-
     @pytest.mark.parametrize(
         "q, b", [(q, b) for q in (5, 7, 11, 13) for b in range(1, q)] + [(17, 16)]
     )
-    def test_integer_scoring_matches_the_fraction_route(self, q, b, vertices_for):
+    def test_argmin_is_true_minimum_over_vertices(self, q, b, vertices_for):
         # the value product of every enumerated vertex, scored as Fractions
         vertices = vertices_for(q, b)
         products = [volume_product(v) for v in vertices]
