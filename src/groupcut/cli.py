@@ -8,12 +8,11 @@ integrate (log integral, L_p norms, layer-cake comparison), experiment
 Exit codes: 0 success, 2 a certified identity failed its check, 3 bad input
 (usage errors included, and an order above a subcommand's cap).
 
-JSON output, on stdout and in files, is exactly json.dumps(payload, indent=2).
-One writer, experiments._indented_json, builds every payload with the C string
-escaper instead of the stdlib's pure-Python indenting encoder; the one
-exception is check's verdict, which _render_check prints in one pass straight
-from the verdict, in both formats, one template per violation, so check stays
-cheap when it lists tens of thousands of violations.
+JSON output, on stdout and in files, is json.dumps(payload, indent=2).  The
+one payload not built as a dict is check's verdict: _render_check prints the
+same bytes in one pass straight from the verdict, in both formats, one
+template per violation, so check stays cheap when it lists tens of thousands
+of violations.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import GroupCutError, ValidationFailure
 from .experiments import (
     ExperimentConfig,
     TableauRow,
-    _indented_json,
     emit_cut,
     optimize_and_report,
     riemann_experiment,
@@ -136,7 +134,7 @@ def _function_from_dict(data: dict) -> FiniteGroupFunction | PwlTorusFunction:
 
 def _emit(payload: dict, args) -> None:
     if getattr(args, "format", "json") == "json":
-        print(_indented_json(payload))
+        print(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -200,7 +198,7 @@ def _cmd_rearrange(args) -> int:
         out = rearrange_finite(fn)
     else:
         out = tilde_fn(fn) if args.tilde else rearrange_torus(fn)
-    text = _indented_json(out.to_dict())
+    text = json.dumps(out.to_dict(), indent=2)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -233,7 +231,7 @@ def _cmd_optimize(args) -> int:
             sys.stdout, ("q", "b", "status", "n_vertices", "min_product", "unique")
         )
     else:
-        print(_indented_json(report.to_dict()))
+        print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.ok else 2
 
 
@@ -302,7 +300,7 @@ def _cmd_experiment(args) -> int:
     if args.kind == "riemann":
         if args.q is None:
             raise ValueError("riemann needs --q")
-        result = riemann_experiment(_parse_h(args.h), args.q, tolerance=args.tolerance)
+        result = riemann_experiment(_parse_h(args.h), args.q)
         _emit(
             {
                 "q": result.q,
@@ -342,7 +340,7 @@ def _cmd_cutgen(args) -> int:
     if args.format == "text":
         print(str(cut))
     else:
-        print(_indented_json(cut.to_dict()))
+        print(json.dumps(cut.to_dict(), indent=2))
     return 0
 
 
@@ -430,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile to discretize: identity, gmi:<b>, or file:<path>",
     )
     p.add_argument("--primes", type=strict_int, nargs="+", default=None)
-    p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--output-csv", default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_experiment)

@@ -67,4 +67,4 @@ class RhsMismatch(GroupCutError):
 
 
 class ValidationFailure(GroupCutError):
-    """A predicted identity failed an exact or toleranced check."""
+    """A predicted identity failed its exact check."""

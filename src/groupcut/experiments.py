@@ -10,7 +10,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from .finite_functions import (
     is_minimal,
     rearrange_finite,
 )
-from .group_core import CyclicGroup, automorphism_sending, is_prime
+from .group_core import is_prime, mod_inverse
 from .polytope import _admit_order, minimize_volume
 from .rationals import as_fraction, json_field, ln_fraction, strict_int
 from .torus import (
@@ -62,33 +61,6 @@ __all__ = [
 ]
 
 _B_POLICIES = ("all", "fixed", "canonical")
-
-
-def _indented_json(obj, newline: str = "\n") -> str:
-    """Exactly json.dumps(obj, indent=2), without the pure-Python encoder
-    that the stdlib falls back to whenever indent is set.
-
-    Dicts, lists and tuples are joined here; string keys and string leaves go
-    to the stdlib's C escaper, and every other scalar to json.dumps.  A key
-    that is not a string raises TypeError.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _indented_json(value, inner)
-            for key, value in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_indented_json(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(obj)
 
 
 @dataclass(frozen=True)
@@ -254,20 +226,15 @@ class RiemannResult:
     integral: float  # integral of ln over the circle, the q -> inf limit
 
 
-def riemann_experiment(
-    h: PwlTorusFunction, q: int, tolerance: float = 1e-12
-) -> RiemannResult:
+def riemann_experiment(h: PwlTorusFunction, q: int) -> RiemannResult:
     """Sample h at x/(q-1), certify the sample is minimal on the order-q group
     with rhs q-1, and compare its log mean against the exact floor.
 
     Raises ValidationFailure if any certified identity fails: the discretized
     function must be minimal and its value product can be no smaller than
-    (q-1)!/(q-1)^(q-1).  The float slack ``tolerance`` must be finite and
-    nonnegative.  An order above MAX_SCAN_ORDER raises DimensionCap, an
+    (q-1)!/(q-1)^(q-1).  An order above MAX_SCAN_ORDER raises DimensionCap, an
     O(1) test made before the primality test and before any sampling.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if q > MAX_SCAN_ORDER:
         raise DimensionCap.order(q, "riemann", MAX_SCAN_ORDER)
     if not is_prime(q):
@@ -295,11 +262,6 @@ def riemann_experiment(
         )
     discrete_mean = ln_fraction(product) / (q - 1)
     lower_bound = ln_fraction(bound) / (q - 1)
-    if discrete_mean + tolerance < lower_bound:
-        raise ValidationFailure(
-            "log mean crossed the floor beyond tolerance: "
-            f"{discrete_mean} < {lower_bound}"
-        )
     return RiemannResult(
         q=q,
         product=product,
@@ -404,22 +366,19 @@ class Report:
 def _carried_rows(q: int, bs: Sequence[int]) -> list[OptimizationRow]:
     """Enumerate order q once, at rhs q-1, and carry the optimum to each b.
 
-    The automorphism x -> (q-1) b^-1 x maps the vertices for rhs b one to one
-    onto those for rhs q-1 and keeps every value product, so the vertex count
-    and uniqueness carry over.  Each carried argmin is still certified on its
-    own: its product must be the floor, it must be minimal at b, and it must
-    sort to gom(q, q-1).
+    The automorphism x -> u*x, u = (q-1) b^-1 mod q, maps the vertices for
+    rhs b one to one onto those for rhs q-1 and keeps every value product, so
+    the vertex count and uniqueness carry over.  Each carried argmin is still
+    certified on its own: its product must be the floor, it must be minimal at
+    b, and it must sort to gom(q, q-1).
     """
     started = time.perf_counter()
     base = minimize_volume(q, q - 1)
     floor = expected_min_product(q)
     shape = gom(q, q - 1)
-    group = CyclicGroup(q)
     rows = []
     for b in bs:
-        argmin = compose(
-            base.argmin, automorphism_sending(group.element(b), group.element(q - 1))
-        )
+        argmin = compose(base.argmin, (q - 1) * mod_inverse(b, q))
         product = volume_product(argmin)
         matches = (
             base.unique
@@ -480,7 +439,7 @@ def optimize_and_report(config: ExperimentConfig) -> Report:
     if config.output_csv:
         write_report_csv(report, config.output_csv)
     if config.output_json:
-        Path(config.output_json).write_text(_indented_json(report.to_dict()))
+        Path(config.output_json).write_text(json.dumps(report.to_dict(), indent=2))
     return report
 
 

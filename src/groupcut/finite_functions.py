@@ -11,7 +11,7 @@ from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DimensionCap, IdenticallyZero, NotPrime, NotSubadditive, ZeroElement
-from .group_core import Automorphism, CyclicGroup, GroupElement, is_prime
+from .group_core import CyclicGroup, GroupElement, is_prime, mod_inverse
 from .rationals import as_fraction, json_field
 
 __all__ = [
@@ -242,19 +242,18 @@ def is_minimal(
     return MinimalityVerdict(is_minimal=not violations, violations=violations)
 
 
-def compose(pi: FiniteGroupFunction, phi: Automorphism) -> FiniteGroupFunction:
-    """Precompose with an automorphism: result(x) = pi(phi(x)), rhs = phi^{-1}(b).
+def compose(pi: FiniteGroupFunction, u: int) -> FiniteGroupFunction:
+    """Precompose with the automorphism x -> u*x: result(x) = pi(u*x), with
+    rhs u^-1 * b.  The unit u is read mod q; u = 0 mod q raises NotAUnit.
 
     If pi is minimal for its stored b, the result is minimal for the new rhs.
     """
     group = pi.group
-    if phi.group.q != group.q:
-        raise ValueError("automorphism acts on a different group")
-    if not is_prime(group.q):
-        raise NotPrime(f"q={group.q} is composite")
-    perm = phi.as_permutation()
-    values = tuple(pi.values[perm[x]] for x in range(group.q))
-    new_b = phi.inverse().apply(pi.b)
+    q = group.q
+    if not is_prime(q):
+        raise NotPrime(f"q={q} is composite")
+    new_b = group.element(pi.b_residue * mod_inverse(u, q))
+    values = tuple(pi.values[u * x % q] for x in range(q))
     return FiniteGroupFunction(group, new_b, values)
 
 

@@ -1,4 +1,7 @@
-"""Exact arithmetic on the cyclic group Z/qZ: residues, automorphisms, primality."""
+"""Exact arithmetic on the cyclic group Z/qZ: residues, units, primality.
+
+Every automorphism of Z/qZ is multiplication by a unit u, so a unit int is
+the whole of one: it sends x to u*x mod q."""
 
 from __future__ import annotations
 
@@ -10,7 +13,6 @@ from .errors import NotAUnit, NotPrime, ZeroElement
 __all__ = [
     "CyclicGroup",
     "GroupElement",
-    "Automorphism",
     "is_prime",
     "mod_inverse",
     "automorphism_sending",
@@ -67,34 +69,9 @@ def mod_inverse(a: int, q: int) -> int:
     return pow(a, -1, q)
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """Multiplication by a unit residue; every automorphism of Z/qZ has this form."""
-
-    multiplier: int
-    group: CyclicGroup
-
-    def __post_init__(self) -> None:
-        m = self.multiplier
-        if not 1 <= m < self.group.q:
-            raise ValueError(f"multiplier {m} outside [1, {self.group.q})")
-        if math.gcd(m, self.group.q) != 1:
-            raise NotAUnit(f"{m} is not a unit modulo {self.group.q}")
-
-    def apply(self, x: "GroupElement | int") -> GroupElement:
-        r = x.residue if isinstance(x, GroupElement) else x
-        return self.group.element(self.multiplier * r)
-
-    def inverse(self) -> "Automorphism":
-        return Automorphism(mod_inverse(self.multiplier, self.group.q), self.group)
-
-    def as_permutation(self) -> tuple[int, ...]:
-        q = self.group.q
-        return tuple(self.multiplier * r % q for r in range(q))
-
-
-def automorphism_sending(b: GroupElement, target: GroupElement) -> Automorphism:
-    """The unique automorphism phi of a prime-order group with phi(b) = target."""
+def automorphism_sending(b: GroupElement, target: GroupElement) -> int:
+    """The unit u = target * b^-1 mod q: multiplication by u is the unique
+    automorphism of a prime-order group that sends b to target."""
     if b.group.q != target.group.q:
         raise ValueError("b and target live in different groups")
     group = b.group
@@ -102,5 +79,5 @@ def automorphism_sending(b: GroupElement, target: GroupElement) -> Automorphism:
         raise NotPrime(f"q={group.q} is composite; automorphism need not exist")
     if b.residue == 0 or target.residue == 0:
         raise ZeroElement("no automorphism moves 0 anywhere but 0")
-    return Automorphism(target.residue * mod_inverse(b.residue, group.q) % group.q, group)
+    return target.residue * mod_inverse(b.residue, group.q) % group.q
 

@@ -21,10 +21,8 @@ from .errors import (
 )
 from .finite_functions import (
     FiniteGroupFunction,
-    _negative_rows,
     _numerators,
-    gom,
-    is_minimal,
+    _violations,
 )
 from .group_core import is_prime
 
@@ -420,15 +418,11 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
         raise NotPrime(f"q={q} is composite")
     if pi.b_residue != q - 1:
         raise NotMinimal(f"decomposition expects rhs q-1={q - 1}, got {pi.b_residue}")
-    vals = pi.values
-    # the pair scan screens subadditivity; on a failed screen, is_minimal
-    # names the first violation
-    nums, den = _numerators(vals)
-    minimal = nums[0] == 0 and next(_negative_rows(nums), None) is None
-    if not (minimal and all(n + m == den for n, m in zip(nums, reversed(nums)))):
-        first = is_minimal(pi, early_exit=True).violations[0]
+    nums, den = _numerators(pi.values)
+    first = next(_violations(nums, den, q - 1), None)
+    if first is not None:
         raise NotMinimal(f"not minimal: {first}")
-    if any(vals[x] > vals[x + 1] for x in range(q - 1)):
+    if any(map(int.__gt__, nums, nums[1:])):
         raise NotNondecreasing("decomposition expects a nondecreasing function")
 
     # gamma over the wrap-around pairs x <= y, x + y >= q: row x's start at
@@ -438,17 +432,24 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
         y = max(x, q - x)
         wrap_minima.append(nums[x] + min(map(sub, nums[y:], nums[y + x - q : x])))
     gamma = Fraction(min(wrap_minima), den)
-    lam = min([gamma * Fraction(q - 1, q)] + [vals[x] / x for x in range(1, q)])
+    # the least pi(x)/x is n / (den m), found by cross-multiplying
+    n, m = nums[1], 1
+    for x in range(2, q):
+        if nums[x] * m < n * x:
+            n, m = nums[x], x
+    lam = min(gamma * Fraction(q - 1, q), Fraction(n, den * m))
     if lam >= 1:  # only the two-element group reaches this; any split works
         lam = Fraction(1, 2)
-    g = gom(q, q - 1)
-    tilde_values = tuple(
-        (vals[x] - lam * g.values[x]) / (1 - lam) for x in range(q)
+    # with lam = a/c, pi_tilde(x) = (pi(x) - lam x/(q-1)) / (1 - lam) has the
+    # numerators nums[x] c (q-1) - a x den over den (q-1) (c-a)
+    a, c = lam.numerator, lam.denominator
+    tilde_nums = [v * c * (q - 1) - a * x * den for x, v in enumerate(nums)]
+    tilde_den = den * (q - 1) * (c - a)
+    # built first, so that a negative value raises ValueError before the scan
+    pi_tilde = FiniteGroupFunction.from_values(
+        q, q - 1, [Fraction(v, tilde_den) for v in tilde_nums]
     )
-    pi_tilde = FiniteGroupFunction.from_values(q, q - 1, tilde_values)
-    tilde_verdict = is_minimal(pi_tilde, early_exit=True)
-    if not tilde_verdict.is_minimal:
-        raise ValidationFailure(
-            f"split remainder unexpectedly not minimal: {tilde_verdict.violations[0]}"
-        )
+    bad = next(_violations(tilde_nums, tilde_den, q - 1), None)
+    if bad is not None:
+        raise ValidationFailure(f"split remainder unexpectedly not minimal: {bad}")
     return Decomposition(lam=lam, gamma=gamma, pi_tilde=pi_tilde)

@@ -22,7 +22,6 @@ from groupcut import (
 )
 from groupcut import criteria
 from groupcut.finite_functions import compose
-from groupcut.group_core import Automorphism, CyclicGroup
 from groupcut.rationals import MAX_EXPONENT
 
 
@@ -104,11 +103,8 @@ class TestVolumeProduct:
         assert volume_product(fn) == F(1, 9)
 
     def test_invariant_under_automorphism(self):
-        for m in range(1, 7):
-            phi = Automorphism(m, CyclicGroup(7))
-            assert volume_product(compose(gom(7, 4), phi)) == volume_product(
-                gom(7, 4)
-            )
+        for u in range(1, 7):
+            assert volume_product(compose(gom(7, 4), u)) == volume_product(gom(7, 4))
 
     def test_invariant_under_rearrangement(self):
         fn = md2(7, 2)

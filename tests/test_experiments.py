@@ -373,8 +373,9 @@ class TestOptimizeAndReport:
     def test_carried_row_certification_can_fail(self, monkeypatch):
         # the uncarried optimum, relabelled to the new rhs: its product is the
         # floor and it sorts to gom, but it is not symmetric about the new rhs
-        def relabel(pi, phi):
-            return FiniteGroupFunction(pi.group, phi.inverse().apply(pi.b), pi.values)
+        def relabel(pi, u):
+            b = pi.b_residue * pow(u, -1, pi.q)
+            return FiniteGroupFunction.from_values(pi.q, b, pi.values)
 
         monkeypatch.setattr(experiments, "compose", relabel)
         report = optimize_and_report(

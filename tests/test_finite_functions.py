@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from groupcut import (
-    Automorphism,
     CyclicGroup,
     FiniteGroupFunction,
     IdenticallyZero,
+    NotAUnit,
     NotPrime,
     NotSubadditive,
     Violation,
@@ -184,39 +184,59 @@ class TestSerialization:
 
 class TestCompose:
     def test_multiplier_two_example(self):
-        phi = Automorphism(2, CyclicGroup(5))
-        result = compose(gom(5, 4), phi)
+        result = compose(gom(5, 4), 2)
         assert result.values == fractions("0", "1/2", "1", "1/4", "3/4")
         assert result.b_residue == 2
 
     def test_identity_automorphism(self):
-        phi = Automorphism(1, CyclicGroup(5))
-        assert compose(gom(5, 4), phi) == gom(5, 4)
+        assert compose(gom(5, 4), 1) == gom(5, 4)
 
     def test_seven_element_example(self):
-        phi = Automorphism(2, CyclicGroup(7))
-        result = compose(gom(7, 6), phi)
+        result = compose(gom(7, 6), 2)
         assert result.values == fractions(
             "0", "1/3", "2/3", "1", "1/6", "1/2", "5/6"
         )
         assert result.b_residue == 3
 
     def test_preserves_minimality(self):
-        for m in range(1, 7):
-            phi = Automorphism(m, CyclicGroup(7))
-            assert is_minimal(compose(md2(7, 4), phi)).is_minimal
+        for u in range(1, 7):
+            assert is_minimal(compose(md2(7, 4), u)).is_minimal
+
+    @pytest.mark.parametrize("u", [-3, 9, 2 + 7 * 10**30])
+    def test_unit_read_mod_q(self, u):
+        assert compose(md2(7, 4), u) == compose(md2(7, 4), u % 7)
+
+    @pytest.mark.parametrize("u", [0, 7, -7])
+    def test_zero_unit_refused(self, u):
+        with pytest.raises(NotAUnit):
+            compose(md2(7, 4), u)
 
     def test_composite_order_refused(self):
-        phi = Automorphism(2, CyclicGroup(9))
         with pytest.raises(NotPrime):
-            compose(md2(9, 4), phi)
+            compose(md2(9, 4), 2)
 
     def test_round_trip_through_rhs_change(self):
         g = CyclicGroup(11)
-        phi = automorphism_sending(g.element(3), g.element(10))
-        moved = compose(gom(11, 10), phi)
+        u = automorphism_sending(g.element(3), g.element(10))
+        moved = compose(gom(11, 10), u)
         assert moved.b_residue == 3
-        assert compose(moved, phi.inverse()) == gom(11, 10)
+        assert compose(moved, pow(u, -1, 11)) == gom(11, 10)
+
+    @pytest.mark.parametrize("q, lam, b", [(101, F(5, 12), 37), (307, F(11, 12), 2)])
+    def test_moves_a_blend_to_any_rhs(self, q, lam, b):
+        # lam * gom + (1 - lam) * md2 at rhs q-1, moved to rhs b by the unit
+        # that sends b to q-1: values[x] = blend[u x], minimal at b
+        blend = [lam * F(x, q - 1) + (1 - lam) / 2 for x in range(q)]
+        blend[0], blend[q - 1] = F(0), F(1)
+        pi0 = FiniteGroupFunction.from_values(q, q - 1, blend)
+        g = pi0.group
+        u = automorphism_sending(g.element(b), g.element(q - 1))
+        assert u == (q - 1) * pow(b, -1, q) % q
+        pi = compose(pi0, u)
+        assert pi.b_residue == b
+        assert pi.values == tuple(blend[u * x % q] for x in range(q))
+        assert is_minimal(pi).is_minimal
+        assert rearrange_finite(pi) == pi0
 
 
 class TestRearrangeFinite:

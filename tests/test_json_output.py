@@ -1,15 +1,12 @@
-"""The indented JSON writer against json.dumps(obj, indent=2), every
-JSON-emitting subcommand's stdout against its own stdlib round trip, and
-check's one-pass verdict renderer against the payload it stands for, so that
-the CLI prints exactly the bytes the stdlib encoder would."""
+"""Every JSON-emitting subcommand's stdout against its own stdlib round trip,
+and check's one-pass verdict renderer against the payload it stands for, so
+that the CLI prints exactly the bytes the stdlib encoder would."""
 
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from groupcut import (
     ExperimentConfig,
@@ -23,44 +20,6 @@ from groupcut import (
     optimize_and_report,
 )
 from groupcut.cli import main
-from groupcut.experiments import _indented_json
-
-# every code point, lone surrogates and control characters included
-ANY_TEXT = st.text(st.characters(codec=None, categories=None, exclude_categories=()))
-KEYS = ANY_TEXT | st.sampled_from(["", "\x00", "\x1f\x7f", "é", " ", "\ud800", "😀"])
-LEAVES = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | ANY_TEXT
-)
-JSON_VALUES = st.recursive(
-    LEAVES,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(KEYS, children, max_size=4),
-    max_leaves=24,
-)
-
-
-class TestWriter:
-    @given(JSON_VALUES)
-    def test_matches_the_stdlib(self, obj):
-        assert _indented_json(obj) == json.dumps(obj, indent=2)
-
-    @pytest.mark.parametrize(
-        "obj",
-        [{}, [], (), {"a": {}, "b": [], "c": ()}, [[], [{}]], {"é": "\x00"}],
-        ids=repr,
-    )
-    def test_empty_and_nested_containers(self, obj):
-        assert _indented_json(obj) == json.dumps(obj, indent=2)
-
-    def test_non_string_key_is_refused(self):
-        with pytest.raises(TypeError):
-            _indented_json({1: "one"})
 
 
 def assert_same(out: str, expected: str) -> None:

@@ -20,6 +20,7 @@ from groupcut import (
     NotNondecreasing,
     NotPrime,
     ValidationFailure,
+    Violation,
     automorphism_sending,
     build_polytope,
     compose,
@@ -282,6 +283,29 @@ class TestGomoryDecomposition:
             d = gomory_decomposition(pi)
             assert is_minimal(d.pi_tilde).is_minimal
             assert 0 < d.lam < 1
+
+    def test_remainder_certificate_scans_the_remainder(self, monkeypatch):
+        # the second scan is the certificate on pi_tilde's own values, and a
+        # violation it reports refuses the split
+        scans = []
+
+        def spy(nums, den, b):
+            scans.append(([F(n, den) for n in nums], b))
+            if len(scans) == 2:
+                yield Violation("symmetry", (0,), F(1))
+            yield from real(nums, den, b)
+
+        real = polytope._violations
+        pi = md2(7, 6)
+        d = gomory_decomposition(pi)
+        monkeypatch.setattr(polytope, "_violations", spy)
+        with pytest.raises(ValidationFailure) as refused:
+            gomory_decomposition(pi)
+        assert scans == [(list(pi.values), 6), (list(d.pi_tilde.values), 6)]
+        assert str(refused.value) == (
+            "split remainder unexpectedly not minimal: "
+            "Violation(kind='symmetry', witness=(0,), amount=Fraction(1, 1))"
+        )
 
     def test_lambda_formula(self):
         pi = md2(5, 4)

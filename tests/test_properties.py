@@ -110,8 +110,8 @@ class TestAutomorphismEquivariance:
         for _ in range(20):
             pi = make_minimal_finite(rng, q, rng.randrange(1, q))
             target = group.element(rng.randrange(1, q))
-            phi = automorphism_sending(group.element(pi.b_residue), target)
-            moved = compose(pi, phi.inverse())
+            moved = compose(pi, automorphism_sending(target, pi.b))
+            assert moved.b == target
             assert sorted(moved.values) == sorted(pi.values)
 
     def test_scores_are_invariant(self, rng, make_minimal_finite):
@@ -120,8 +120,8 @@ class TestAutomorphismEquivariance:
         for _ in range(20):
             pi = make_minimal_finite(rng, q, rng.randrange(1, q))
             target = group.element(rng.randrange(1, q))
-            phi = automorphism_sending(group.element(pi.b_residue), target)
-            moved = compose(pi, phi.inverse())
+            moved = compose(pi, automorphism_sending(target, pi.b))
+            assert moved.b == target
             assert volume_product(moved) == volume_product(pi)
             for p in (1, 2, 3):
                 assert lp_norm(moved, p).power == lp_norm(pi, p).power
@@ -132,6 +132,6 @@ class TestAutomorphismEquivariance:
         for _ in range(20):
             pi = make_minimal_finite(rng, q, rng.randrange(1, q))
             target = group.element(rng.randrange(1, q))
-            phi = automorphism_sending(group.element(pi.b_residue), target)
-            moved = compose(pi, phi.inverse())
+            moved = compose(pi, automorphism_sending(target, pi.b))
+            assert moved.b == target
             assert rearrange_finite(moved) == rearrange_finite(pi)
