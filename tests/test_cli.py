@@ -769,6 +769,33 @@ class TestScanOrderCap:
         assert "q=10009 exceeds the pair-scan cap 10007" in err
 
 
+class TestBreakpointCap:
+    """A circle function file above MAX_BREAKPOINTS is refused before the
+    grid screen or the corner scan walks it."""
+
+    @pytest.mark.parametrize("argv", [["check"], ["rearrange", "--tilde"]])
+    def test_breakpoints_above_the_cap_exit_3_before_any_walk(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        n = torus.MAX_BREAKPOINTS + 1
+        fn = PwlTorusFunction(
+            tuple(F(j, n) for j in range(n)),
+            ((F(0), F(1, 2)),) * n,
+            (F(0),) + (F(1),) * (n - 1),
+            mode="wrap",
+        )
+        path = tmp_path / "spikes.json"
+        path.write_text(fn.to_json())
+
+        def refuse(*args):
+            raise AssertionError("the function was walked")
+
+        monkeypatch.setattr(torus, "_walk_pieces", refuse)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 3 and out == ""
+        assert f"error: {n} breakpoints exceed the corner-scan cap 300\n" == err
+
+
 @contextlib.contextmanager
 def _int_digit_limit(limit):
     """The interpreter's int <-> str digit limit set to limit (0 lifts it)

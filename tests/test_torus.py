@@ -316,6 +316,44 @@ class TestMinimality:
                 assert slack >= 0, (x, y)
 
 
+def spikes(n):
+    """n breakpoints j/n, each a point value of 1 on a floor of 1/2."""
+    return PwlTorusFunction(
+        breakpoints=tuple(F(j, n) for j in range(n)),
+        pieces=((F(0), F(1, 2)),) * n,
+        point_values=(F(1),) * n,
+        mode=MODE_WRAP,
+    )
+
+
+class TestBreakpointCap:
+    """A circle function above MAX_BREAKPOINTS is refused by an O(1) count,
+    before the grid screen or the corner scan walks it."""
+
+    def test_cap_plus_one_is_refused_before_any_walk(self, monkeypatch):
+        fn = spikes(torus.MAX_BREAKPOINTS + 1)
+        assert len(fn.breakpoints) == torus.MAX_BREAKPOINTS + 1
+
+        def refuse(*args):
+            raise AssertionError("the function was walked")
+
+        monkeypatch.setattr(torus, "_walk_pieces", refuse)
+        expected = f"{torus.MAX_BREAKPOINTS + 1} breakpoints exceed the corner-scan cap"
+        for call in (is_minimal_pwl, subadditivity_slack, tilde_fn):
+            with pytest.raises(DimensionCap, match=expected):
+                call(fn)
+
+    def test_the_cap_itself_is_admitted(self, monkeypatch):
+        fn = scaled_gmi(F(2, 5), torus.MAX_BREAKPOINTS // 2)
+        assert len(fn.breakpoints) == torus.MAX_BREAKPOINTS
+        assert is_minimal_pwl(fn).is_minimal  # through the screen
+        # the full scan at the cap is timed by the CI guard; here only the
+        # admission is checked
+        monkeypatch.setattr(torus, "_subadditivity_scan", lambda fn: (0, "w", []))
+        assert subadditivity_slack(fn) == (0, "w")
+        assert not is_minimal_pwl(spikes(torus.MAX_BREAKPOINTS)).is_minimal
+
+
 class TestSublevel:
     def test_gmi_measure_is_the_level(self):
         for b in (F(1, 4), F(1, 2), F(5, 6)):

@@ -7,7 +7,9 @@ limits to integers over their common denominators and compares plain ints.
 (breakpoint pairs and difference-aligned pairs) in sorted order, each under
 the same realizable limit patterns.  The minimum, the witness with its
 pattern, and every violation with its order and exact amount must agree, and
-so must `is_minimal_pwl`'s verdict.
+so must `is_minimal_pwl`'s verdict.  `is_minimal_pwl` screens on the packed
+grid before it scans: the screen must be clean exactly when the scan finds
+no violation, and the verdict must be the scan-only one.
 
 `_symmetry_scan` evaluates pi(x) + pi(partner(x)) on integer coordinates;
 `oracle_symmetry_scan` is the `Fraction` scan with `value_at` it replaced.
@@ -316,6 +318,199 @@ def test_limits_table_matches_one_sided_limits():
         assert is_nondecreasing(fn) is expected
         monotone[expected] += 1
     assert monotone[True] > 0 and monotone[False] > 0
+
+
+# `is_minimal_pwl` screens subadditivity on the packed grid p/dx and runs the
+# corner scan only when the screen flags a row or does not run (dx > 2n^2).
+# The screen's verdict must be exactly "the scan finds no violation", and the
+# verdict with the screen must be the scan-only verdict, repr for repr.
+
+
+def grid_function(rng, n, dx):
+    """n breakpoints on the grid p/dx, 1/dx among them so that dx is their
+    lcm; slopes and intercepts with mixed denominators, negative values
+    included; point values that follow a limit or jump, at the origin too;
+    either symmetry mode."""
+    bps = {F(0), F(1, dx)} if n > 1 else {F(0)}
+    while len(bps) < n:
+        bps.add(F(rng.randrange(dx), dx))
+    bps = sorted(bps)
+    pieces = []
+    for _ in bps:
+        slope = random_fraction(rng, -3, 3) if rng.random() < 0.7 else F(0)
+        pieces.append((slope, random_fraction(rng, -1, 2)))
+    values = []
+    for i, x in enumerate(bps):
+        s, t = pieces[i - 1] if i else (F(0), pieces[-1][0] + pieces[-1][1])
+        left, right = s * x + t, pieces[i][0] * x + pieces[i][1]
+        values.append(rng.choice([left, right, random_fraction(rng, -1, 2)]))
+    if rng.random() < 0.3:
+        values[0] = F(0)
+    shape = (tuple(bps), tuple(pieces), tuple(values))
+    if rng.random() < 0.5:
+        return PwlTorusFunction(*shape, mode=MODE_WRAP)
+    return PwlTorusFunction(*shape, b=F(rng.randint(1, 2 * dx - 1), 2 * dx), mode=MODE_RHS)
+
+
+def nearly_subadditive(rng, n, dx):
+    """A grid function with every limit and point value in [1, 2] and 0 at
+    the origin, which is subadditive, then one or two of its point values or
+    piece ends moved into [-1/2, 3]: few violations, often under one
+    pattern, some at extreme slacks."""
+    fn = grid_function(rng, n, dx)
+    bps, ends = list(fn.breakpoints), []
+    for _ in bps:
+        ends.append([F(1) + random_fraction(rng, 0, 1), F(1) + random_fraction(rng, 0, 1)])
+    values = [F(0)] + [F(1) + random_fraction(rng, 0, 1) for _ in bps[1:]]
+    for _ in range(rng.randint(1, 2)):
+        moved = random_fraction(rng, 0, 3) - F(1, 2)
+        i = rng.randrange(len(bps))
+        if rng.random() < 0.5:
+            values[i] = moved
+        else:
+            ends[i][rng.randrange(2)] = moved
+    pieces = []
+    for (u, v), (start, end) in zip(zip(bps, bps[1:] + [F(1)]), ends):
+        slope = (end - start) / (v - u)
+        pieces.append((slope, start - slope * u))
+    return PwlTorusFunction(tuple(bps), tuple(pieces), tuple(values), fn.b, fn.mode)
+
+
+def one_pattern_function():
+    """Floors of 3/2 and 1 with 0 at the origin: subadditive but for one
+    difference-aligned corner, (1/4, 3/8), where x = 1/4 drops to 1 on its
+    right and x+y = 5/8 is a breakpoint with the point value 9/4.  There
+    only the pattern (2,0,1) is negative: 1 + 1 - 9/4."""
+    return PwlTorusFunction(
+        (F(0), F(1, 4), F(5, 8)),
+        ((F(0), F(3, 2)), (F(0), F(1)), (F(0), F(3, 2))),
+        (F(0), F(3, 2), F(9, 4)),
+        mode=MODE_WRAP,
+    )
+
+
+def negative_screen_columns(fn):
+    """The screen's columns that hold a negative slack anywhere on the grid,
+    in Fractions: every breakpoint x against every grid point y."""
+    dx = math.lcm(*(x.denominator for x in fn.breakpoints))
+
+    def sides(x):
+        triple = (fn.left_limit_at(x), fn.value_at(x), fn.right_limit_at(x))
+        return triple + (max(triple),)
+
+    grid = [sides(F(p, dx)) for p in range(dx)]
+    negative = set()
+    for x in fn.breakpoints:
+        p = x.numerator * (dx // x.denominator)
+        for q in range(dx):
+            tx, ty, tz = grid[p], grid[q], grid[(p + q) % dx]
+            for a, b, c in torus._SCREEN_COLUMNS:
+                if tx[a] + ty[b] - tz[c] < 0:
+                    negative.add((a, b, c))
+    return negative
+
+
+def one_column_functions():
+    """For each screen column, the first of a seeded run of nearly
+    subadditive functions whose only negative slack on the grid is in that
+    column: the screen flags it through that column alone."""
+    rng = random.Random(1)
+    found = {}
+    for _ in range(2000):
+        n = rng.randint(2, 4)
+        fn = nearly_subadditive(rng, n, rng.randint(n, 2 * n * n))
+        negative = negative_screen_columns(fn)
+        if len(negative) == 1:
+            found.setdefault(negative.pop(), fn)
+        if len(found) == len(torus._SCREEN_COLUMNS):
+            break
+    return found
+
+
+ONE_COLUMN = one_column_functions()
+
+
+def grid_functions():
+    rng = random.Random(20261019)
+    functions = [one_pattern_function(), *ONE_COLUMN.values()]
+    for n in range(1, 8):
+        bound = 2 * n * n
+        for dx in sorted({max(n, 2), n + 3, bound - 1, bound, bound + 1, bound + 7}):
+            if dx >= n:
+                functions += [grid_function(rng, n, dx) for _ in range(6)]
+                functions += [nearly_subadditive(rng, n, dx) for _ in range(10)]
+    return functions
+
+
+GRID_FUNCTIONS = grid_functions()
+
+
+def screen_runs(fn):
+    n = len(fn.breakpoints)
+    return math.lcm(*(x.denominator for x in fn.breakpoints)) <= 2 * n * n
+
+
+def test_every_screen_column_alone_flags_a_function():
+    assert set(ONE_COLUMN) == set(torus._SCREEN_COLUMNS)
+    for column, fn in ONE_COLUMN.items():
+        assert negative_screen_columns(fn) == {column}
+        assert torus._subadditivity_scan(fn)[2]
+        assert not torus._screen_is_clean(fn)
+    # the scan's other two columns; the next test checks that no violation
+    # hides in them alone
+    assert {(2, 1, 2), (0, 1, 0)} == set(torus._COLUMNS) - set(torus._SCREEN_COLUMNS)
+
+
+def oracle_slacks(fn):
+    """(corner, pattern, slack) for every corner and pattern of the scan."""
+    corners = {(x, y) for x in fn.breakpoints for y in fn.breakpoints}
+    corners |= {(x, (y - x) % 1) for x in fn.breakpoints for y in fn.breakpoints}
+
+    def triple(x):
+        return fn.left_limit_at(x), fn.value_at(x), fn.right_limit_at(x)
+
+    for x, y in sorted(corners):
+        tx, ty, tz = triple(x), triple(y), triple((x + y) % 1)
+        for pattern in torus._LIMIT_COMBOS:
+            sx, sy, sz = pattern
+            yield (x, y), pattern, tx[sx] + ty[sy] - tz[sz]
+
+
+def test_the_one_pattern_violation_shows_under_one_pattern():
+    fn = one_pattern_function()
+    negative = [
+        (corner, pattern)
+        for corner, pattern, slack in oracle_slacks(fn)
+        if slack < 0
+    ]
+    assert negative == [((F(1, 4), F(3, 8)), (2, 0, 1))]
+    assert F(3, 8) not in fn.breakpoints and F(5, 8) in fn.breakpoints
+    assert screen_runs(fn) and not torus._screen_is_clean(fn)
+    assert negative_screen_columns(fn) == {(2, 0, 3)}
+
+
+def test_screen_is_clean_exactly_when_the_scan_finds_nothing():
+    seen = Counter()
+    for fn in CORPUS + GRID_FUNCTIONS:
+        runs, clean = screen_runs(fn), not torus._subadditivity_scan(fn)[2]
+        assert torus._screen_is_clean(fn) is (runs and clean)
+        seen[runs, clean] += 1
+    # both sides of dx <= 2n^2, clean and flagged
+    assert min(seen[runs, clean] for runs in (False, True) for clean in (False, True)) > 20
+    # negative values, a jump at the origin, both symmetry modes
+    for fn in GRID_FUNCTIONS:
+        seen["negative"] += min(map(min, fn.limits())) < 0
+        seen["origin jump"] += len(set(fn.limits()[0])) > 1
+        seen[fn.mode] += 1
+    assert min(seen["negative"], seen["origin jump"], seen[MODE_RHS], seen[MODE_WRAP]) > 50
+
+
+def test_is_minimal_pwl_with_the_screen_is_the_scan_only_verdict(monkeypatch):
+    functions = CORPUS + GRID_FUNCTIONS
+    got = [repr(is_minimal_pwl(fn)) for fn in functions]
+    monkeypatch.setattr(torus, "_screen_is_clean", lambda fn: False)
+    assert got == [repr(is_minimal_pwl(fn)) for fn in functions]
+    assert sum("subadditivity" in verdict for verdict in got) > 100
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
