@@ -1,18 +1,19 @@
 """Command line interface.
 
 Subcommands: check (minimality verdicts), rearrange (finite or circle),
-optimize (vertex enumeration + volume minimization over configured orders),
+optimize (vertex enumeration + volume minimization over the orders given),
 integrate (log integral, L_p norms, layer-cake comparison), experiment
-(riemann, stirling), cutgen (tableau row to cutting plane).
+(riemann, stirling), cutgen (tableau row to cutting plane), decompose.
+Settings come from flags only, and results go to stdout only; the one file
+written is integrate --sublevel-csv's plot data, which stdout does not carry.
 
 Exit codes: 0 success, 2 a certified identity failed its check, 3 bad input
 (usage errors included, and an order above a subcommand's cap).
 
-JSON output, on stdout and in files, is json.dumps(payload, indent=2).  The
-one payload not built as a dict is check's verdict: _render_check prints the
-same bytes in one pass straight from the verdict, in both formats, one
-template per violation, so check stays cheap when it lists tens of thousands
-of violations.
+JSON output is json.dumps(payload, indent=2).  The one payload not built as
+a dict is check's verdict: _render_check prints the same bytes in one pass
+straight from the verdict, in both formats, one template per violation, so
+check stays cheap when it lists tens of thousands of violations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import gc
 import json
 import math
@@ -198,38 +198,20 @@ def _cmd_rearrange(args) -> int:
         out = rearrange_finite(fn)
     else:
         out = tilde_fn(fn) if args.tilde else rearrange_torus(fn)
-    text = json.dumps(out.to_dict(), indent=2)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    print(json.dumps(out.to_dict(), indent=2))
     return 0
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    base = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    if args.b_policy not in (None, "fixed"):  # replaces the file's fixed_b too
-        base = dataclasses.replace(base, b_policy=args.b_policy, fixed_b=None)
-    overrides = {
-        "prime_list": None if args.primes is None else tuple(args.primes),
-        "b_policy": args.b_policy,
-        "fixed_b": args.fixed_b,
-        "output_csv": args.output_csv,
-        "output_json": args.output_json,
-    }
-    return dataclasses.replace(
-        base, **{key: value for key, value in overrides.items() if value is not None}
-    )
-
-
 def _cmd_optimize(args) -> int:
-    config = _config_from_args(args)
-    report = optimize_and_report(config)
-    if args.format == "csv":
-        report.write_csv(
-            sys.stdout, ("q", "b", "status", "n_vertices", "min_product", "unique")
+    report = optimize_and_report(
+        ExperimentConfig(
+            prime_list=tuple(args.primes or ()),
+            b_policy=args.b_policy,
+            fixed_b=args.fixed_b,
         )
+    )
+    if args.format == "csv":
+        report.write_csv(sys.stdout)
     else:
         print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.ok else 2
@@ -322,13 +304,6 @@ def _cmd_experiment(args) -> int:
         }
         for row in stirling_table(args.primes or [])
     ]
-    if args.output_csv:
-        with open(args.output_csv, "w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=["q", "ratio", "log_mean", "gap_to_minus_one"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
     _emit({"rows": rows}, args)
     return 0
 
@@ -384,18 +359,16 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="average with the right-continuous version (circle only)",
     )
-    p.add_argument("--output", "-o", default=None, help="write JSON here")
     p.set_defaults(func=_cmd_rearrange)
 
     p = sub.add_parser(
         "optimize", help="minimize the value product over all vertices per (q, b)"
     )
     p.add_argument("--primes", type=strict_int, nargs="+", default=None)
-    p.add_argument("--b-policy", choices=("all", "fixed", "canonical"), default=None)
+    p.add_argument(
+        "--b-policy", choices=("all", "fixed", "canonical"), default="canonical"
+    )
     p.add_argument("--fixed-b", type=strict_int, default=None)
-    p.add_argument("--config", default=None, help="flat key = value settings file")
-    p.add_argument("--output-csv", default=None)
-    p.add_argument("--output-json", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_optimize)
 
@@ -428,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile to discretize: identity, gmi:<b>, or file:<path>",
     )
     p.add_argument("--primes", type=strict_int, nargs="+", default=None)
-    p.add_argument("--output-csv", default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_experiment)
 

@@ -1,19 +1,18 @@
 """Experiment drivers: volume-optimality reports over ranges of group orders,
 discretization experiments on the circle, Stirling-type limit tables, and
-emission of cutting planes from simplex tableau rows."""
+emission of cutting planes from simplex tableau rows.  Every driver returns
+its result and writes no file; the CLI prints it."""
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
-from .criteria import volume_product
+from .criteria import _value_product, volume_product
 from .errors import (
     DimensionCap,
     GridMismatch,
@@ -34,7 +33,7 @@ from .finite_functions import (
 )
 from .group_core import is_prime, mod_inverse
 from .polytope import _admit_order, minimize_volume
-from .rationals import as_fraction, json_field, ln_fraction, strict_int
+from .rationals import as_fraction, json_field, ln_fraction
 from .torus import (
     MODE_RHS,
     MODE_WRAP,
@@ -65,7 +64,8 @@ _B_POLICIES = ("all", "fixed", "canonical")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for a volume-optimality run, loadable from key = value files.
+    """Settings for a volume-optimality run: the orders, and which rhs b to
+    report for each, b = q-1 (canonical), every b (all) or fixed_b (fixed).
 
     Every order in prime_list must be prime; optimize_and_report refuses a
     composite one before any enumeration starts.  fixed_b is read only under
@@ -75,8 +75,6 @@ class ExperimentConfig:
     prime_list: tuple[int, ...] = ()
     b_policy: str = "canonical"
     fixed_b: int | None = None
-    output_csv: str | None = None
-    output_json: str | None = None
 
     def __post_init__(self) -> None:
         if any(q < 2 for q in self.prime_list):
@@ -88,32 +86,6 @@ class ExperimentConfig:
                 raise ValueError("fixed b_policy needs fixed_b >= 1")
         elif self.fixed_b is not None:
             raise ValueError(f"fixed_b needs b_policy fixed, not {self.b_policy!r}")
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        """Parse a flat `key = value` file; '#' starts a comment, and every
-        integer is read by rationals.strict_int."""
-        fields: dict = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key == "prime_list":
-                fields["prime_list"] = tuple(
-                    map(strict_int, value.replace(",", " ").split())
-                )
-            elif key == "b_policy":
-                fields["b_policy"] = value
-            elif key == "fixed_b":
-                fields["fixed_b"] = strict_int(value)
-            elif key in ("output_csv", "output_json"):
-                fields[key] = value
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -254,7 +226,7 @@ def riemann_experiment(h: PwlTorusFunction, q: int) -> RiemannResult:
     first = next(_violations(nums, w, q - 1), None)
     if first is not None:
         raise ValidationFailure(f"discretized sample is not minimal: {first}")
-    product = Fraction(math.prod(nums[1:]), w ** (q - 1))
+    product = _value_product(nums, w)
     bound = expected_min_product(q)
     if product < bound:
         raise ValidationFailure(
@@ -305,9 +277,8 @@ STATUS_OK = "OK"
 STATUS_MISMATCH = "MISMATCH"
 
 
-CSV_COLUMNS = (
-    "q", "b", "status", "n_vertices", "min_product", "argmin", "unique", "wall_time_ms"
-)
+# the columns of `optimize --format csv`; the JSON report carries every field
+CSV_COLUMNS = ("q", "b", "status", "n_vertices", "min_product", "unique")
 
 
 def _csv_cell(value) -> str:
@@ -340,13 +311,9 @@ class OptimizationRow:
             "wall_time_ms": self.wall_time_ms,
         }
 
-    def csv_cells(self, columns: Sequence[str] = CSV_COLUMNS) -> list[str]:
-        """The named columns of `to_dict` as CSV text: lowercase booleans,
-        the argmin joined by spaces, the time to 3 decimals."""
-        cells = self.to_dict()
-        cells["argmin"] = " ".join(cells["argmin"])
-        cells["wall_time_ms"] = f"{self.wall_time_ms:.3f}"
-        return [_csv_cell(cells[name]) for name in columns]
+    def csv_cells(self) -> list[str]:
+        """The CSV_COLUMNS fields as CSV text, booleans in lowercase."""
+        return [_csv_cell(getattr(self, name)) for name in CSV_COLUMNS]
 
 
 @dataclass(frozen=True)
@@ -357,10 +324,10 @@ class Report:
     def to_dict(self) -> dict:
         return {"ok": self.ok, "rows": [row.to_dict() for row in self.rows]}
 
-    def write_csv(self, handle, columns: Sequence[str] = CSV_COLUMNS) -> None:
+    def write_csv(self, handle) -> None:
         writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(row.csv_cells(columns) for row in self.rows)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(row.csv_cells() for row in self.rows)
 
 
 def _carried_rows(q: int, bs: Sequence[int]) -> list[OptimizationRow]:
@@ -435,14 +402,4 @@ def optimize_and_report(config: ExperimentConfig) -> Report:
     for q, bs in _tasks_for(config):
         rows.extend(_carried_rows(q, bs))
     ok = all(row.status == STATUS_OK for row in rows)
-    report = Report(rows=tuple(rows), ok=ok)
-    if config.output_csv:
-        write_report_csv(report, config.output_csv)
-    if config.output_json:
-        Path(config.output_json).write_text(json.dumps(report.to_dict(), indent=2))
-    return report
-
-
-def write_report_csv(report: Report, path) -> None:
-    with open(path, "w", newline="") as handle:
-        report.write_csv(handle)
+    return Report(rows=tuple(rows), ok=ok)

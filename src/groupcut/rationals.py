@@ -1,6 +1,6 @@
 """Exact-rational helpers: coercion, the one field reader behind the JSON
-loaders, the one integer reader for text, the one L_p exponent check, and
-logarithms and roots that respect big integers."""
+loaders, the integer reader for command-line flags, the one L_p exponent
+check, and logarithms and roots that respect big integers."""
 
 from __future__ import annotations
 
@@ -43,9 +43,9 @@ def json_field(data, name: str, kind: type = object):
 
 def strict_int(text: str) -> int:
     """An integer written as ASCII digits with an optional leading '-': the
-    reader of every integer in a config file or on the command line.  int()
-    also reads '1_3', '+13', ' 13 ' and non-ASCII digits such as '١٣'; those
-    raise ValueError here."""
+    reader of every integer flag on the command line.  int() also reads
+    '1_3', '+13', ' 13 ' and non-ASCII digits such as '١٣'; those raise
+    ValueError here."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected an integer, got {text!r}")

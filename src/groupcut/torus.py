@@ -318,7 +318,8 @@ _SCREEN_COLUMNS = tuple(c for c in _COLUMNS if c not in ((2, 1, 2), (0, 1, 0)))
 # The corner scan builds about 2n^2 corners; at n = 300, on a non-minimal
 # function, where the grid screen flags a row and the full scan runs,
 # is_minimal_pwl takes 0.4 s (152 violations) to 1.0 s (every corner
-# violated), and 1.5 s where the screen runs on its largest grid, dx = 2n^2,
+# violated), and 1.5-1.8 s where a clean function's screen runs on its
+# largest grid, dx = n^2 (the screen 1.3-1.7 s of it, with two-byte fields),
 # in one process on a shared Intel Xeon core (Python 3.11).  Every function
 # above it is refused before any walk.
 MAX_BREAKPOINTS = 300
@@ -385,9 +386,11 @@ def _subadditivity_scan(
 def _screen_is_clean(fn: PwlTorusFunction) -> bool:
     """True when no corner of `_subadditivity_scan` holds a negative slack,
     found on the packed integer grid; False when a row holds one, or when
-    the grid has more points than the corner set (dx > 2n^2): there the
-    screen does not run, as its rows grow with the grid and the scan's
-    corners do not.
+    the grid has more than n^2 points (dx > n^2): there the screen does not
+    run.  Its n rows of dx fields grow with the grid and the scan's 2n^2
+    corners do not; at dx = n^2, on clean functions, the screen took 0.5-0.7
+    of the scan's time for n = 4 to 100, and about 1.2 at n = 150 and 2 at
+    n = 300 (one Intel Xeon core, Python 3.11).
 
     Every corner (x, y) has x on a breakpoint and y and x+y on the grid p/dx.
     One walk gives the left limit, value and right limit at every grid
@@ -410,7 +413,7 @@ def _screen_is_clean(fn: PwlTorusFunction) -> bool:
     """
     n = len(fn.breakpoints)
     dx = math.lcm(*(x.denominator for x in fn.breakpoints))
-    if dx > 2 * n * n:
+    if dx > n * n:
         return False
     nums, _w = _walk_pieces(fn, dx, range(dx))
     sides = list(zip(*nums.values()))

@@ -1,5 +1,5 @@
 """End-to-end command line coverage through main(argv): exit codes, output
-formats, stdin handling, and file outputs."""
+formats, stdin handling, and the files a command writes."""
 
 import ast
 import contextlib
@@ -214,15 +214,10 @@ class TestRearrange:
         payload = json.loads(out)
         assert payload["values"] == ["0", "1/3", "1/2", "2/3", "1"]
 
-    def test_circle_function_to_file(self, capsys, tmp_path, gmi_half_path):
-        out_path = tmp_path / "sorted.json"
-        code, _out, _err = run(
-            capsys, "rearrange", gmi_half_path, "--output", str(out_path)
-        )
+    def test_circle_function_sorted(self, capsys, gmi_half_path):
+        code, out, _err = run(capsys, "rearrange", gmi_half_path)
         assert code == 0
-        from groupcut import PwlTorusFunction
-
-        assert PwlTorusFunction.from_json(out_path.read_text()) == identity_fn()
+        assert PwlTorusFunction.from_json(out) == identity_fn()
 
     def test_tilde_flag(self, capsys, gmi_half_path):
         code, out, _err = run(capsys, "rearrange", gmi_half_path, "--tilde")
@@ -254,40 +249,6 @@ class TestOptimize:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][:3] == ["q", "b", "status"]
         assert rows[1][:3] == ["5", "4", "OK"]
-
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("prime_list = 3\nb_policy = canonical\n")
-        code, out, _err = run(
-            capsys, "optimize", "--config", str(conf), "--primes", "5"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert [row["q"] for row in payload["rows"]] == [5]
-
-    def test_policy_flag_replaces_the_files_fixed_b(self, capsys, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("prime_list = 5\nb_policy = fixed\nfixed_b = 2\n")
-        argv = ["optimize", "--config", str(conf), "--b-policy", "all"]
-        code, out, _err = run(capsys, *argv)
-        assert code == 0
-        assert [row["b"] for row in json.loads(out)["rows"]] == [1, 2, 3, 4]
-
-    def test_output_files(self, capsys, tmp_path):
-        csv_path = tmp_path / "r.csv"
-        json_path = tmp_path / "r.json"
-        code, _out, _err = run(
-            capsys,
-            "optimize",
-            "--primes",
-            "5",
-            "--output-csv",
-            str(csv_path),
-            "--output-json",
-            str(json_path),
-        )
-        assert code == 0
-        assert csv_path.exists() and json.loads(json_path.read_text())["ok"]
 
     def test_cap_exceeded_exits_3(self, capsys):
         code, _out, err = run(capsys, "optimize", "--primes", "37")
@@ -368,13 +329,22 @@ class TestUsage:
             ["optimize", "--cap", "5"],
             ["optimize", "--force"],
             ["experiment", "riemann", "--q", "11", "--tolerance", "0"],
+            ["optimize", "--primes", "5", "--config", "run.conf"],
+            ["optimize", "--primes", "5", "--output-csv", "report.csv"],
+            ["optimize", "--primes", "5", "--output-json", "report.json"],
+            ["rearrange", "gmi_half.json", "--output", "sorted.json"],
+            ["rearrange", "gmi_half.json", "-o", "sorted.json"],
+            ["experiment", "stirling", "--primes", "5", "--output-csv", "gaps.csv"],
         ],
     )
-    def test_usage_errors_exit_3(self, capsys, argv):
+    def test_usage_errors_exit_3(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3
-        assert "usage:" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert out.out == "" and "usage:" in out.err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -396,22 +366,60 @@ class TestUsage:
         assert exc.value.code == 3
         assert "invalid strict_int value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "text", ["prime_list = 1_3", "prime_list = \u0661\u0663"]
-    )
-    def test_config_integers_read_only_ascii_digits(self, capsys, tmp_path, text):
-        conf = tmp_path / "run.conf"
-        conf.write_text(text + "\n", encoding="utf-8")
-        code, out, err = run(capsys, "optimize", "--config", str(conf))
-        assert code == 3 and out == ""
-        assert "expected an integer" in err
-
     @pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestWrittenFiles:
+    """Settings come from flags and results go to stdout: run from an empty
+    working directory, a subcommand leaves no file there, and none next to
+    its inputs (integrate --sublevel-csv, which writes the plot data it is
+    asked for, is TestIntegrate's)."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        inputs, work = tmp_path / "inputs", tmp_path / "work"
+        inputs.mkdir()
+        work.mkdir()
+        row = {"rhs": "1/2", "columns": [{"name": "s1", "frac": "1/4"}]}
+        for name, text in (
+            ("gom54.json", gom(5, 4).to_json()),
+            ("md2.json", md2(5, 4).to_json()),
+            ("gmi_half.json", gmi(F(1, 2)).to_json()),
+            ("row.json", json.dumps(row)),
+        ):
+            (inputs / name).write_text(text)
+        monkeypatch.chdir(work)
+        return inputs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "gom54.json", "--b", "2"],
+            ["check", "gmi_half.json", "--format", "text"],
+            ["rearrange", "md2.json"],
+            ["rearrange", "gmi_half.json", "--tilde"],
+            ["optimize", "--primes", "5", "7", "--b-policy", "all"],
+            ["optimize", "--primes", "7", "--format", "csv"],
+            ["integrate", "gom54.json", "--format", "text"],
+            ["integrate", "gmi_half.json", "--p", "2", "--layer-cake"],
+            ["experiment", "riemann", "--q", "11", "--h", "gmi:1/3"],
+            ["experiment", "stirling", "--primes", "5", "11", "--format", "text"],
+            ["cutgen", "--row", "row.json", "--function", "gmi_half.json"],
+            ["decompose", "md2.json", "--format", "text"],
+        ],
+        ids=" ".join,
+    )
+    def test_commands_write_no_file(self, capsys, inputs, argv):
+        names = sorted(os.listdir(inputs))
+        argv = [str(inputs / a) if a.endswith(".json") else a for a in argv]
+        code, out, _err = run(capsys, *argv)
+        assert code == 0 and out
+        assert os.listdir() == [] and sorted(os.listdir(inputs)) == names
 
 
 class TestImport:
@@ -452,17 +460,20 @@ class TestIntegrate:
         assert payload["lp_norms"]["1"] == pytest.approx(0.5)
         assert payload["layer_cake"]["gap"] < 1e-10
 
-    def test_sublevel_csv(self, capsys, tmp_path, gmi_half_path):
-        plot = tmp_path / "plot.csv"
-        code, _out, _err = run(
-            capsys, "integrate", gmi_half_path, "--sublevel-csv", str(plot)
+    def test_sublevel_csv(self, capsys, monkeypatch, tmp_path, gmi_half_path):
+        # from an empty working directory, the plot is the one file written
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, _err = run(
+            capsys, "integrate", gmi_half_path, "--sublevel-csv", "plot.csv"
         )
-        assert code == 0
-        with open(plot, newline="") as handle:
+        assert code == 0 and json.loads(out)["sublevel_csv"] == "plot.csv"
+        assert os.listdir() == ["plot.csv"]
+        with open("plot.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["alpha", "measure"]
         assert ["1/2", "1/2"] in rows
-
 
     def test_zero_set_prints_valid_json(self, capsys, tmp_path):
         # pi vanishes on [0, 1/2): the log integral is -inf, and JSON has no
@@ -600,34 +611,24 @@ class TestExperiment:
         code, _out, _err = run(capsys, "experiment", "riemann", "--q", "9")
         assert code == 3
 
-    def test_stirling_table_with_csv(self, capsys, tmp_path):
-        path = tmp_path / "gaps.csv"
-        code, out, _err = run(
-            capsys,
-            "experiment",
-            "stirling",
-            "--primes",
-            "3",
-            "11",
-            "--output-csv",
-            str(path),
-        )
+    def test_stirling_table(self, capsys):
+        code, out, _err = run(capsys, "experiment", "stirling", "--primes", "3", "11")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["rows"][0]["ratio"] == "1/2"
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0][0] == "q" and rows[1][0] == "3"
+        rows = json.loads(out)["rows"]
+        assert [row["q"] for row in rows] == [3, 11]
+        assert rows[0]["ratio"] == "1/2"
 
-    def test_stirling_csv_rows_are_exact(self, capsys, tmp_path):
-        path = tmp_path / "gaps.csv"
+    def test_stirling_rows_are_exact(self, capsys):
         argv = ["experiment", "stirling", "--primes", "11", "3", "7"]
-        code, _out, _err = run(capsys, *argv, "--output-csv", str(path))
+        code, out, _err = run(capsys, *argv)
         assert code == 0
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["q", "ratio", "log_mean", "gap_to_minus_one"]] + [
-            [str(row.q), str(row.ratio), repr(row.log_mean), repr(row.gap_to_minus_one)]
+        assert json.loads(out)["rows"] == [
+            {
+                "q": row.q,
+                "ratio": str(row.ratio),
+                "log_mean": row.log_mean,
+                "gap_to_minus_one": row.gap_to_minus_one,
+            }
             for row in groupcut.stirling_table([3, 7, 11])
         ]
 

@@ -2,9 +2,8 @@
 experiment, the exact floor table, and the batch optimization report."""
 
 import csv
-import json
+import io
 import math
-import re
 import sys
 from fractions import Fraction as F
 
@@ -47,7 +46,6 @@ from groupcut import (
     stirling_table,
     tilde_fn,
     volume_product,
-    write_report_csv,
 )
 
 
@@ -71,47 +69,6 @@ class TestExperimentConfig:
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text(
-            "# comment line\n"
-            "prime_list = 3, 5, 7\n"
-            "b_policy = all  # trailing comment\n"
-            "output_csv = out.csv\n"
-        )
-        config = ExperimentConfig.from_file(path)
-        assert config.prime_list == (3, 5, 7)
-        assert config.b_policy == "all"
-        assert config.output_csv == "out.csv"
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "prime_list = 1_3",
-            "prime_list = \u0661\u0663",
-            "prime_list = 5, +7",
-            "b_policy = fixed\nfixed_b = 1_3",
-            "b_policy = fixed\nfixed_b = \u0663",
-        ],
-    )
-    def test_from_file_reads_only_ascii_integers(self, tmp_path, line):
-        path = tmp_path / "run.conf"
-        path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected an integer"):
-            ExperimentConfig.from_file(path)
-
-    def test_from_file_unknown_key(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("colour = blue\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            ExperimentConfig.from_file(path)
-
-    def test_from_file_missing_equals(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("prime_list\n")
-        with pytest.raises(ValueError, match="key = value"):
-            ExperimentConfig.from_file(path)
 
 
 class TestTableauRow:
@@ -318,6 +275,15 @@ class TestStirlingTable:
             stirling_table([9])
 
 
+def report_csv(report):
+    """The rows `Report.write_csv` writes, as `optimize --format csv` prints
+    them, read back."""
+    handle = io.StringIO()
+    report.write_csv(handle)
+    handle.seek(0)
+    return list(csv.reader(handle))
+
+
 class TestOptimizeAndReport:
     def test_all_rhs_for_small_primes(self):
         config = ExperimentConfig(prime_list=(3, 5, 7), b_policy="all")
@@ -385,36 +351,29 @@ class TestOptimizeAndReport:
         assert row.status == STATUS_MISMATCH
         assert report.ok is False
 
-    def test_csv_and_json_outputs(self, tmp_path):
-        csv_path = tmp_path / "report.csv"
-        json_path = tmp_path / "report.json"
-        config = ExperimentConfig(
-            prime_list=(5,),
-            b_policy="canonical",
-            output_csv=str(csv_path),
-            output_json=str(json_path),
-        )
-        optimize_and_report(config)
-        with open(csv_path, newline="") as handle:
-            rows = list(csv.reader(handle))
+    def test_csv_and_json_outputs(self):
+        report = optimize_and_report(ExperimentConfig(prime_list=(5,)))
+        rows = report_csv(report)
         assert rows[0][:3] == ["q", "b", "status"]
         assert rows[1][:3] == ["5", "4", "OK"]
         assert rows[1][4] == "3/32"
-        payload = json.loads(json_path.read_text())
+        payload = report.to_dict()
         assert payload["ok"] is True
         assert payload["rows"][0]["argmin"] == ["0", "1/4", "1/2", "3/4", "1"]
 
-    def test_full_report_csv(self, tmp_path):
-        csv_path = tmp_path / "report.csv"
-        config = ExperimentConfig(
-            prime_list=(5, 7), b_policy="all", output_csv=str(csv_path)
-        )
-        optimize_and_report(config)
-        with open(csv_path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == list(experiments.CSV_COLUMNS)
-        assert all(re.fullmatch(r"\d+\.\d{3}", row[-1]) for row in rows[1:])
-        assert [row[:-1] for row in rows[1:]] == [
+    def test_full_report_csv(self):
+        config = ExperimentConfig(prime_list=(5, 7), b_policy="all")
+        report = optimize_and_report(config)
+        rows = report_csv(report)
+        assert rows[0] == list(experiments.CSV_COLUMNS) == [
+            "q", "b", "status", "n_vertices", "min_product", "unique"
+        ]
+        assert all(row.wall_time_ms >= 0 for row in report.rows)
+        per_b = [
+            [*cells[:5], " ".join(map(str, row.argmin.values)), cells[5]]
+            for cells, row in zip(rows[1:], report.rows, strict=True)
+        ]
+        assert per_b == [
             ["5", "1", "OK", "2", "3/32", "0 1 3/4 1/2 1/4", "true"],
             ["5", "2", "OK", "2", "3/32", "0 1/2 1 1/4 3/4", "true"],
             ["5", "3", "OK", "2", "3/32", "0 3/4 1/4 1 1/2", "true"],
@@ -427,7 +386,7 @@ class TestOptimizeAndReport:
             ["7", "6", "OK", "4", "5/324", "0 1/6 1/3 1/2 2/3 5/6 1", "true"],
         ]
 
-    def test_mismatch_rows_serialize_and_flag(self, tmp_path):
+    def test_mismatch_rows_serialize_and_flag(self):
         row = OptimizationRow(
             q=5,
             b=4,
@@ -439,13 +398,8 @@ class TestOptimizeAndReport:
             wall_time_ms=0.0,
         )
         report = Report(rows=(row,), ok=False)
-        path = tmp_path / "bad.csv"
-        write_report_csv(report, path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[1] == [
-            "5", "4", STATUS_MISMATCH, "2", "3/32", "0 1/4 1/2 3/4 1", "true", "0.000"
-        ]
+        assert report_csv(report)[1] == ["5", "4", STATUS_MISMATCH, "2", "3/32", "true"]
+        assert report.to_dict()["rows"][0]["argmin"] == ["0", "1/4", "1/2", "3/4", "1"]
         assert not report.ok
 
 

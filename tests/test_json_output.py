@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import pytest
 
 from groupcut import (
-    ExperimentConfig,
     FiniteGroupFunction,
     PwlTorusFunction,
     gmi,
@@ -17,7 +16,6 @@ from groupcut import (
     is_minimal,
     is_minimal_pwl,
     md2,
-    optimize_and_report,
 )
 from groupcut.cli import main
 
@@ -78,6 +76,7 @@ CALLS = {
     "check circle": ["check", "gmi_half.json"],
     "optimize json": ["optimize", "--primes", "5", "7", "--format", "json"],
     "rearrange finite": ["rearrange", "md2.json"],
+    "rearrange circle": ["rearrange", "gmi_half.json"],
     "rearrange tilde": ["rearrange", "gmi_half.json", "--tilde"],
     "integrate finite": ["integrate", "gom54.json"],
     "integrate layer cake": [
@@ -165,13 +164,3 @@ def test_check_cases_cover_every_kind_and_an_empty_list(corpus):
         data = json.load(handle)
     assert not is_minimal(FiniteGroupFunction.from_dict(data)).violations
 
-
-def test_written_files_are_the_stdlib_encoding(capsys, corpus, tmp_path):
-    sorted_path, report_path = tmp_path / "sorted.json", tmp_path / "report.json"
-    assert main(["rearrange", corpus["gmi_half.json"], "-o", str(sorted_path)]) == 0
-    text = sorted_path.read_text()
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
-    report = optimize_and_report(
-        ExperimentConfig(prime_list=(5,), output_json=str(report_path))
-    )
-    assert report_path.read_text() == json.dumps(report.to_dict(), indent=2)

@@ -321,7 +321,7 @@ def test_limits_table_matches_one_sided_limits():
 
 
 # `is_minimal_pwl` screens subadditivity on the packed grid p/dx and runs the
-# corner scan only when the screen flags a row or does not run (dx > 2n^2).
+# corner scan only when the screen flags a row or does not run (dx > n^2).
 # The screen's verdict must be exactly "the scan finds no violation", and the
 # verdict with the screen must be the scan-only verdict, repr for repr.
 
@@ -418,7 +418,7 @@ def one_column_functions():
     found = {}
     for _ in range(2000):
         n = rng.randint(2, 4)
-        fn = nearly_subadditive(rng, n, rng.randint(n, 2 * n * n))
+        fn = nearly_subadditive(rng, n, rng.randint(n, n * n))
         negative = negative_screen_columns(fn)
         if len(negative) == 1:
             found.setdefault(negative.pop(), fn)
@@ -434,7 +434,7 @@ def grid_functions():
     rng = random.Random(20261019)
     functions = [one_pattern_function(), *ONE_COLUMN.values()]
     for n in range(1, 8):
-        bound = 2 * n * n
+        bound = n * n
         for dx in sorted({max(n, 2), n + 3, bound - 1, bound, bound + 1, bound + 7}):
             if dx >= n:
                 functions += [grid_function(rng, n, dx) for _ in range(6)]
@@ -447,13 +447,13 @@ GRID_FUNCTIONS = grid_functions()
 
 def screen_runs(fn):
     n = len(fn.breakpoints)
-    return math.lcm(*(x.denominator for x in fn.breakpoints)) <= 2 * n * n
+    return math.lcm(*(x.denominator for x in fn.breakpoints)) <= n * n
 
 
 def test_every_screen_column_alone_flags_a_function():
     assert set(ONE_COLUMN) == set(torus._SCREEN_COLUMNS)
     for column, fn in ONE_COLUMN.items():
-        assert negative_screen_columns(fn) == {column}
+        assert screen_runs(fn) and negative_screen_columns(fn) == {column}
         assert torus._subadditivity_scan(fn)[2]
         assert not torus._screen_is_clean(fn)
     # the scan's other two columns; the next test checks that no violation
@@ -495,7 +495,7 @@ def test_screen_is_clean_exactly_when_the_scan_finds_nothing():
         runs, clean = screen_runs(fn), not torus._subadditivity_scan(fn)[2]
         assert torus._screen_is_clean(fn) is (runs and clean)
         seen[runs, clean] += 1
-    # both sides of dx <= 2n^2, clean and flagged
+    # both sides of dx <= n^2, clean and flagged
     assert min(seen[runs, clean] for runs in (False, True) for clean in (False, True)) > 20
     # negative values, a jump at the origin, both symmetry modes
     for fn in GRID_FUNCTIONS:
