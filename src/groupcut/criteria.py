@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .finite_functions import FiniteGroupFunction, _numerators
+from .finite_functions import FiniteGroupFunction
 from .rationals import check_exponent, ln_fraction, nth_root_float
 
 __all__ = [
@@ -68,14 +68,13 @@ def lp_norm(pi: FiniteGroupFunction, p: int) -> LpScore:
     over the values' common denominator, plus a float root.  p is checked by
     `check_exponent` before any arithmetic."""
     check_exponent(p)
-    nums, den = _numerators(pi.values)
-    power = Fraction(sum(n**p for n in nums), den**p * pi.q)
+    power = Fraction(sum(n**p for n in pi.numerators), pi.denominator**p * pi.q)
     return LpScore(power=power, root=nth_root_float(power, p))
 
 
 def volume_product(pi: FiniteGroupFunction) -> Fraction:
     """Product of the values away from the origin, exact."""
-    return _value_product(*_numerators(pi.values))
+    return _value_product(pi.numerators, pi.denominator)
 
 
 def _value_product(nums: Sequence[int], den: int) -> Fraction:

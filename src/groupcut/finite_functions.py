@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -46,11 +47,14 @@ class MinimalityVerdict:
 
 @dataclass(frozen=True)
 class FiniteGroupFunction:
-    """Nonnegative rational values on Z/qZ with a designated right-hand side b != 0."""
+    """Nonnegative rational values on Z/qZ with a designated right-hand side
+    b != 0, held as integer numerators over their least common denominator
+    (so equal values give equal functions); `values` is built on first use."""
 
     group: CyclicGroup
     b: GroupElement
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self) -> None:
         q = self.group.q
@@ -58,17 +62,30 @@ class FiniteGroupFunction:
             raise ValueError("b belongs to a different group")
         if self.b.residue == 0:
             raise ZeroElement("right-hand side b must be nonzero")
-        vals = tuple(as_fraction(v) for v in self.values)
-        if len(vals) != q:
-            raise ValueError(f"expected {q} values, got {len(vals)}")
-        if any(v < 0 for v in vals):
+        nums, den = self.numerators, self.denominator
+        if len(nums) != q:
+            raise ValueError(f"expected {q} values, got {len(nums)}")
+        if den < 1 or min(nums) < 0:
             raise ValueError("function values must be nonnegative")
-        object.__setattr__(self, "values", vals)
+        g = math.gcd(den, *nums)
+        object.__setattr__(self, "numerators", tuple(n // g for n in nums))
+        object.__setattr__(self, "denominator", den // g)
 
     @classmethod
     def from_values(cls, q: int, b: int, values: Sequence) -> "FiniteGroupFunction":
+        """The one way in from rationals: the one conversion of exact values
+        to integer numerators over their least common denominator."""
         group = CyclicGroup(q)
-        return cls(group, group.element(b), values=tuple(values))
+        rhs = group.element(b)
+        if rhs.residue == 0:  # refused before any value is read
+            raise ZeroElement("right-hand side b must be nonzero")
+        vals = list(map(as_fraction, values))
+        den = math.lcm(*(v.denominator for v in vals))
+        return cls(group, rhs, [v.numerator * (den // v.denominator) for v in vals], den)
+
+    @functools.cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.numerators, repeat(self.denominator)))
 
     @property
     def q(self) -> int:
@@ -82,24 +99,18 @@ class FiniteGroupFunction:
         return self.values[x % self.q]
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "b": self.b_residue,
-            "values": [str(v) for v in self.values],
-        }
+        return {"q": self.q, "b": self.b_residue, "values": list(map(str, self.values))}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteGroupFunction":
         """Read a decoded JSON object; an order above MAX_SCAN_ORDER raises
-        DimensionCap once the values are counted, before any pair scan."""
-        fn = cls.from_values(
-            json_field(data, "q", int),
-            json_field(data, "b", int),
-            json_field(data, "values", list),
-        )
-        if fn.q > MAX_SCAN_ORDER:
-            raise DimensionCap.order(fn.q, "pair-scan", MAX_SCAN_ORDER)
-        return fn
+        DimensionCap before any value is coerced or scaled."""
+        q = json_field(data, "q", int)
+        b = json_field(data, "b", int)
+        values = json_field(data, "values", list)
+        if q > MAX_SCAN_ORDER:
+            raise DimensionCap.order(q, "pair-scan", MAX_SCAN_ORDER)
+        return cls.from_values(q, b, values)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -136,12 +147,6 @@ def dantzig(q: int, b: int = 1) -> FiniteGroupFunction:
     return FiniteGroupFunction.from_values(q, b, [Fraction(1)] * q)
 
 
-def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as integer numerators over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 # Largest order whose O(q^2) pair scan has been measured to finish: at
 # q = 10007 riemann_experiment's scan of its sample takes 0.25-0.38 s and the
 # whole call 0.3-0.5 s, for the identity and for tilde(gmi(1/3)) alike, in
@@ -150,7 +155,7 @@ def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
 MAX_SCAN_ORDER = 10007
 
 
-def _negative_rows(nums: list[int]) -> Iterator[int]:
+def _negative_rows(nums: Sequence[int]) -> Iterator[int]:
     """The rows x, ascending, that hold a pair (x, y) with x <= y < q and
     nums[x] + nums[y] < nums[(x + y) % q]: the one pair scan behind every
     finite subadditivity check.  The numerators must be nonnegative, as a
@@ -183,7 +188,7 @@ def _negative_rows(nums: list[int]) -> Iterator[int]:
             yield x
 
 
-def _subadditivity(nums: list[int], den: int) -> Iterator[Iterator[Violation]]:
+def _subadditivity(nums: Sequence[int], den: int) -> Iterator[Iterator[Violation]]:
     """Per row x that holds a negative slack, the subadditivity violations of
     nums/den at the pairs (x, y), in y order.
 
@@ -210,7 +215,7 @@ def _subadditivity(nums: list[int], den: int) -> Iterator[Iterator[Violation]]:
         yield map(tuple.__new__, repeat(Violation), fields)
 
 
-def _violations(nums: list[int], den: int, b: int) -> Iterator[Violation]:
+def _violations(nums: Sequence[int], den: int, b: int) -> Iterator[Violation]:
     """Origin, then subadditivity, then symmetry violations of nums/den."""
     q = len(nums)
     if nums[0] != 0:
@@ -237,7 +242,7 @@ def is_minimal(
     b_res = pi.b_residue if b is None else b % pi.q
     if b_res == 0:
         raise ZeroElement("minimality needs a nonzero right-hand side")
-    found = _violations(*_numerators(pi.values), b_res)
+    found = _violations(pi.numerators, pi.denominator, b_res)
     violations = tuple(islice(found, 1) if early_exit else found)
     return MinimalityVerdict(is_minimal=not violations, violations=violations)
 
@@ -253,8 +258,9 @@ def compose(pi: FiniteGroupFunction, u: int) -> FiniteGroupFunction:
     if not is_prime(q):
         raise NotPrime(f"q={q} is composite")
     new_b = group.element(pi.b_residue * mod_inverse(u, q))
-    values = tuple(pi.values[u * x % q] for x in range(q))
-    return FiniteGroupFunction(group, new_b, values)
+    nums = pi.numerators
+    values = [nums[u * x % q] for x in range(q)]
+    return FiniteGroupFunction(group, new_b, values, pi.denominator)
 
 
 def rearrange_finite(pi: FiniteGroupFunction) -> FiniteGroupFunction:
@@ -267,12 +273,14 @@ def rearrange_finite(pi: FiniteGroupFunction) -> FiniteGroupFunction:
     q = pi.q
     if not is_prime(q):
         raise NotPrime(f"q={q} is composite")
-    if all(v == 0 for v in pi.values):
+    nums, den = pi.numerators, pi.denominator
+    if not any(nums):
         raise IdenticallyZero("cannot rearrange the zero function")
-    if pi.values[0] != 0:
+    if nums[0] != 0:
         raise ValueError("rearrangement requires value 0 at the origin")
-    bad = next(chain.from_iterable(_subadditivity(*_numerators(pi.values))), None)
+    bad = next(chain.from_iterable(_subadditivity(nums, den)), None)
     if bad is not None:
         x, y = bad.witness
         raise NotSubadditive(f"pi({x}) + pi({y}) < pi({(x + y) % q}) by {bad.amount}")
-    return FiniteGroupFunction.from_values(q, q - 1, sorted(pi.values))
+    group = pi.group
+    return FiniteGroupFunction(group, group.element(q - 1), sorted(nums), den)

@@ -19,12 +19,8 @@ from .errors import (
     ValidationFailure,
     ZeroElement,
 )
-from .finite_functions import (
-    FiniteGroupFunction,
-    _numerators,
-    _violations,
-)
-from .group_core import is_prime
+from .finite_functions import FiniteGroupFunction, _violations
+from .group_core import CyclicGroup, is_prime
 
 __all__ = [
     "MinimalFunctionPolytope",
@@ -98,12 +94,17 @@ class VertexSet:
     def vertices(self) -> tuple[FiniteGroupFunction, ...]:
         """The vertices as functions, sorted by value vector, built on first
         access."""
-        functions = [
-            FiniteGroupFunction.from_values(self.q, self.b, _fractions(*point))
-            for point in self.points
-        ]
-        functions.sort(key=lambda f: f.values)
-        return tuple(functions)
+        return tuple(_sorted_functions(self.q, self.b, self.points))
+
+
+def _sorted_functions(q: int, b: int, points: Sequence) -> list[FiniteGroupFunction]:
+    """Functions built from integer points, sorted by value vector: their
+    numerators, scaled to one common denominator, compare as the values do."""
+    group = CyclicGroup(q)
+    rhs = group.element(b)
+    fns = [FiniteGroupFunction(group, rhs, *point) for point in points]
+    den = math.lcm(*(f.denominator for f in fns))
+    return sorted(fns, key=lambda f: [den // f.denominator * n for n in f.numerators])
 
 
 @dataclass(frozen=True)
@@ -330,10 +331,6 @@ def _enumerate_reduced(
     return vertices
 
 
-def _fractions(values: Sequence[int], den: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(n, den) for n in values)
-
-
 def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
     """All vertices of the polytope, each certified from the point alone.
 
@@ -386,20 +383,17 @@ def minimize_volume(q: int, b: int) -> MinimizeResult:
     """
     _admit_order(q)  # before the O(q^2) row system is built
     vertex_set = enumerate_vertices(build_polytope(q, b))
-    # scored on the integer points; a FiniteGroupFunction is built for the
-    # argmin alone, the first by value vector on a tie
+    # scored on the integer points; functions are built for the minimizers
+    # alone, and the argmin is the first by value vector on a tie
     scores = [_value_product(values, den) for values, den in vertex_set.points]
     best = min(scores)
-    argmins = sorted(
-        _fractions(*point)
-        for point, score in zip(vertex_set.points, scores)
-        if score == best
-    )
+    tied = [point for point, score in zip(vertex_set.points, scores) if score == best]
+    argmins = _sorted_functions(q, vertex_set.b, tied)
     return MinimizeResult(
         q=q,
         b=vertex_set.b,
         value=best,
-        argmin=FiniteGroupFunction.from_values(q, vertex_set.b, argmins[0]),
+        argmin=argmins[0],
         unique=len(argmins) == 1,
         n_vertices=len(vertex_set),
     )
@@ -418,7 +412,7 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
         raise NotPrime(f"q={q} is composite")
     if pi.b_residue != q - 1:
         raise NotMinimal(f"decomposition expects rhs q-1={q - 1}, got {pi.b_residue}")
-    nums, den = _numerators(pi.values)
+    nums, den = pi.numerators, pi.denominator
     first = next(_violations(nums, den, q - 1), None)
     if first is not None:
         raise NotMinimal(f"not minimal: {first}")
@@ -446,10 +440,8 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
     tilde_nums = [v * c * (q - 1) - a * x * den for x, v in enumerate(nums)]
     tilde_den = den * (q - 1) * (c - a)
     # built first, so that a negative value raises ValueError before the scan
-    pi_tilde = FiniteGroupFunction.from_values(
-        q, q - 1, [Fraction(v, tilde_den) for v in tilde_nums]
-    )
-    bad = next(_violations(tilde_nums, tilde_den, q - 1), None)
+    pi_tilde = FiniteGroupFunction(pi.group, pi.b, tilde_nums, tilde_den)
+    bad = next(_violations(pi_tilde.numerators, pi_tilde.denominator, q - 1), None)
     if bad is not None:
         raise ValidationFailure(f"split remainder unexpectedly not minimal: {bad}")
     return Decomposition(lam=lam, gamma=gamma, pi_tilde=pi_tilde)

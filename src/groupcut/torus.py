@@ -293,7 +293,6 @@ def is_nondecreasing(fn: PwlTorusFunction) -> bool:
     return True
 
 
-_SIDE_LEFT, _SIDE_VALUE, _SIDE_RIGHT = 0, 1, 2
 # realizable one-sided approach patterns for (x, y, x+y) at a grid corner
 _LIMIT_COMBOS = (
     (1, 1, 1),
@@ -318,10 +317,11 @@ _SCREEN_COLUMNS = tuple(c for c in _COLUMNS if c not in ((2, 1, 2), (0, 1, 0)))
 # The corner scan builds about 2n^2 corners; at n = 300, on a non-minimal
 # function, where the grid screen flags a row and the full scan runs,
 # is_minimal_pwl takes 0.4 s (152 violations) to 1.0 s (every corner
-# violated), and 1.5-1.8 s where a clean function's screen runs on its
-# largest grid, dx = n^2 (the screen 1.3-1.7 s of it, with two-byte fields),
-# in one process on a shared Intel Xeon core (Python 3.11).  Every function
-# above it is refused before any walk.
+# violated); on a clean step function it takes 0.3-0.45 s where the screen
+# runs on its largest grid, dx = 100n = 30,000 (nearly all of it the screen,
+# with one- or two-byte fields), and about 0.85 s on the scan alone at
+# dx = n^2, in one process on one pinned core of a shared Intel Xeon
+# (Python 3.11).  Every function above it is refused before any walk.
 MAX_BREAKPOINTS = 300
 
 
@@ -386,11 +386,12 @@ def _subadditivity_scan(
 def _screen_is_clean(fn: PwlTorusFunction) -> bool:
     """True when no corner of `_subadditivity_scan` holds a negative slack,
     found on the packed integer grid; False when a row holds one, or when
-    the grid has more than n^2 points (dx > n^2): there the screen does not
+    the grid has more than n min(n, 100) points: there the screen does not
     run.  Its n rows of dx fields grow with the grid and the scan's 2n^2
-    corners do not; at dx = n^2, on clean functions, the screen took 0.5-0.7
-    of the scan's time for n = 4 to 100, and about 1.2 at n = 150 and 2 at
-    n = 300 (one Intel Xeon core, Python 3.11).
+    corners do not.  On clean step functions (one pinned Intel Xeon core,
+    Python 3.11) the screen took 0.5-0.7 of the scan's time at dx = n^2 for
+    n <= 100, but 0.9 at n = 150 and 200 and 1.2-1.6 at n = 300; at
+    dx = 100n it took 0.4-0.7 for n = 150 to 300.
 
     Every corner (x, y) has x on a breakpoint and y and x+y on the grid p/dx.
     One walk gives the left limit, value and right limit at every grid
@@ -413,7 +414,7 @@ def _screen_is_clean(fn: PwlTorusFunction) -> bool:
     """
     n = len(fn.breakpoints)
     dx = math.lcm(*(x.denominator for x in fn.breakpoints))
-    if dx > n * n:
+    if dx > n * min(n, 100):
         return False
     nums, _w = _walk_pieces(fn, dx, range(dx))
     sides = list(zip(*nums.values()))

@@ -37,6 +37,27 @@ def rng():
     return random.Random(SEED)
 
 
+class UnreadableNumerators(gc.FiniteGroupFunction):
+    """A stand-in for a finite function whose stored numerators, and so its
+    values, raise when read: a check that must come before any arithmetic on
+    the values is run against it."""
+
+    @property
+    def numerators(self):
+        raise AssertionError("the numerators were read")
+
+    @classmethod
+    def of(cls, fn: gc.FiniteGroupFunction) -> "UnreadableNumerators":
+        stand_in = object.__new__(cls)  # no constructor, so nothing is read
+        stand_in.__dict__.update(vars(fn))
+        return stand_in
+
+
+@pytest.fixture
+def unreadable_numerators():
+    return UnreadableNumerators.of
+
+
 def convex_combination(vertices, weights):
     total = sum(weights, Fraction(0))
     q = vertices[0].q

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import groupcut
-from groupcut import PwlTorusFunction, gmi, gom, identity_fn, md2
+from groupcut import FiniteGroupFunction, PwlTorusFunction, gmi, gom, identity_fn, md2
 from groupcut import (
-    criteria,
+    cli,
     experiments,
     finite_functions,
     group_core,
@@ -111,9 +111,11 @@ class TestCheck:
         code, _out, err = run(capsys, "check", str(path))
         assert code == 3
 
-    def test_huge_order_refused_by_the_length_check(
-        self, capsys, monkeypatch, tmp_path
-    ):
+    def test_huge_order_refused_by_the_cap(self, capsys, monkeypatch, tmp_path):
+        """The cap comes before the value count and before any trial
+        division, so an over-cap file with too few values gets the cap's
+        refusal."""
+
         def refuse(q):
             raise AssertionError(f"trial division started at q={q}")
 
@@ -121,8 +123,8 @@ class TestCheck:
         path = tmp_path / "huge.json"
         path.write_text('{"q": 10000000000000061, "b": 1, "values": ["0", "1"]}')
         code, out, err = run(capsys, "check", str(path))
-        assert code == 3 and out == ""
-        assert "expected 10000000000000061 values, got 2" in err
+        assert (code, out) == (3, "")
+        assert err == "error: q=10000000000000061 exceeds the pair-scan cap 10007\n"
 
     @pytest.mark.parametrize(
         "values", ["[0, 0.25, 0.5, 0.75, 1]", "[0, true, true, true, true]"]
@@ -501,13 +503,20 @@ class TestIntegrate:
     @pytest.mark.parametrize("path", ["gmi_half_path", "gom54_path"])
     @pytest.mark.parametrize("p", ["1001", "100000", "1" + "0" * 400])
     def test_exponent_above_the_cap_exits_3(
-        self, capsys, monkeypatch, request, path, p
+        self, capsys, monkeypatch, request, unreadable_numerators, path, p
     ):
         def fail(*_args):
             raise AssertionError("arithmetic ran before the exponent check")
 
+        def load(data):
+            fn = read(data)
+            if isinstance(fn, FiniteGroupFunction):
+                return unreadable_numerators(fn)
+            return fn
+
+        read = cli._function_from_dict
+        monkeypatch.setattr(cli, "_function_from_dict", load)
         monkeypatch.setattr(torus, "_spans", fail)
-        monkeypatch.setattr(criteria, "_numerators", fail)
         path = request.getfixturevalue(path)
         code, out, err = run(capsys, "integrate", path, "--p", p)
         assert (code, out) == (3, "")

@@ -65,30 +65,31 @@ class TestLpNorm:
 
 
 class TestExponentRefusal:
-    """A bad exponent is refused before any arithmetic: with every
-    arithmetic step patched to fail, the refusal must still come first."""
+    """A bad exponent is refused before any arithmetic: on a function whose
+    stored numerators raise when read, and with the root patched to fail, the
+    refusal must still come first."""
 
     @pytest.fixture(autouse=True)
-    def no_arithmetic(self, monkeypatch):
+    def no_arithmetic(self, monkeypatch, unreadable_numerators):
         def fail(*_args):
             raise AssertionError("arithmetic ran before the exponent check")
 
-        monkeypatch.setattr(criteria, "_numerators", fail)
         monkeypatch.setattr(criteria, "nth_root_float", fail)
+        self.pi = unreadable_numerators(gom(5, 4))
 
     @pytest.mark.parametrize("p", [MAX_EXPONENT + 1, 100000, 10**100])
     def test_above_the_cap(self, p):
         with pytest.raises(DimensionCap, match="exceeds the exponent cap 1000"):
-            lp_norm(gom(5, 4), p)
+            lp_norm(self.pi, p)
 
     @pytest.mark.parametrize("p", [1.5, True, F(2), "2"])
     def test_not_an_int(self, p):
         with pytest.raises(TypeError, match="p must be an integer"):
-            lp_norm(gom(5, 4), p)
+            lp_norm(self.pi, p)
 
     def test_below_one(self):
         with pytest.raises(ValueError, match="p must be a positive integer"):
-            lp_norm(gom(5, 4), 0)
+            lp_norm(self.pi, 0)
 
 
 class TestVolumeProduct:

@@ -1,5 +1,6 @@
 """Construction, minimality certification and rearrangement on Z/qZ."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 
 from groupcut import (
     CyclicGroup,
+    DimensionCap,
     FiniteGroupFunction,
     IdenticallyZero,
     NotAUnit,
@@ -15,13 +17,21 @@ from groupcut import (
     Violation,
     ZeroElement,
     automorphism_sending,
+    build_polytope,
     compose,
     dantzig,
+    enumerate_vertices,
     gom,
+    gomory_decomposition,
     is_minimal,
+    lp_norm,
     md2,
+    minimize_volume,
     rearrange_finite,
+    volume_product,
 )
+from groupcut import finite_functions
+from groupcut.finite_functions import MAX_SCAN_ORDER
 
 
 def fractions(*texts):
@@ -287,3 +297,85 @@ class TestMinimalPositivity:
             for b in range(1, q):
                 for vertex in vertices_for(q, b):
                     assert all(v > 0 for v in vertex.values[1:])
+
+
+def blend(q, lam):
+    """lam * gom(q, q-1) + (1 - lam) * md2(q, q-1): nondecreasing and minimal."""
+    values = [lam * F(x, q - 1) + (1 - lam) / 2 for x in range(q)]
+    values[0], values[q - 1] = F(0), F(1)
+    return FiniteGroupFunction.from_values(q, q - 1, values)
+
+
+class TestIntegerNumerators:
+    """A function holds its values as integer numerators over their least
+    common denominator; every scan reads those, and `values` is built from
+    them on first access."""
+
+    def test_fields_and_values(self):
+        fn = FiniteGroupFunction.from_values(5, 4, ["0", "1/6", F(1, 2), 2, "3/4"])
+        assert (fn.numerators, fn.denominator) == ((0, 2, 6, 24, 9), 12)
+        assert fn.values == fractions("0", "1/6", "1/2", "2", "3/4")
+        assert fn(9) == F(3, 4)
+
+    def test_constructor_keeps_the_canonical_form(self):
+        group = CyclicGroup(3)
+        fn = FiniteGroupFunction(group, group.element(2), [0, 4, 6], 8)
+        assert (fn.numerators, fn.denominator) == ((0, 2, 3), 4)
+        assert fn == FiniteGroupFunction.from_values(3, 2, fn.values)
+        assert hash(fn) == hash(FiniteGroupFunction.from_values(3, 2, fn.values))
+
+    @pytest.mark.parametrize("nums, den", [((0, -1, 2), 3), ((0, 1, 2), 0), ((0, 1), 1)])
+    def test_constructor_refuses_bad_numerators(self, nums, den):
+        group = CyclicGroup(3)
+        with pytest.raises(ValueError):
+            FiniteGroupFunction(group, group.element(1), nums, den)
+
+    def test_no_scan_reads_the_fraction_values(self, monkeypatch):
+        pi0 = blend(11, F(5, 12))
+        u = 3
+        pi = compose(pi0, u)
+
+        def fail(_self):
+            raise AssertionError("a scan read the Fraction values")
+
+        monkeypatch.setattr(FiniteGroupFunction, "values", property(fail))
+        assert is_minimal(pi).is_minimal
+        assert compose(pi, pow(u, -1, 11)).numerators == pi0.numerators
+        assert rearrange_finite(pi).numerators == pi0.numerators
+        assert gomory_decomposition(pi0).lam > 0
+        assert lp_norm(pi, 2).power > 0
+        assert volume_product(pi) > 0
+
+    def test_every_internal_path_builds_the_canonical_form(self):
+        pi0 = blend(13, F(7, 12))
+        built = [
+            compose(pi0, 5),
+            rearrange_finite(compose(pi0, 5)),
+            gomory_decomposition(pi0).pi_tilde,
+            *enumerate_vertices(build_polytope(7, 3)).vertices,
+            minimize_volume(7, 3).argmin,
+            minimize_volume(11, 10).argmin,
+        ]
+        for fn in built:
+            again = FiniteGroupFunction.from_values(fn.q, fn.b_residue, fn.values)
+            assert fn == again and hash(fn) == hash(again)
+            assert (fn.numerators, fn.denominator) == (again.numerators, again.denominator)
+            assert math.gcd(fn.denominator, *fn.numerators) == 1
+
+    def test_vertices_are_sorted_by_value_vector(self):
+        vertices = enumerate_vertices(build_polytope(7, 3)).vertices
+        assert [v.values for v in vertices] == sorted(v.values for v in vertices)
+        assert len({v.denominator for v in vertices}) > 1
+
+    def test_the_cap_comes_before_any_value_is_read(self, monkeypatch):
+        def fail(_value):
+            raise AssertionError("a value was coerced before the cap")
+
+        monkeypatch.setattr(finite_functions, "as_fraction", fail)
+        q = MAX_SCAN_ORDER + 2
+        data = {"q": q, "b": 1, "values": ["1/2"] * q}
+        with pytest.raises(DimensionCap, match="exceeds the pair-scan cap"):
+            FiniteGroupFunction.from_dict(data)
+        data["values"] = ["1/2"] * 3  # a wrong count too: the cap still first
+        with pytest.raises(DimensionCap, match="exceeds the pair-scan cap"):
+            FiniteGroupFunction.from_dict(data)

@@ -321,7 +321,8 @@ def test_limits_table_matches_one_sided_limits():
 
 
 # `is_minimal_pwl` screens subadditivity on the packed grid p/dx and runs the
-# corner scan only when the screen flags a row or does not run (dx > n^2).
+# corner scan only when the screen flags a row or does not run
+# (dx > n min(n, 100)).
 # The screen's verdict must be exactly "the scan finds no violation", and the
 # verdict with the screen must be the scan-only verdict, repr for repr.
 
@@ -352,17 +353,17 @@ def grid_function(rng, n, dx):
     return PwlTorusFunction(*shape, b=F(rng.randint(1, 2 * dx - 1), 2 * dx), mode=MODE_RHS)
 
 
-def nearly_subadditive(rng, n, dx):
+def nearly_subadditive(rng, n, dx, clean=False):
     """A grid function with every limit and point value in [1, 2] and 0 at
-    the origin, which is subadditive, then one or two of its point values or
-    piece ends moved into [-1/2, 3]: few violations, often under one
-    pattern, some at extreme slacks."""
+    the origin, which is subadditive, then, unless `clean`, one or two of its
+    point values or piece ends moved into [-1/2, 3]: few violations, often
+    under one pattern, some at extreme slacks."""
     fn = grid_function(rng, n, dx)
     bps, ends = list(fn.breakpoints), []
     for _ in bps:
         ends.append([F(1) + random_fraction(rng, 0, 1), F(1) + random_fraction(rng, 0, 1)])
     values = [F(0)] + [F(1) + random_fraction(rng, 0, 1) for _ in bps[1:]]
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(0 if clean else rng.randint(1, 2)):
         moved = random_fraction(rng, 0, 3) - F(1, 2)
         i = rng.randrange(len(bps))
         if rng.random() < 0.5:
@@ -439,6 +440,12 @@ def grid_functions():
             if dx >= n:
                 functions += [grid_function(rng, n, dx) for _ in range(6)]
                 functions += [nearly_subadditive(rng, n, dx) for _ in range(10)]
+    # above 100 breakpoints the bound is 100 n, below n^2: clean functions on
+    # both sides of it, the one above on a grid an n^2 bound would screen
+    n = 101
+    for dx in (100 * n, 100 * n + 1):
+        functions.append(nearly_subadditive(rng, n, dx, clean=True))
+    functions.append(nearly_subadditive(rng, n, 100 * n))
     return functions
 
 
@@ -447,7 +454,7 @@ GRID_FUNCTIONS = grid_functions()
 
 def screen_runs(fn):
     n = len(fn.breakpoints)
-    return math.lcm(*(x.denominator for x in fn.breakpoints)) <= n * n
+    return math.lcm(*(x.denominator for x in fn.breakpoints)) <= n * min(n, 100)
 
 
 def test_every_screen_column_alone_flags_a_function():
@@ -495,7 +502,7 @@ def test_screen_is_clean_exactly_when_the_scan_finds_nothing():
         runs, clean = screen_runs(fn), not torus._subadditivity_scan(fn)[2]
         assert torus._screen_is_clean(fn) is (runs and clean)
         seen[runs, clean] += 1
-    # both sides of dx <= n^2, clean and flagged
+    # both sides of dx <= n min(n, 100), clean and flagged
     assert min(seen[runs, clean] for runs in (False, True) for clean in (False, True)) > 20
     # negative values, a jump at the origin, both symmetry modes
     for fn in GRID_FUNCTIONS:
