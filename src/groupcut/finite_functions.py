@@ -49,7 +49,8 @@ class MinimalityVerdict:
 class FiniteGroupFunction:
     """Nonnegative rational values on Z/qZ with a designated right-hand side
     b != 0, held as integer numerators over their least common denominator
-    (so equal values give equal functions); `values` is built on first use."""
+    (so equal values give equal functions); `values` is kept from
+    `from_values`, or else built on first use."""
 
     group: CyclicGroup
     b: GroupElement
@@ -74,14 +75,18 @@ class FiniteGroupFunction:
     @classmethod
     def from_values(cls, q: int, b: int, values: Sequence) -> "FiniteGroupFunction":
         """The one way in from rationals: the one conversion of exact values
-        to integer numerators over their least common denominator."""
+        to integer numerators over their least common denominator.  The
+        coerced values are kept as the cached `values`, where
+        `functools.cached_property` would have stored them."""
         group = CyclicGroup(q)
         rhs = group.element(b)
         if rhs.residue == 0:  # refused before any value is read
             raise ZeroElement("right-hand side b must be nonzero")
-        vals = list(map(as_fraction, values))
+        vals = tuple(map(as_fraction, values))
         den = math.lcm(*(v.denominator for v in vals))
-        return cls(group, rhs, [v.numerator * (den // v.denominator) for v in vals], den)
+        fn = cls(group, rhs, [v.numerator * (den // v.denominator) for v in vals], den)
+        fn.__dict__["values"] = vals
+        return fn
 
     @functools.cached_property
     def values(self) -> tuple[Fraction, ...]:

@@ -7,8 +7,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from operator import mul, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .criteria import _value_product
 from .errors import (
@@ -36,10 +37,10 @@ __all__ = [
 IntRow = tuple[tuple[int, ...], int]  # coeffs . z >= rhs, integer, primitive
 
 # Largest order whose vertex enumeration has been measured to finish:
-# minimize_volume(23, 22) (7188 vertices) takes about 4 s (3.9-4.0 s) in one
-# process on a shared Intel Xeon core (Python 3.11), against 11 s there with
-# the rows inserted in lexicographic order, while at q = 29 a fraction of the
-# polytope alone took ten minutes.
+# minimize_volume(23, 22) (7188 vertices) takes about 3.6 s (3.1-4.4 s over
+# six runs) in one process on a shared Intel Xeon core (Python 3.11), against
+# 11 s there with the rows inserted in lexicographic order, while at q = 29 a
+# fraction of the polytope alone took ten minutes.
 MAX_ORDER = 23
 
 
@@ -199,24 +200,101 @@ def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-def _int_rank(rows: list[tuple[int, ...]], d: int) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(d):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col] != 0:
-                f1, f2 = prow[col], mat[i][col]
-                mat[i] = [f1 * a - f2 * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == d:
-            break
-    return rank
+def _has_full_rank(rows: Iterable[Sequence[int]], d: int) -> bool:
+    """Whether the integer rows span all d dimensions.
+
+    Fraction-free elimination keyed by pivot column: each kept row is zero
+    before its pivot column, its first nonzero one.  A row, as it comes, is
+    reduced by the kept row keyed by its own first nonzero column, which
+    moves that column further right, until no kept row has its column or
+    the row is zero; a nonzero row is then kept under that column.  The kept
+    rows stay independent and span what the rows read so far span, so the
+    test returns as soon as d of them are kept and reads no further row."""
+    if d == 0:
+        return True
+    pivots: dict[int, Sequence[int]] = {}
+    columns = range(d)
+    for row in rows:
+        col = next(compress(columns, row), None)
+        while col in pivots:
+            prow = pivots[col]
+            p, f = prow[col], row[col]
+            row = [p * x - f * y for x, y in zip(row, prow)]
+            col = next(compress(columns, row), None)
+        if col is not None:
+            pivots[col] = row
+            if len(pivots) == d:
+                return True
+    return False
+
+
+def _packed_slacks(
+    rows: Sequence[IntRow], points: Sequence[tuple[Sequence[int], int]]
+) -> tuple[int, list[int]]:
+    """Every row's slacks a . nums - c den at every point nums/den, and the
+    field width: per row one int with a field of `width` bits per point,
+    point v in field v, holding its slack plus 2^(width-1).
+
+    Each coordinate column of the points, and their denominators, is packed
+    into one int, biased by B, the largest |numerator| or denominator, and
+    the bias taken off again, so the int is exactly sum_v x_v 2^(v width)
+    with negative x_v too.  A row's slacks are then one multiply-add per
+    nonzero coefficient.  Each slack lies in [-M, M] with M = B times the
+    largest sum of |coefficients| and |rhs| of a row, and 2^(width-1) > M
+    (and > B), so after adding 2^(width-1) to every field the row is a
+    nonnegative int whose fields hold no carry or borrow from each other:
+    SIMD within a register, as in `finite_functions._negative_rows`."""
+    bound = max((abs(x) for nums, den in points for x in (den, *nums)), default=0)
+    reach = max((sum(map(abs, a)) + abs(c) for a, c in rows), default=0)
+    size = (max(reach, 1) * bound).bit_length() // 8 + 1  # bytes per field
+    width = 8 * size
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * len(points), "little")
+
+    def pack(column: Iterable[int]) -> int:
+        fields = map(int.to_bytes, map(bound.__add__, column), repeat(size), repeat("little"))
+        return int.from_bytes(b"".join(fields), "little") - bound * ones
+
+    columns = [pack(column) for column in zip(*(nums for nums, _den in points))]
+    dens = pack(den for _nums, den in points)
+    base = ones << (width - 1)
+    packed = []
+    for a, c in rows:
+        row = base - c * dens if c else base
+        for coeff, column in zip(a, columns):
+            if coeff:
+                row += coeff * column
+        packed.append(row)
+    return width, packed
+
+
+def _tight_flags(
+    rows: Sequence[IntRow], points: Sequence[tuple[Sequence[int], int]]
+) -> tuple[int, list[bytes]]:
+    """The index of the first point with a negative slack on some row (the
+    number of points if none), and per row its tight flags, one byte per
+    point, 1 where the slack is 0.
+
+    From `_packed_slacks`, one AND with the field tops per row finds the
+    points with a negative slack.  A field's low width-1 bits hold the slack
+    when it is nonnegative and the slack plus 2^(width-1) >= 1 when it is
+    negative, so they are zero exactly at a tight point, where adding
+    2^(width-1) - 1 to them leaves the top bit clear.  The tight flags,
+    shifted to the low bit of their fields, are sliced out one byte per
+    point."""
+    count = len(points)
+    width, packed = _packed_slacks(rows, points)
+    size = width // 8
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+    tops = ones << (width - 1)
+    low = tops - ones
+    negative = 0
+    flags = []
+    for row in packed:
+        negative |= tops & ~row
+        tight = tops & ~((row & low) + low)
+        flags.append((tight >> (width - 1)).to_bytes(count * size, "little")[::size])
+    first_bad = ((negative & -negative).bit_length() - 1) // width if negative else count
+    return first_bad, flags
 
 
 def _partners(mask: int, others: int, incidence: list[int], need: int) -> int:
@@ -335,24 +413,29 @@ def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
     """All vertices of the polytope, each certified from the point alone.
 
     The certificate does not rest on the enumerator's inherited masks: every
-    row's slack is recomputed at each returned point nums/den, a negative one
-    raises, and the rows it leaves tight must have rank equal to the
-    dimension.  Each vertex is kept as integers: the value const + sign * z_j
-    is (2 * const * den + 2 * sign * n_j) / (2 * den).
+    row's slack is recomputed at every returned point nums/den at once
+    (`_tight_flags`), and the first point in the enumerator's order with a
+    negative slack or with tight rows of rank below the dimension raises,
+    naming the negative slack when it has both.  Each vertex is kept as
+    integers: the value const + sign * z_j is (2 * const * den + 2 * sign *
+    n_j) / (2 * den).
     """
     if polytope.q > MAX_ORDER:
         raise DimensionCap.order(polytope.q, "enumeration", MAX_ORDER)
     rows = list(polytope.box_rows) + list(polytope.other_rows)
     d = polytope.dimension
+    found = [point for point, _mask in _enumerate_reduced(rows, d)]
+    first_bad, flags = _tight_flags(rows, found)
+    stacked = b"".join(flags)  # point k's flags over the rows: stacked[k::count]
+    count = len(found)
+    coeffs = [a for a, _c in rows]
     points = []
-    for (nums, den), _mask in _enumerate_reduced(rows, d):
-        slacks = [sum(map(mul, a, nums)) - c * den for a, c in rows]
-        if min(slacks, default=0) < 0:
+    for k, (nums, den) in enumerate(found):
+        if k == first_bad:
             raise ValidationFailure(
                 f"point {nums}/{den} violates a row of the polytope"
             )
-        tight = [a for (a, _c), s in zip(rows, slacks) if s == 0]
-        if _int_rank(tight, d) != d:
+        if not _has_full_rank(compress(coeffs, stacked[k::count]), d):
             raise ValidationFailure(
                 f"point {nums}/{den} has tight rank below the dimension {d}"
             )

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import repeat
 
 import pytest
 
@@ -74,6 +75,18 @@ class TestConstructors:
     def test_call_reduces_mod_q(self):
         fn = gom(5, 4)
         assert fn(6) == fn(1) == F(1, 4)
+
+    def test_from_values_keeps_the_coerced_values(self):
+        raw = [0, "1/6", F(2, 4), "2/3", F(5, 6), 1, "1/3"]
+        fn = FiniteGroupFunction.from_values(7, 5, raw)
+        nums, den = fn.numerators, fn.denominator
+        assert "values" in vars(fn)
+        assert vars(fn)["values"] == tuple(map(F, nums, repeat(den)))
+        assert fn.values is vars(fn)["values"]
+        built = FiniteGroupFunction(fn.group, fn.b, nums, den)
+        assert "values" not in vars(built)
+        assert fn == built and hash(fn) == hash(built) and repr(fn) == repr(built)
+        assert fn.values == built.values
 
 
 class TestMinimality:

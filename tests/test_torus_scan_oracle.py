@@ -441,11 +441,21 @@ def grid_functions():
                 functions += [grid_function(rng, n, dx) for _ in range(6)]
                 functions += [nearly_subadditive(rng, n, dx) for _ in range(10)]
     # above 100 breakpoints the bound is 100 n, below n^2: clean functions on
-    # both sides of it, the one above on a grid an n^2 bound would screen
+    # both sides of it, the one above on a grid an n^2 bound would screen, and
+    # a flagged one on the bound; each drawn again until its canonical form
+    # keeps all n breakpoints, which a piece that continues unchanged drops,
+    # and the flagged one also until the scan finds a violation in it
     n = 101
+
+    def keeping_n(dx, clean):
+        while True:
+            fn = nearly_subadditive(rng, n, dx, clean)
+            if len(fn.breakpoints) == n and (clean or torus._subadditivity_scan(fn)[2]):
+                return fn
+
     for dx in (100 * n, 100 * n + 1):
-        functions.append(nearly_subadditive(rng, n, dx, clean=True))
-    functions.append(nearly_subadditive(rng, n, 100 * n))
+        functions.append(keeping_n(dx, clean=True))
+    functions.append(keeping_n(100 * n, clean=False))
     return functions
 
 
@@ -455,6 +465,13 @@ GRID_FUNCTIONS = grid_functions()
 def screen_runs(fn):
     n = len(fn.breakpoints)
     return math.lcm(*(x.denominator for x in fn.breakpoints)) <= n * min(n, 100)
+
+
+def test_the_101_breakpoint_functions_reach_both_sides_of_the_bound():
+    on_bound, above, flagged = GRID_FUNCTIONS[-3:]
+    assert [len(fn.breakpoints) for fn in (on_bound, above, flagged)] == [101] * 3
+    assert screen_runs(on_bound) and screen_runs(flagged) and not screen_runs(above)
+    assert torus._screen_is_clean(on_bound) and not torus._screen_is_clean(flagged)
 
 
 def test_every_screen_column_alone_flags_a_function():
