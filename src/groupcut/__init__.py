@@ -1,198 +1,37 @@
 """Exact arithmetic for cut-generating functions on finite cyclic groups and
 the circle: construction, minimality certification, rearrangement, strength
-criteria, and vertex enumeration of the minimal-function polytope."""
+criteria, and vertex enumeration of the minimal-function polytope.
 
-from .criteria import (
-    INFINITE,
-    CriterionReport,
-    LpScore,
-    log_geo_mean,
-    lp_norm,
-    score_function,
-    simplex_volume,
-    volume_product,
+Each public name is declared once, in its module's ``__all__``; the package
+exports their union.  The command line (``groupcut.cli``) is not imported
+here, so that importing the library does not load argparse."""
+
+from . import (
+    criteria,
+    errors,
+    experiments,
+    finite_functions,
+    group_core,
+    polytope,
+    rationals,
+    torus,
 )
-from .errors import (
-    DimensionCap,
-    GridMismatch,
-    GroupCutError,
-    IdenticallyZero,
-    NotAUnit,
-    NotInClassG,
-    NotMinimal,
-    NotNondecreasing,
-    NotPrime,
-    NotSubadditive,
-    OutOfRange,
-    RhsMismatch,
-    ValidationFailure,
-    ZeroElement,
-)
-from .experiments import (
-    STATUS_MISMATCH,
-    STATUS_OK,
-    CutInequality,
-    ExperimentConfig,
-    OptimizationRow,
-    Report,
-    RiemannResult,
-    StirlingRow,
-    TableauRow,
-    emit_cut,
-    expected_min_product,
-    optimize_and_report,
-    riemann_experiment,
-    stirling_table,
-)
-from .finite_functions import (
-    FiniteGroupFunction,
-    MinimalityVerdict,
-    Violation,
-    compose,
-    dantzig,
-    gom,
-    is_minimal,
-    md2,
-    rearrange_finite,
-)
-from .group_core import (
-    CyclicGroup,
-    GroupElement,
-    automorphism_sending,
-    is_prime,
-    mod_inverse,
-)
-from .polytope import (
-    Decomposition,
-    MinimalFunctionPolytope,
-    MinimizeResult,
-    VertexSet,
-    build_polytope,
-    enumerate_vertices,
-    gomory_decomposition,
-    minimize_volume,
-)
-from .rationals import as_fraction, ln_fraction, nth_root_float
-from .torus import (
-    MODE_RHS,
-    MODE_WRAP,
-    LayerCakeReport,
-    PwlTorusFunction,
-    SublevelProfile,
-    from_finite_function,
-    gmi,
-    identity_fn,
-    integral_ln,
-    is_minimal_pwl,
-    is_nondecreasing,
-    layer_cake_check,
-    lp_norm_torus,
-    lp_power_torus,
-    md2_torus,
-    rearrange_torus,
-    right_limit_fn,
-    scaled_gmi,
-    subadditivity_slack,
-    sublevel_measure,
-    sublevel_profile,
-    sublevel_set,
-    tilde_fn,
-)
+from .criteria import *
+from .errors import *
+from .experiments import *
+from .finite_functions import *
+from .group_core import *
+from .polytope import *
+from .rationals import *
+from .torus import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # groups
-    "CyclicGroup",
-    "GroupElement",
-    "is_prime",
-    "mod_inverse",
-    "automorphism_sending",
-    # finite functions
-    "FiniteGroupFunction",
-    "MinimalityVerdict",
-    "Violation",
-    "gom",
-    "md2",
-    "dantzig",
-    "is_minimal",
-    "compose",
-    "rearrange_finite",
-    # criteria
-    "LpScore",
-    "CriterionReport",
-    "INFINITE",
-    "lp_norm",
-    "volume_product",
-    "simplex_volume",
-    "log_geo_mean",
-    "score_function",
-    # polytope
-    "MinimalFunctionPolytope",
-    "VertexSet",
-    "MinimizeResult",
-    "Decomposition",
-    "build_polytope",
-    "enumerate_vertices",
-    "minimize_volume",
-    "gomory_decomposition",
-    # circle
-    "MODE_RHS",
-    "MODE_WRAP",
-    "PwlTorusFunction",
-    "SublevelProfile",
-    "LayerCakeReport",
-    "gmi",
-    "scaled_gmi",
-    "identity_fn",
-    "md2_torus",
-    "from_finite_function",
-    "is_nondecreasing",
-    "subadditivity_slack",
-    "is_minimal_pwl",
-    "sublevel_measure",
-    "sublevel_set",
-    "sublevel_profile",
-    "rearrange_torus",
-    "right_limit_fn",
-    "tilde_fn",
-    "integral_ln",
-    "layer_cake_check",
-    "lp_power_torus",
-    "lp_norm_torus",
-    # experiments
-    "ExperimentConfig",
-    "TableauRow",
-    "CutInequality",
-    "emit_cut",
-    "RiemannResult",
-    "riemann_experiment",
-    "StirlingRow",
-    "stirling_table",
-    "Report",
-    "OptimizationRow",
-    "optimize_and_report",
-    "expected_min_product",
-    "STATUS_OK",
-    "STATUS_MISMATCH",
-    # numeric helpers
-    "as_fraction",
-    "ln_fraction",
-    "nth_root_float",
-    # errors
-    "GroupCutError",
-    "NotAUnit",
-    "NotPrime",
-    "ZeroElement",
-    "NotSubadditive",
-    "IdenticallyZero",
-    "NotNondecreasing",
-    "NotMinimal",
-    "DimensionCap",
-    "OutOfRange",
-    "NotInClassG",
-    "GridMismatch",
-    "RhsMismatch",
-    "ValidationFailure",
+__all__ = ["__version__"] + [
+    name
+    for module in (
+        criteria, errors, experiments, finite_functions,
+        group_core, polytope, rationals, torus,
+    )
+    for name in module.__all__
 ]

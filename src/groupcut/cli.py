@@ -31,6 +31,7 @@ from json.encoder import encode_basestring_ascii
 from .criteria import score_function
 from .errors import GroupCutError, ValidationFailure
 from .experiments import (
+    _B_POLICIES,
     ExperimentConfig,
     TableauRow,
     emit_cut,
@@ -365,9 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "optimize", help="minimize the value product over all vertices per (q, b)"
     )
     p.add_argument("--primes", type=strict_int, nargs="+", default=None)
-    p.add_argument(
-        "--b-policy", choices=("all", "fixed", "canonical"), default="canonical"
-    )
+    p.add_argument("--b-policy", choices=_B_POLICIES, default="canonical")
     p.add_argument("--fixed-b", type=strict_int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_optimize)

@@ -12,6 +12,7 @@ from .finite_functions import FiniteGroupFunction
 from .rationals import check_exponent, ln_fraction, nth_root_float
 
 __all__ = [
+    "INFINITE",
     "LpScore",
     "CriterionReport",
     "lp_norm",

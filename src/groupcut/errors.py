@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "GroupCutError",
+    "NotAUnit",
+    "NotPrime",
+    "ZeroElement",
+    "NotSubadditive",
+    "IdenticallyZero",
+    "NotNondecreasing",
+    "NotMinimal",
+    "DimensionCap",
+    "OutOfRange",
+    "NotInClassG",
+    "GridMismatch",
+    "RhsMismatch",
+    "ValidationFailure",
+]
+
 
 class GroupCutError(Exception):
     """Base class for domain errors raised by this package."""

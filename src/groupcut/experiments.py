@@ -57,6 +57,8 @@ __all__ = [
     "Report",
     "optimize_and_report",
     "expected_min_product",
+    "STATUS_OK",
+    "STATUS_MISMATCH",
 ]
 
 _B_POLICIES = ("all", "fixed", "canonical")

@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DimensionCap, IdenticallyZero, NotPrime, NotSubadditive, ZeroElement
 from .group_core import CyclicGroup, GroupElement, is_prime, mod_inverse
-from .rationals import as_fraction, json_field
+from .rationals import PackedFields, as_fraction, json_field
 
 __all__ = [
     "FiniteGroupFunction",
@@ -166,28 +166,20 @@ def _negative_rows(nums: Sequence[int]) -> Iterator[int]:
     finite subadditivity check.  The numerators must be nonnegative, as a
     FiniteGroupFunction's are.
 
-    The numerators are packed into one int, a field of `width` bits each,
-    with 2^(width-1) > 2 max(nums).  Row x's slacks plus 2^(width-1) then
-    lie in (0, 2^width), so one shifted add and subtract gives every field
-    of the row with no borrow between fields, and a field's top bit is clear
-    exactly when its slack is negative: a row is a few big-int operations
-    (SIMD within a register, in exact arithmetic).
+    The numerators are packed one per field of a `PackedFields` layout for
+    slacks up to 2 max(nums) in magnitude, and row x is one shifted add and
+    subtract, whose fields' top bits are clear exactly at its negative
+    slacks (the argument is on `PackedFields`).
     """
     q = len(nums)
-    size = (2 * max(nums)).bit_length() // 8 + 1  # bytes per field
-    width = 8 * size
-    packed = int.from_bytes(
-        b"".join(map(int.to_bytes, nums, repeat(size), repeat("little"))), "little"
-    )
+    fields = PackedFields(q, 2 * max(nums))
+    width, ones, tops, mask = fields.width, fields.ones, fields.tops, fields.mask
+    packed = fields.pack(nums)
     wrapped = packed | packed << (q * width)  # field x + y is nums[(x + y) % q]
-    ones = int.from_bytes((b"\1" + bytes(size - 1)) * q, "little")
-    tops = ones << (width - 1)
-    mask = (ones << width) - ones
-    half = 1 << (width - 1)
     for x in range(q):
         s = x * width
         top = tops >> s
-        row = (packed >> s) + (nums[x] + half) * (ones >> s)
+        row = (packed >> s) + (nums[x] + fields.half) * (ones >> s)
         row -= (wrapped >> 2 * s) & (mask >> s)
         if row & top != top:
             yield x

@@ -7,7 +7,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from operator import mul, sub
 from typing import Iterable, Sequence
 
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .finite_functions import FiniteGroupFunction, _violations
 from .group_core import CyclicGroup, is_prime
+from .rationals import PackedFields
 
 __all__ = [
     "MinimalFunctionPolytope",
@@ -230,33 +231,27 @@ def _has_full_rank(rows: Iterable[Sequence[int]], d: int) -> bool:
 
 def _packed_slacks(
     rows: Sequence[IntRow], points: Sequence[tuple[Sequence[int], int]]
-) -> tuple[int, list[int]]:
-    """Every row's slacks a . nums - c den at every point nums/den, and the
-    field width: per row one int with a field of `width` bits per point,
-    point v in field v, holding its slack plus 2^(width-1).
+) -> tuple[PackedFields, list[int]]:
+    """Every row's slacks a . nums - c den at every point nums/den, and their
+    layout: per row one int with a field per point of a `PackedFields`
+    layout, point v in field v, holding its slack plus half.
 
     Each coordinate column of the points, and their denominators, is packed
-    into one int, biased by B, the largest |numerator| or denominator, and
-    the bias taken off again, so the int is exactly sum_v x_v 2^(v width)
-    with negative x_v too.  A row's slacks are then one multiply-add per
-    nonzero coefficient.  Each slack lies in [-M, M] with M = B times the
-    largest sum of |coefficients| and |rhs| of a row, and 2^(width-1) > M
-    (and > B), so after adding 2^(width-1) to every field the row is a
-    nonnegative int whose fields hold no carry or borrow from each other:
-    SIMD within a register, as in `finite_functions._negative_rows`."""
+    biased by B, the largest |numerator| or denominator, and the bias taken
+    off again, so the int is exactly sum_v x_v 2^(v width) with negative x_v
+    too.  A row's slacks are then one multiply-add per nonzero coefficient.
+    Each slack lies in [-M, M] with M = B times the largest sum of
+    |coefficients| and |rhs| of a row.  M, at least B, is the layout's
+    bound, so the biased values fit their fields and the rows' fields hold
+    no carry or borrow (the argument is on `PackedFields`)."""
     bound = max((abs(x) for nums, den in points for x in (den, *nums)), default=0)
     reach = max((sum(map(abs, a)) + abs(c) for a, c in rows), default=0)
-    size = (max(reach, 1) * bound).bit_length() // 8 + 1  # bytes per field
-    width = 8 * size
-    ones = int.from_bytes((b"\1" + bytes(size - 1)) * len(points), "little")
-
-    def pack(column: Iterable[int]) -> int:
-        fields = map(int.to_bytes, map(bound.__add__, column), repeat(size), repeat("little"))
-        return int.from_bytes(b"".join(fields), "little") - bound * ones
-
-    columns = [pack(column) for column in zip(*(nums for nums, _den in points))]
-    dens = pack(den for _nums, den in points)
-    base = ones << (width - 1)
+    fields = PackedFields(len(points), max(reach, 1) * bound)
+    unbias = bound * fields.ones
+    coordinates = zip(*(nums for nums, _den in points))
+    columns = [fields.pack(column, bound) - unbias for column in coordinates]
+    dens = fields.pack((den for _nums, den in points), bound) - unbias
+    base = fields.tops
     packed = []
     for a, c in rows:
         row = base - c * dens if c else base
@@ -264,7 +259,7 @@ def _packed_slacks(
             if coeff:
                 row += coeff * column
         packed.append(row)
-    return width, packed
+    return fields, packed
 
 
 def _tight_flags(
@@ -279,22 +274,19 @@ def _tight_flags(
     when it is nonnegative and the slack plus 2^(width-1) >= 1 when it is
     negative, so they are zero exactly at a tight point, where adding
     2^(width-1) - 1 to them leaves the top bit clear.  The tight flags,
-    shifted to the low bit of their fields, are sliced out one byte per
-    point."""
-    count = len(points)
-    width, packed = _packed_slacks(rows, points)
-    size = width // 8
-    ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
-    tops = ones << (width - 1)
-    low = tops - ones
+    shifted to the low bit of their fields, are the fields' low bytes."""
+    fields, packed = _packed_slacks(rows, points)
+    width, tops = fields.width, fields.tops
+    low = tops - fields.ones
     negative = 0
     flags = []
     for row in packed:
         negative |= tops & ~row
         tight = tops & ~((row & low) + low)
-        flags.append((tight >> (width - 1)).to_bytes(count * size, "little")[::size])
-    first_bad = ((negative & -negative).bit_length() - 1) // width if negative else count
-    return first_bad, flags
+        flags.append(fields.low_bytes(tight >> (width - 1)))
+    if not negative:
+        return fields.count, flags
+    return ((negative & -negative).bit_length() - 1) // width, flags
 
 
 def _partners(mask: int, others: int, incidence: list[int], need: int) -> int:

@@ -1,23 +1,33 @@
 """Exact-rational helpers: coercion, the one field reader behind the JSON
 loaders, the integer reader for command-line flags, the one L_p exponent
-check, and logarithms and roots that respect big integers."""
+check, logarithms and roots that respect big integers, and the packed-field
+layout behind the three big-int scans."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from typing import Iterable
 
 from .errors import DimensionCap
+
+__all__ = ["as_fraction", "ln_fraction", "nth_root_float"]
 
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and exact strings like ``'3/4'``; floats and
-    booleans are rejected, and so is a string with a zero denominator."""
+    booleans are rejected, and so is a string with a zero denominator or an
+    exponent.  Fraction('1e-N') builds 10^N with no int-to-string
+    conversion, so the interpreter's digit limit would not bound it: at
+    N = 10^7 that alone takes 13 s."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation in {value!r}: write the number out")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -125,3 +135,43 @@ def nth_root_float(x: Fraction, p: int) -> float:
         k += 16
     r = iroot(n, p)
     return math.ldexp(float(r), -k)
+
+
+class PackedFields:
+    """`count` fields of `width` bits in one int, field i at bit i * width:
+    the layout of the pair scan (`finite_functions._negative_rows`), the
+    circle grid screen (`torus._screen_is_clean`) and the vertex certificate
+    (`polytope._packed_slacks`).
+
+    `width` is whole bytes, the fewest with half = 2^(width-1) > bound.  A
+    scan adds and subtracts packed ints and multiples of `ones` (a 1 in
+    every field) so that the result is exactly sum_i (s_i + half) 2^(i width)
+    with every |s_i| <= bound.  Each s_i + half then lies in (0, 2^width),
+    so field i holds it with no carry or borrow from its neighbours, and its
+    top bit (`tops` has every one) is clear exactly when s_i < 0: a whole
+    row of exact comparisons in a few big-int operations (SIMD within a
+    register).  `mask` has every bit of every field."""
+
+    __slots__ = ("count", "size", "width", "half", "ones", "tops", "mask")
+
+    def __init__(self, count: int, bound: int) -> None:
+        self.count = count
+        self.size = bound.bit_length() // 8 + 1  # bytes per field
+        self.width = 8 * self.size
+        self.half = 1 << (self.width - 1)
+        self.ones = int.from_bytes((b"\1" + bytes(self.size - 1)) * count, "little")
+        self.tops = self.ones << (self.width - 1)
+        self.mask = (self.ones << self.width) - self.ones
+
+    def pack(self, values: Iterable[int], bias: int = 0) -> int:
+        """sum_i (values[i] + bias) 2^(i width), each value + bias in
+        [0, 2^width)."""
+        if bias:
+            values = map(bias.__add__, values)
+        fields = map(int.to_bytes, values, repeat(self.size), repeat("little"))
+        return int.from_bytes(b"".join(fields), "little")
+
+    def low_bytes(self, packed: int) -> bytes:
+        """The low byte of every field of a nonnegative packed int, one byte
+        per field."""
+        return packed.to_bytes(self.count * self.size, "little")[:: self.size]

@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from operator import add, sub
 from typing import Iterable
 
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .finite_functions import FiniteGroupFunction, MinimalityVerdict, Violation
 from .rationals import (
+    PackedFields,
     as_fraction,
     check_exponent,
     json_field,
@@ -396,14 +396,13 @@ def _screen_is_clean(fn: PwlTorusFunction) -> bool:
     Every corner (x, y) has x on a breakpoint and y and x+y on the grid p/dx.
     One walk gives the left limit, value and right limit at every grid
     point, over w; each of these three and their largest (side 3) is packed
-    into one int, a field of `width` bits per point, biased by M, the
-    largest magnitude, so that every field is nonnegative.  Breakpoint row
-    x takes its three limits as scalars, the y sides as packed, and the x+y
-    sides from the doubled ints shifted by x fields and masked.  Each slack
-    lies in [-3M, 3M], and 2^(width-1) = half > 3M, so one add and subtract
-    gives a column's slacks plus half with no carry or borrow between
-    fields, and a field's top bit is clear exactly when its slack is
-    negative (as in `finite_functions._negative_rows`).
+    into one int, a field per point of a `PackedFields` layout, biased by M,
+    the largest magnitude, so that every field is nonnegative.  Breakpoint
+    row x takes its three limits as scalars, the y sides as packed, and the
+    x+y sides from the doubled ints shifted by x fields and masked.  Each
+    slack lies in [-3M, 3M], so one add and subtract gives a column's
+    slacks, and a field's top bit is clear exactly when its slack is
+    negative (the argument is on `PackedFields`).
 
     The screen is exact.  Off the corners every column of row x reads
     pi(x) + pi(y) - pi(x+y) for one limit of x, which is affine in y between
@@ -420,24 +419,11 @@ def _screen_is_clean(fn: PwlTorusFunction) -> bool:
     sides = list(zip(*nums.values()))
     sides.append(tuple(map(max, *sides)))
     bias = max(max(sides[3]), -min(map(min, sides[:3])))  # M
-    size = (3 * bias).bit_length() // 8 + 1  # bytes per field
-    width = 8 * size
-    half = 1 << (width - 1)
-    shift = dx * width
-    ones = int.from_bytes((b"\1" + bytes(size - 1)) * dx, "little")
-    tops = ones << (width - 1)
-    mask = (ones << width) - ones
-    packed = [
-        int.from_bytes(
-            b"".join(
-                map(int.to_bytes, map(bias.__add__, side), repeat(size), repeat("little"))
-            ),
-            "little",
-        )
-        for side in sides
-    ]
-    ysides = [side + half * ones for side in packed[:3]]
-    doubled = [side | side << shift for side in packed]  # field k: k % dx
+    fields = PackedFields(dx, 3 * bias)
+    width, ones, tops, mask = fields.width, fields.ones, fields.tops, fields.mask
+    packed = [fields.pack(side, bias) for side in sides]
+    ysides = [side + tops for side in packed[:3]]
+    doubled = [side | side << dx * width for side in packed]  # field k: k % dx
     for x in fn.breakpoints:
         p = x.numerator * (dx // x.denominator)
         xsides = [a * ones for a in nums[p]]

@@ -296,30 +296,50 @@ class TestOptimize:
         assert "fixed_b" in err
 
 
-def _zero_denominator_argv(tmp_path, case):
+def _bad_value_argv(tmp_path, case, text):
+    """argv reading the rational `text` as a finite value, a circle slope, a
+    tableau row's rhs or a riemann profile's gmi rhs."""
     if case == "riemann":
-        return ["experiment", "riemann", "--q", "11", "--h", "gmi:1/0"]
+        return ["experiment", "riemann", "--q", "11", "--h", f"gmi:{text}"]
     finite = tmp_path / "finite.json"
-    finite.write_text('{"q": 5, "b": 4, "values": ["0", "1/0", "1/2", "3/4", "1"]}')
+    values = ["0", text, "1/2", "3/4", "1"]
+    finite.write_text(json.dumps({"q": 5, "b": 4, "values": values}))
     if case == "finite":
         return ["check", str(finite)]
     if case == "circle":
         data = gmi(F(1, 2)).to_dict()
-        data["pieces"][0]["slope"] = "1/0"
+        data["pieces"][0]["slope"] = text
         circle = tmp_path / "circle.json"
         circle.write_text(json.dumps(data))
         return ["check", str(circle)]
     row = tmp_path / "row.json"
-    row.write_text(json.dumps({"rhs": "1/0", "columns": []}))
+    row.write_text(json.dumps({"rhs": text, "columns": []}))
     return ["cutgen", "--row", str(row), "--function", str(finite)]
 
 
 @pytest.mark.parametrize("case", ["finite", "circle", "cutgen", "riemann"])
 def test_zero_denominator_exits_3(capsys, tmp_path, case):
-    code, out, err = run(capsys, *_zero_denominator_argv(tmp_path, case))
+    code, out, err = run(capsys, *_bad_value_argv(tmp_path, case, "1/0"))
     assert code == 3 and out == ""
     assert "zero denominator in '1/0'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["finite", "circle", "cutgen", "riemann"])
+def test_exponent_notation_exits_3_before_parsing(capsys, monkeypatch, tmp_path, case):
+    # Fraction("1e-3000000") would build 10^3000000 for minutes, unbounded by
+    # the digit limit: a string with an exponent must not reach the parser
+    new = F.__new__
+
+    def spy(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str) and "e" in numerator.lower():
+            raise AssertionError(f"Fraction parsed {numerator!r}")
+        return new(cls, numerator, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", spy)
+    code, out, err = run(capsys, *_bad_value_argv(tmp_path, case, "1e-3000000"))
+    assert code == 3 and out == ""
+    assert "exponent notation in '1e-3000000'" in err
 
 
 class TestUsage:

@@ -1,5 +1,5 @@
 """Numeric helpers: exact coercion, the JSON field reader, big-integer logs,
-integer roots."""
+integer roots, and the packed-field layout of the big-int scans."""
 
 import math
 import re
@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupcut import as_fraction, ln_fraction, nth_root_float
-from groupcut.rationals import iroot, json_field, strict_int
+from groupcut.rationals import PackedFields, iroot, json_field, strict_int
 
 
 class TestAsFraction:
@@ -31,6 +31,12 @@ class TestAsFraction:
     def test_zero_denominator_is_a_value_error_naming_the_value(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             as_fraction("1/0")
+
+    @pytest.mark.parametrize("text", ["1e5", "1E-5"])
+    def test_refuses_exponent_notation(self, text):
+        # Fraction("1e-N") builds 10^N without the int-to-string digit limit
+        with pytest.raises(ValueError, match="exponent notation"):
+            as_fraction(text)
 
 
 class TestStrictInt:
@@ -137,3 +143,32 @@ class TestNthRootFloat:
         got = nth_root_float(x, p)
         want = float(x) ** (1.0 / p)
         assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_packed_fields_at_their_boundaries():
+    # the fewest whole bytes with 2^(width-1) > bound
+    assert PackedFields(3, 0).width == 8
+    for k in (1, 2, 3, 17):  # 2^135 is near 10^40
+        top = 1 << (8 * k - 1)
+        assert PackedFields(3, top - 1).width == 8 * k
+        assert PackedFields(3, top).width == 8 * (k + 1)
+    assert PackedFields(1, 10**40).width == 136 and (10**40).bit_length() == 133
+
+    empty = PackedFields(0, 5)
+    assert (empty.ones, empty.tops, empty.mask) == (0, 0, 0)
+    assert empty.pack([]) == 0 and empty.low_bytes(0) == b""
+    one = PackedFields(1, 5)
+    assert (one.ones, one.half, one.tops, one.mask) == (1, 128, 128, 255)
+
+    # biased fields of negative values unpack to the values
+    values = [-300, 0, 299, -1, 300]
+    fields = PackedFields(len(values), 300)
+    assert (fields.width, fields.half) == (16, 1 << 15)
+    packed = fields.pack(values, 300)
+    field = (1 << fields.width) - 1
+    assert [(packed >> i * fields.width & field) - 300 for i in range(5)] == values
+    assert fields.mask == sum(field << i * fields.width for i in range(5))
+    assert fields.tops == fields.half * fields.ones
+    # one byte per field, the low one
+    packed = fields.pack([1, 0, 258, 255, 0x1234])
+    assert fields.low_bytes(packed) == bytes([1, 0, 2, 255, 0x34])

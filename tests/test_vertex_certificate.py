@@ -60,7 +60,8 @@ def unpacked(width, packed, count):
 
 
 def check_against_direct(rows, points):
-    width, packed = _packed_slacks(rows, points)
+    fields, packed = _packed_slacks(rows, points)
+    width = fields.width
     expected = direct_slacks(rows, points)
     assert width % 8 == 0 and len(packed) == len(rows)
     assert all(row >= 0 for row in packed)
@@ -133,7 +134,7 @@ def test_slacks_at_the_width_bound(bound):
     rows = [((1,), 0)]
     points = [((bound,), 1), ((0,), bound), ((-bound,), bound), ((-bound,), 1)]
     assert check_against_direct(rows, points) == [[bound], [0], [-bound], [-bound]]
-    width, _packed = _packed_slacks(rows, points)
+    width = _packed_slacks(rows, points)[0].width
     assert 1 << (width - 1) > bound
     rows = [((1,), -1)]
     points = [((bound,), bound), ((-bound,), bound), ((0,), 1), ((-bound,), -bound)]
