@@ -281,9 +281,12 @@ def _parse_h(spec_text: str) -> PwlTorusFunction:
 
 def _cmd_experiment(args) -> int:
     if args.kind == "riemann":
+        if args.primes is not None:
+            raise ValueError("--primes applies to experiment stirling only")
         if args.q is None:
             raise ValueError("riemann needs --q")
-        result = riemann_experiment(_parse_h(args.h), args.q)
+        h = "identity" if args.h is None else args.h
+        result = riemann_experiment(_parse_h(h), args.q)
         _emit(
             {
                 "q": result.q,
@@ -296,6 +299,8 @@ def _cmd_experiment(args) -> int:
             args,
         )
         return 0
+    if args.q is not None or args.h is not None:
+        raise ValueError("--q and --h apply to experiment riemann only")
     rows = [
         {
             "q": row.q,
@@ -396,8 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=strict_int, default=None, help="group order (riemann)")
     p.add_argument(
         "--h",
-        default="identity",
-        help="profile to discretize: identity, gmi:<b>, or file:<path>",
+        default=None,
+        help="profile to discretize (riemann): identity (the default), "
+        "gmi:<b>, or file:<path>",
     )
     p.add_argument("--primes", type=strict_int, nargs="+", default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,9 +58,6 @@ class CriterionReport:
             "log_geo_mean": repr(self.log_geo_mean),
             "provenance": dict(self.provenance),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def lp_norm(pi: FiniteGroupFunction, p: int) -> LpScore:

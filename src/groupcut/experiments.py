@@ -212,7 +212,7 @@ def riemann_experiment(h: PwlTorusFunction, q: int) -> RiemannResult:
     if q > MAX_SCAN_ORDER:
         raise DimensionCap.order(q, "riemann", MAX_SCAN_ORDER)
     if not is_prime(q):
-        raise NotPrime(f"{q} is not prime")
+        raise NotPrime(f"q={q} is not prime")
     if h.mode != MODE_WRAP:
         raise NotInClassG("expected wraparound symmetry (mode 'wrap')")
     if not is_nondecreasing(h):
@@ -262,7 +262,7 @@ def stirling_table(primes: Sequence[int]) -> tuple[StirlingRow, ...]:
         raise DimensionCap.order(qs[-1], "stirling", MAX_SCAN_ORDER)
     for q in qs:
         if not is_prime(q):
-            raise NotPrime(f"{q} is not prime")
+            raise NotPrime(f"q={q} is not prime")
     rows = []
     for q in qs:
         ratio = expected_min_product(q)

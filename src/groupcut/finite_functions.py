@@ -253,7 +253,7 @@ def compose(pi: FiniteGroupFunction, u: int) -> FiniteGroupFunction:
     group = pi.group
     q = group.q
     if not is_prime(q):
-        raise NotPrime(f"q={q} is composite")
+        raise NotPrime(f"q={q} is not prime")
     new_b = group.element(pi.b_residue * mod_inverse(u, q))
     nums = pi.numerators
     values = [nums[u * x % q] for x in range(q)]
@@ -269,7 +269,7 @@ def rearrange_finite(pi: FiniteGroupFunction) -> FiniteGroupFunction:
     """
     q = pi.q
     if not is_prime(q):
-        raise NotPrime(f"q={q} is composite")
+        raise NotPrime(f"q={q} is not prime")
     nums, den = pi.numerators, pi.denominator
     if not any(nums):
         raise IdenticallyZero("cannot rearrange the zero function")

@@ -76,7 +76,7 @@ def automorphism_sending(b: GroupElement, target: GroupElement) -> int:
         raise ValueError("b and target live in different groups")
     group = b.group
     if not is_prime(group.q):
-        raise NotPrime(f"q={group.q} is composite; automorphism need not exist")
+        raise NotPrime(f"q={group.q} is not prime")
     if b.residue == 0 or target.residue == 0:
         raise ZeroElement("no automorphism moves 0 anywhere but 0")
     return target.residue * mod_inverse(b.residue, group.q) % group.q

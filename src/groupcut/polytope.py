@@ -73,13 +73,6 @@ class MinimalFunctionPolytope:
     def dimension(self) -> int:
         return len(self.free)
 
-    def value_vector(self, z: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Full value vector for a point of the reduced coordinate space."""
-        return tuple(
-            Fraction(const2, 2) + sign * z[j] if sign else Fraction(const2, 2)
-            for const2, j, sign in self.terms
-        )
-
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -440,12 +433,12 @@ def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
 
 
 def _admit_order(q: int) -> None:
-    """Refuse an order above MAX_ORDER, an O(1) test, and then a composite
-    one, whose trial division grows with the square root of q."""
+    """Refuse an order above MAX_ORDER, an O(1) test, and then one that is not
+    prime, whose trial division grows with the square root of q."""
     if q > MAX_ORDER:
         raise DimensionCap.order(q, "enumeration", MAX_ORDER)
     if not is_prime(q):
-        raise NotPrime(f"q={q} is composite")
+        raise NotPrime(f"q={q} is not prime")
 
 
 def minimize_volume(q: int, b: int) -> MinimizeResult:
@@ -484,7 +477,7 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
     """
     q = pi.q
     if not is_prime(q):
-        raise NotPrime(f"q={q} is composite")
+        raise NotPrime(f"q={q} is not prime")
     if pi.b_residue != q - 1:
         raise NotMinimal(f"decomposition expects rhs q-1={q - 1}, got {pi.b_residue}")
     nums, den = pi.numerators, pi.denominator

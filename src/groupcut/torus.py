@@ -116,54 +116,43 @@ class PwlTorusFunction:
         object.__setattr__(self, "pieces", tuple(pieces[i] for i in keep))
         object.__setattr__(self, "point_values", tuple(pvs[i] for i in keep))
 
-    def _piece_index(self, x: Fraction) -> int:
-        return bisect.bisect_right(self.breakpoints, x) - 1
-
     def piece_domain(self, i: int) -> tuple[Fraction, Fraction]:
         hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else Fraction(1)
         return self.breakpoints[i], hi
 
     def value_at(self, x) -> Fraction:
-        x = as_fraction(x) % 1
-        i = self._piece_index(x)
-        if self.breakpoints[i] == x:
-            return self.point_values[i]
-        s, t = self.pieces[i]
-        return s * x + t
-
-    def right_limit_at(self, x) -> Fraction:
-        x = as_fraction(x) % 1
-        s, t = self.pieces[self._piece_index(x)]
-        return s * x + t
+        return self._limits_at(x)[1]
 
     def left_limit_at(self, x) -> Fraction:
+        return self._limits_at(x)[0]
+
+    def right_limit_at(self, x) -> Fraction:
+        return self._limits_at(x)[2]
+
+    def _limits_at(self, x) -> tuple[Fraction, Fraction, Fraction]:
+        """(left limit, value, right limit) at x mod 1: the `limits()` entry
+        on a breakpoint, and the value of the piece three times off one."""
         x = as_fraction(x) % 1
-        if x == 0:
-            s, t = self.pieces[-1]
-            return s + t  # limit of the last piece at 1
-        i = self._piece_index(x)
+        i = bisect.bisect_right(self.breakpoints, x) - 1
         if self.breakpoints[i] == x:
-            i -= 1
+            return self.limits()[i]
         s, t = self.pieces[i]
-        return s * x + t
+        value = s * x + t
+        return value, value, value
 
     def limits(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        """(left limit, value, right limit) at each breakpoint, by piece index:
-        the left limit at x_i is piece i-1 at x_i (the last piece at 1 when
-        i = 0), the right limit is piece i at x_i."""
+        """(left limit, value, right limit) at each breakpoint, by piece index,
+        from one `_walk_pieces` at the breakpoints."""
         return self._limit_table
 
     # built on first use and kept outside the dataclass fields, so ==, hash
     # and repr do not see it
     @functools.cached_property
     def _limit_table(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        table = []
-        for i, (x, value) in enumerate(zip(self.breakpoints, self.point_values)):
-            s_left, t_left = self.pieces[i - 1]
-            s, t = self.pieces[i]
-            left = s_left * x + t_left if i else s_left + t_left
-            table.append((left, value, s * x + t))
-        return tuple(table)
+        dx = math.lcm(*(x.denominator for x in self.breakpoints))
+        xs = [x.numerator * (dx // x.denominator) for x in self.breakpoints]
+        scaled, w = _walk_pieces(self, dx, xs)
+        return tuple(tuple(Fraction(v, w) for v in t) for t in scaled.values())
 
     def to_dict(self) -> dict:
         return {
@@ -198,7 +187,8 @@ class PwlTorusFunction:
         # canonical form may have dropped
         for x, entry in zip(breakpoints, limits):
             stored = (as_fraction(entry["left"]), as_fraction(entry["right"]))
-            if stored != (fn.left_limit_at(x), fn.right_limit_at(x)):
+            left, _value, right = fn._limits_at(x)
+            if stored != (left, right):
                 raise ValueError("stored one-sided limits disagree with pieces")
         return fn
 
@@ -454,8 +444,8 @@ def _walk_pieces(
     denominator w piece i is the integer affine map slopes[i] * p + offsets[i].
     Off a breakpoint all three entries are the value of the piece there; on
     breakpoint i they are piece i-1 (the last piece at d when i = 0), the
-    point value and piece i, as in `limits()`.  So one walk along the pieces
-    gives every entry as an integer.
+    point value and piece i.  So one walk along the pieces gives every entry
+    as an integer; the walk at the breakpoints is `limits()`.
     """
     xs = [x.numerator * (d // x.denominator) for x in fn.breakpoints]
     w = math.lcm(
@@ -533,8 +523,9 @@ def is_minimal_pwl(fn: PwlTorusFunction) -> MinimalityVerdict:
             if v < 0:
                 violations.append(Violation("negativity", (i,), -v))
                 break
-    if fn.value_at(0) != 0:
-        violations.append(Violation("origin", (0,), abs(fn.value_at(0))))
+    origin = fn.limits()[0][1]
+    if origin != 0:
+        violations.append(Violation("origin", (0,), abs(origin)))
     if not _screen_is_clean(fn):
         _best, _witness, sub_violations = _subadditivity_scan(fn)
         for (x0, y0), amount in sub_violations:

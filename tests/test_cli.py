@@ -274,7 +274,7 @@ class TestOptimize:
         monkeypatch.setattr(polytope, "build_polytope", refuse)
         code, out, err = run(capsys, "optimize", "--primes", "5", "9")
         assert code == 3 and out == ""
-        assert "q=9 is composite" in err
+        assert "q=9 is not prime" in err
 
     def test_huge_order_refused_by_the_cap_before_the_primality_test(
         self, capsys, monkeypatch
@@ -637,8 +637,23 @@ class TestExperiment:
         assert "--q" in err
 
     def test_riemann_composite_exits_3(self, capsys):
-        code, _out, _err = run(capsys, "experiment", "riemann", "--q", "9")
-        assert code == 3
+        code, out, err = run(capsys, "experiment", "riemann", "--q", "9")
+        assert (code, out) == (3, "")
+        assert "q=9 is not prime" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["riemann", "--q", "11", "--primes", "5", "7"], "--primes"),
+            (["stirling", "--primes", "5", "--q", "7"], "--q"),
+            (["stirling", "--primes", "5", "--h", "identity"], "--h"),
+            (["stirling", "--primes", "5", "--q", "7", "--h", "bogus"], "--q"),
+        ],
+    )
+    def test_the_other_kinds_flags_exit_3(self, capsys, argv, flag):
+        code, out, err = run(capsys, "experiment", *argv)
+        assert (code, out) == (3, "")
+        assert flag in err and "only" in err
 
     def test_stirling_table(self, capsys):
         code, out, _err = run(capsys, "experiment", "stirling", "--primes", "3", "11")
@@ -801,10 +816,11 @@ class TestScanOrderCap:
 
 class TestBreakpointCap:
     """A circle function file above MAX_BREAKPOINTS is refused before the
-    grid screen or the corner scan walks it."""
+    grid screen, the corner scan or the symmetry scan runs.  Loading the
+    file walks it once, at its breakpoints, to check its stored limits."""
 
     @pytest.mark.parametrize("argv", [["check"], ["rearrange", "--tilde"]])
-    def test_breakpoints_above_the_cap_exit_3_before_any_walk(
+    def test_breakpoints_above_the_cap_exit_3_before_any_scan(
         self, capsys, monkeypatch, tmp_path, argv
     ):
         n = torus.MAX_BREAKPOINTS + 1
@@ -818,9 +834,10 @@ class TestBreakpointCap:
         path.write_text(fn.to_json())
 
         def refuse(*args):
-            raise AssertionError("the function was walked")
+            raise AssertionError("the function was scanned")
 
-        monkeypatch.setattr(torus, "_walk_pieces", refuse)
+        for scan in ("_screen_is_clean", "_subadditivity_scan", "_symmetry_scan"):
+            monkeypatch.setattr(torus, scan, refuse)
         code, out, err = run(capsys, *argv, str(path))
         assert code == 3 and out == ""
         assert f"error: {n} breakpoints exceed the corner-scan cap 300\n" == err

@@ -296,7 +296,7 @@ class TestOptimizeAndReport:
             assert row.unique is True
 
     def test_composite_order_refused(self):
-        with pytest.raises(NotPrime, match="q=9 is composite"):
+        with pytest.raises(NotPrime, match="q=9 is not prime"):
             optimize_and_report(ExperimentConfig(prime_list=(5, 9)))
 
     def test_cap_refuses_before_the_primality_test(self, monkeypatch):

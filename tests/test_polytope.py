@@ -54,13 +54,22 @@ def solve_square(rows, rhs):
     return [aug[r][d] for r in range(d)]
 
 
+def value_vector(poly, z):
+    """Full value vector of a point z of the reduced coordinate space: per
+    residue, half its doubled constant plus sign times its free coordinate."""
+    return tuple(
+        F(const2, 2) + sign * z[j] if sign else F(const2, 2)
+        for const2, j, sign in poly.terms
+    )
+
+
 def brute_force_vertices(q, b):
     """All basic feasible solutions of the reduced system, by exhaustion."""
     poly = build_polytope(q, b)
     d = poly.dimension
     rows = list(poly.box_rows) + list(poly.other_rows)
     if d == 0:
-        return {poly.value_vector(())}
+        return {value_vector(poly, ())}
     found = set()
     for subset in itertools.combinations(rows, d):
         z = solve_square([r[0] for r in subset], [r[1] for r in subset])
@@ -69,7 +78,7 @@ def brute_force_vertices(q, b):
         if all(
             sum(c * zj for c, zj in zip(coeffs, z)) >= rhs for coeffs, rhs in rows
         ):
-            found.add(poly.value_vector(z))
+            found.add(value_vector(poly, z))
     return found
 
 
@@ -95,7 +104,7 @@ class TestBuildPolytope:
                     sum(c * zj for c, zj in zip(coeffs, z)) >= rhs
                     for coeffs, rhs in rows
                 )
-                values = poly.value_vector(z)
+                values = value_vector(poly, z)
                 minimal = min(values) >= 0 and is_minimal(
                     FiniteGroupFunction.from_values(q, b, values), early_exit=True
                 ).is_minimal
@@ -170,7 +179,7 @@ class TestEnumerateVertices:
             return enumerate_reduced(rows, d) + [(((0, 0), 1), 0b101)]
 
         poly = build_polytope(7, 6)
-        values = poly.value_vector((F(0), F(0)))
+        values = value_vector(poly, (F(0), F(0)))
         assert values == (0, 0, 0, F(1, 2), 1, 1, 1)
         assert not is_minimal(FiniteGroupFunction.from_values(7, 6, values)).is_minimal
         monkeypatch.setattr(polytope, "_enumerate_reduced", with_origin)

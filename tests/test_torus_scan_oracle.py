@@ -18,10 +18,16 @@ no violation, and the verdict must be the scan-only one.
 measures, as the profile was built before.  With both oracles patched in,
 `rearrange_torus`, `tilde_fn` and `layer_cake_check` must return what they
 return on the new code, failures included.
+
+The oracles read `value_at`, `left_limit_at` and `right_limit_at`, which on
+a breakpoint read the `limits()` table that one walk along the pieces
+builds; `direct_limits` checks all four against their definition from the
+pieces in `Fraction`s.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import random
@@ -318,6 +324,61 @@ def test_limits_table_matches_one_sided_limits():
         assert is_nondecreasing(fn) is expected
         monotone[expected] += 1
     assert monotone[True] > 0 and monotone[False] > 0
+
+
+# `limits()` is one `_walk_pieces` at the breakpoints, and `value_at`,
+# `left_limit_at` and `right_limit_at` read its entry on a breakpoint and the
+# piece off one.  Their oracle is the definition from the pieces in Fractions.
+
+
+def direct_limits(fn, x):
+    """(left limit, value, right limit) of fn at x in [0, 1): on breakpoint
+    i, piece i-1 at x (the last piece at 1 when i = 0), the point value and
+    piece i at x; off the breakpoints, the value of the piece three times."""
+    i = bisect.bisect_right(fn.breakpoints, x) - 1
+    s, t = fn.pieces[i]
+    right = s * x + t
+    if fn.breakpoints[i] != x:
+        return right, right, right
+    s_left, t_left = fn.pieces[i - 1]
+    left = s_left * x + t_left if i else s_left + t_left
+    return left, fn.point_values[i], right
+
+
+def with_a_dropped_breakpoint(fn):
+    """fn with a breakpoint added a third of the way into its first piece,
+    where that piece continues unchanged, so that the canonical form drops
+    it; and that point."""
+    (s, t), (u, v) = fn.pieces[0], fn.piece_domain(0)
+    x = u + (v - u) / 3
+    padded = PwlTorusFunction(
+        fn.breakpoints[:1] + (x,) + fn.breakpoints[1:],
+        fn.pieces[:1] + fn.pieces,
+        fn.point_values[:1] + (s * x + t,) + fn.point_values[1:],
+        b=fn.b,
+        mode=fn.mode,
+    )
+    return padded, x
+
+
+def test_one_sided_limits_match_the_direct_definition():
+    seen = Counter()
+    for fn in CORPUS:
+        assert fn.limits() == tuple(direct_limits(fn, x) for x in fn.breakpoints)
+        padded, dropped = with_a_dropped_breakpoint(fn)
+        assert padded == fn and padded.limits() == fn.limits()
+        middles = [sum(fn.piece_domain(i)) / 2 for i in range(len(fn.pieces))]
+        for x in (*fn.breakpoints, *middles, dropped):
+            expected = direct_limits(fn, x)
+            for g, at in ((fn, x), (fn, x - 1), (padded, x)):
+                got = (g.left_limit_at(at), g.value_at(at), g.right_limit_at(at))
+                assert got == expected and all(type(v) is F for v in got)
+        seen[fn.mode] += 1
+        seen["negative"] += min(map(min, fn.limits())) < 0
+        seen["origin jump"] += fn.limits()[0][0] != fn.limits()[0][2]
+        seen["mixed"] += len({x.denominator for x in fn.breakpoints[1:]}) > 1
+    kinds = (MODE_RHS, MODE_WRAP, "negative", "origin jump", "mixed")
+    assert all(seen[kind] for kind in kinds), seen
 
 
 # `is_minimal_pwl` screens subadditivity on the packed grid p/dx and runs the
