@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import gc
 import json
 import math
@@ -206,7 +207,7 @@ def _cmd_rearrange(args) -> int:
 def _cmd_optimize(args) -> int:
     report = optimize_and_report(
         ExperimentConfig(
-            prime_list=tuple(args.primes or ()),
+            prime_list=tuple(args.primes),
             b_policy=args.b_policy,
             fixed_b=args.fixed_b,
         )
@@ -279,28 +280,23 @@ def _parse_h(spec_text: str) -> PwlTorusFunction:
     )
 
 
-def _cmd_experiment(args) -> int:
-    if args.kind == "riemann":
-        if args.primes is not None:
-            raise ValueError("--primes applies to experiment stirling only")
-        if args.q is None:
-            raise ValueError("riemann needs --q")
-        h = "identity" if args.h is None else args.h
-        result = riemann_experiment(_parse_h(h), args.q)
-        _emit(
-            {
-                "q": result.q,
-                "discrete_mean": result.discrete_mean,
-                "lower_bound": result.lower_bound,
-                "integral": result.integral,
-                "product": str(result.product),
-                "product_bound": str(result.product_bound),
-            },
-            args,
-        )
-        return 0
-    if args.q is not None or args.h is not None:
-        raise ValueError("--q and --h apply to experiment riemann only")
+def _cmd_riemann(args) -> int:
+    result = riemann_experiment(_parse_h(args.h), args.q)
+    _emit(
+        {
+            "q": result.q,
+            "discrete_mean": result.discrete_mean,
+            "lower_bound": result.lower_bound,
+            "integral": result.integral,
+            "product": str(result.product),
+            "product_bound": str(result.product_bound),
+        },
+        args,
+    )
+    return 0
+
+
+def _cmd_stirling(args) -> int:
     rows = [
         {
             "q": row.q,
@@ -308,7 +304,7 @@ def _cmd_experiment(args) -> int:
             "log_mean": row.log_mean,
             "gap_to_minus_one": row.gap_to_minus_one,
         }
-        for row in stirling_table(args.primes or [])
+        for row in stirling_table(args.primes)
     ]
     _emit({"rows": rows}, args)
     return 0
@@ -339,7 +335,10 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at first use: a parse reads the
+    tree without changing it, so every main call can share it."""
     parser = _Parser(
         prog="groupcut",
         description="Exact construction, certification, rearrangement and "
@@ -370,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "optimize", help="minimize the value product over all vertices per (q, b)"
     )
-    p.add_argument("--primes", type=strict_int, nargs="+", default=None)
+    p.add_argument("--primes", type=strict_int, nargs="+", required=True)
     p.add_argument("--b-policy", choices=_B_POLICIES, default="canonical")
     p.add_argument("--fixed-b", type=strict_int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -397,17 +396,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("experiment", help="limit experiments: riemann, stirling")
-    p.add_argument("kind", choices=("riemann", "stirling"))
-    p.add_argument("--q", type=strict_int, default=None, help="group order (riemann)")
-    p.add_argument(
-        "--h",
-        default=None,
-        help="profile to discretize (riemann): identity (the default), "
-        "gmi:<b>, or file:<path>",
+    kinds = p.add_subparsers(dest="kind", required=True)
+    # a kind's flags are spelled in full: stirling would read riemann's --h
+    # as an abbreviation of --help
+    k = kinds.add_parser(
+        "riemann", help="sample a circle profile on Z/qZ", allow_abbrev=False
     )
-    p.add_argument("--primes", type=strict_int, nargs="+", default=None)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_experiment)
+    k.add_argument("--q", type=strict_int, required=True, help="group order")
+    k.add_argument(
+        "--h",
+        default="identity",
+        help="profile to discretize: identity (the default), gmi:<b>, "
+        "or file:<path>",
+    )
+    k.add_argument("--format", choices=("json", "text"), default="json")
+    k.set_defaults(func=_cmd_riemann)
+    k = kinds.add_parser(
+        "stirling", help="exact floor ratios over prime orders", allow_abbrev=False
+    )
+    k.add_argument("--primes", type=strict_int, nargs="+", required=True)
+    k.add_argument("--format", choices=("json", "text"), default="json")
+    k.set_defaults(func=_cmd_stirling)
 
     p = sub.add_parser("cutgen", help="evaluate a function on a tableau row")
     p.add_argument("--row", required=True, help="tableau row JSON file, or -")
@@ -427,8 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     global _input_digits
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     with _int_digits(0) as caller_digits, _collector_paused():
         _input_digits = caller_digits
         try:

