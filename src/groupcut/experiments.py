@@ -17,7 +17,6 @@ from .errors import (
     DimensionCap,
     GridMismatch,
     NotInClassG,
-    NotPrime,
     OutOfRange,
     RhsMismatch,
     ValidationFailure,
@@ -31,7 +30,7 @@ from .finite_functions import (
     is_minimal,
     rearrange_finite,
 )
-from .group_core import is_prime, mod_inverse
+from .group_core import mod_inverse, require_prime
 from .polytope import _admit_order, minimize_volume
 from .rationals import as_fraction, json_field, ln_fraction
 from .torus import (
@@ -211,8 +210,7 @@ def riemann_experiment(h: PwlTorusFunction, q: int) -> RiemannResult:
     """
     if q > MAX_SCAN_ORDER:
         raise DimensionCap.order(q, "riemann", MAX_SCAN_ORDER)
-    if not is_prime(q):
-        raise NotPrime(f"q={q} is not prime")
+    require_prime(q)
     if h.mode != MODE_WRAP:
         raise NotInClassG("expected wraparound symmetry (mode 'wrap')")
     if not is_nondecreasing(h):
@@ -261,8 +259,7 @@ def stirling_table(primes: Sequence[int]) -> tuple[StirlingRow, ...]:
     if qs and qs[-1] > MAX_SCAN_ORDER:
         raise DimensionCap.order(qs[-1], "stirling", MAX_SCAN_ORDER)
     for q in qs:
-        if not is_prime(q):
-            raise NotPrime(f"q={q} is not prime")
+        require_prime(q)
     rows = []
     for q in qs:
         ratio = expected_min_product(q)

@@ -11,8 +11,8 @@ from itertools import chain, compress, islice, repeat
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DimensionCap, IdenticallyZero, NotPrime, NotSubadditive, ZeroElement
-from .group_core import CyclicGroup, GroupElement, is_prime, mod_inverse
+from .errors import DimensionCap, IdenticallyZero, NotSubadditive, ZeroElement
+from .group_core import CyclicGroup, GroupElement, mod_inverse, require_prime
 from .rationals import PackedFields, as_fraction, json_field
 
 __all__ = [
@@ -252,8 +252,7 @@ def compose(pi: FiniteGroupFunction, u: int) -> FiniteGroupFunction:
     """
     group = pi.group
     q = group.q
-    if not is_prime(q):
-        raise NotPrime(f"q={q} is not prime")
+    require_prime(q)
     new_b = group.element(pi.b_residue * mod_inverse(u, q))
     nums = pi.numerators
     values = [nums[u * x % q] for x in range(q)]
@@ -268,8 +267,7 @@ def rearrange_finite(pi: FiniteGroupFunction) -> FiniteGroupFunction:
     argument that needs q prime) and moves symmetry to the rhs q-1.
     """
     q = pi.q
-    if not is_prime(q):
-        raise NotPrime(f"q={q} is not prime")
+    require_prime(q)
     nums, den = pi.numerators, pi.denominator
     if not any(nums):
         raise IdenticallyZero("cannot rearrange the zero function")

@@ -14,6 +14,7 @@ __all__ = [
     "CyclicGroup",
     "GroupElement",
     "is_prime",
+    "require_prime",
     "mod_inverse",
     "automorphism_sending",
 ]
@@ -31,6 +32,13 @@ def is_prime(q: int) -> bool:
             return False
         f += 2
     return True
+
+
+def require_prime(q: int) -> None:
+    """Raise NotPrime unless q is prime: the one refusal of a composite order
+    by every prime-only entry, each of which tests its caps first."""
+    if not is_prime(q):
+        raise NotPrime(f"q={q} is not prime")
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,7 @@ def automorphism_sending(b: GroupElement, target: GroupElement) -> int:
     if b.group.q != target.group.q:
         raise ValueError("b and target live in different groups")
     group = b.group
-    if not is_prime(group.q):
-        raise NotPrime(f"q={group.q} is not prime")
+    require_prime(group.q)
     if b.residue == 0 or target.residue == 0:
         raise ZeroElement("no automorphism moves 0 anywhere but 0")
     return target.residue * mod_inverse(b.residue, group.q) % group.q

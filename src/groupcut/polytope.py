@@ -16,12 +16,11 @@ from .errors import (
     DimensionCap,
     NotMinimal,
     NotNondecreasing,
-    NotPrime,
     ValidationFailure,
     ZeroElement,
 )
 from .finite_functions import FiniteGroupFunction, _violations
-from .group_core import CyclicGroup, is_prime
+from .group_core import CyclicGroup, require_prime
 from .rationals import PackedFields
 
 __all__ = [
@@ -437,8 +436,7 @@ def _admit_order(q: int) -> None:
     prime, whose trial division grows with the square root of q."""
     if q > MAX_ORDER:
         raise DimensionCap.order(q, "enumeration", MAX_ORDER)
-    if not is_prime(q):
-        raise NotPrime(f"q={q} is not prime")
+    require_prime(q)
 
 
 def minimize_volume(q: int, b: int) -> MinimizeResult:
@@ -476,8 +474,7 @@ def gomory_decomposition(pi: FiniteGroupFunction) -> Decomposition:
     largest admissible value min(gamma*(q-1)/q, min_x pi(x)/x).
     """
     q = pi.q
-    if not is_prime(q):
-        raise NotPrime(f"q={q} is not prime")
+    require_prime(q)
     if pi.b_residue != q - 1:
         raise NotMinimal(f"decomposition expects rhs q-1={q - 1}, got {pi.b_residue}")
     nums, den = pi.numerators, pi.denominator

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable
 
-from .errors import DimensionCap
+from .errors import DimensionCap, OutOfRange
 
 __all__ = ["as_fraction", "ln_fraction", "nth_root_float"]
 
@@ -60,6 +60,17 @@ def strict_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
+
+
+# float() of a rational rounds to nearest, ties to even, so it overflows
+# exactly from 2^1024 - 2^970, half an ulp above the largest float
+FLOAT_HUGE = 2**1024 - 2**970
+
+
+def fits_float(*values: Fraction) -> bool:
+    """float() of every value is finite: each magnitude, so its floor, is
+    below FLOAT_HUGE."""
+    return all(abs(x.numerator) // x.denominator < FLOAT_HUGE for x in values)
 
 
 def ln_fraction(x: Fraction) -> float:
@@ -118,22 +129,26 @@ def nth_root_float(x: Fraction, p: int) -> float:
     """p-th root of a nonnegative rational, within 1 ulp of correctly rounded.
 
     The value is scaled by a power of two so that the integer root carries
-    at least 60 significant bits before the final float conversion.
+    at least 60 significant bits before the final float conversion.  A root
+    that, so scaled, no float can hold raises OutOfRange.
     """
     if x < 0:
         raise ValueError("root of negative rational")
     if x == 0:
         return 0.0
     if p == 1:
-        return float(x)
-    num, den = x.numerator, x.denominator
-    k = 64 + max(0, (den.bit_length() - num.bit_length()) // p + 2)
-    while True:
-        n = (num << (p * k)) // den
-        if n.bit_length() >= 60 * p:
-            break
-        k += 16
-    r = iroot(n, p)
+        r, k = x, 0
+    else:
+        num, den = x.numerator, x.denominator
+        k = 64 + max(0, (den.bit_length() - num.bit_length()) // p + 2)
+        while True:
+            n = (num << (p * k)) // den
+            if n.bit_length() >= 60 * p:
+                break
+            k += 16
+        r = iroot(n, p)
+    if not fits_float(r):
+        raise OutOfRange(f"the root of index {p} is too large for a float")
     return math.ldexp(float(r), -k)
 
 

@@ -29,6 +29,7 @@ from .rationals import (
     PackedFields,
     as_fraction,
     check_exponent,
+    fits_float,
     json_field,
     ln_fraction,
     nth_root_float,
@@ -647,20 +648,19 @@ def _assert_nonnegative(fn: PwlTorusFunction) -> None:
             raise ValueError(f"function is negative near breakpoint {x}")
 
 
-def sublevel_profile(fn: PwlTorusFunction) -> SublevelProfile:
-    """Exact sublevel-measure profile of a nonnegative function, in one sweep
-    over integer levels.
+def _sublevel_sweep(fn: PwlTorusFunction) -> tuple[list[tuple[int, ...]], int, int]:
+    """Exact sublevel measures of a nonnegative function, in one sweep over
+    integer levels: per level A (over w), the measure just below A, the
+    measure at A and the rate just above A (each over den = dx M); and w, den.
 
     The levels are 0 and the end values of every piece, as integers over w
     from `_spans`.  With M the lcm of |end - start| over the sloped pieces, a
     piece of length l (over dx) adds measure in units of 1/(dx M): a sloped
     piece at the integer rate l M / |end - start| per level unit between its
-    two end values, a constant piece l M at once, at its value.  Walking the
-    sorted levels with the running measure m and rate r gives the profile
-    piece (r w, m - r A) / (dx M) at each level A.  At the top level the rate
-    must be back to 0 and m exactly dx M, and at the median level an
-    independent `sublevel_measure` must agree with the sweep; otherwise
-    `ValidationFailure`.
+    two end values, a constant piece l M at once, at its value.  At the top
+    level the rate must be back to 0 and the measure exactly dx M, and at the
+    median level an independent `sublevel_measure` must agree with the sweep;
+    otherwise `ValidationFailure`.
     """
     _assert_nonnegative(fn)
     spans, dx, w = _spans(fn)
@@ -678,85 +678,91 @@ def sublevel_profile(fn: PwlTorusFunction) -> SublevelProfile:
             rate = length * (rise_lcm // (hi - lo))
             rate_change[lo] = rate_change.get(lo, 0) + rate
             rate_change[hi] = rate_change.get(hi, 0) - rate
-    levels = sorted(levels)
     den = dx * rise_lcm
-    sweep: list[tuple[int, int]] = []  # (rate, measure - rate * level)
+    rows: list[tuple[int, ...]] = []  # (level, below, at, rate above)
     measure = rate = previous = 0
-    for level in levels:
-        measure += rate * (level - previous) + jump.get(level, 0)
+    for level in sorted(levels):
+        below = measure + rate * (level - previous)
+        measure = below + jump.get(level, 0)
         rate += rate_change.get(level, 0)
-        sweep.append((rate, measure - rate * level))
+        rows.append((level, below, measure, rate))
         previous = level
-    alphas = tuple(Fraction(level, w) for level in levels)
     if rate != 0 or measure != den:
         raise ValidationFailure(
-            f"sublevel sweep ends at level {alphas[-1]} with rate "
+            f"sublevel sweep ends at level {Fraction(previous, w)} with rate "
             f"{Fraction(rate * w, den)} and measure {Fraction(measure, den)}, "
             "not 0 and 1"
         )
-    # the top level starts no piece: the measure stays 1 beyond
-    profile = SublevelProfile(
-        alphas=alphas,
-        pieces=tuple((Fraction(r * w, den), Fraction(t, den)) for r, t in sweep[:-1]),
-    )
     # at the top level every piece lies below, so a direct measure there
     # repeats the end check; the median level tests the sweep in between
-    level = alphas[len(alphas) // 2]
-    swept, direct = profile.measure_at(level), sublevel_measure(fn, level)
+    level, _below, at, _rate = rows[len(rows) // 2]
+    alpha, swept = Fraction(level, w), Fraction(at, den)
+    direct = sublevel_measure(fn, alpha)
     if direct != swept:
         raise ValidationFailure(
-            f"sublevel sweep reaches measure {swept} at level {level}, but "
+            f"sublevel sweep reaches measure {swept} at level {alpha}, but "
             f"the measure there is {direct}"
         )
-    return profile
+    return rows, w, den
+
+
+def sublevel_profile(fn: PwlTorusFunction) -> SublevelProfile:
+    """Exact sublevel-measure profile of a nonnegative function: the rows of
+    `_sublevel_sweep` as `Fraction`s.  Level A, with measure m at A and rate
+    r above it, starts the piece (r w, m - r A) / den; the top level starts
+    none, as the measure stays 1 beyond."""
+    rows, w, den = _sublevel_sweep(fn)
+    return SublevelProfile(
+        alphas=tuple(Fraction(level, w) for level, *_measures in rows),
+        pieces=tuple(
+            (Fraction(rate * w, den), Fraction(at - rate * level, den))
+            for level, _below, at, rate in rows[:-1]
+        ),
+    )
+
+
+def _rearranged(fn: PwlTorusFunction) -> list[tuple]:
+    """Per breakpoint of the nondecreasing rearrangement, the generalized
+    inverse of the sublevel profile: its x, its piece, and its left and right
+    limits, read off the rows of one `_sublevel_sweep`.
+
+    A jump of the measure at level A becomes the constant A, a rate r above
+    A the piece of slope den / (w r) that starts at A and rises to the next
+    level, and a plateau a jump.  So a breakpoint's right limit is the level
+    its piece starts at, and its left limit the level the piece before ends
+    at.  A measure below one already reached raises `ValidationFailure`.
+    """
+    rows, w, den = _sublevel_sweep(fn)
+
+    def start(x: int, slope: Fraction, level: int, top: int) -> tuple:
+        x, alpha = Fraction(x, den), Fraction(level, w)
+        return x, (slope, alpha - slope * x), Fraction(top, w), alpha
+
+    starts = []
+    reached = top = rising = 0  # measure reached, level there, rate before
+    for level, below, at, rate in rows:
+        if rising > 0:  # the piece rising from the level before ends here
+            reached, top = below, level
+        if min(below, at) < reached:
+            raise ValidationFailure(
+                f"sublevel profile decreases at level {Fraction(level, w)}: "
+                f"{Fraction(min(below, at), den)} < {Fraction(reached, den)}"
+            )
+        if at > reached:
+            starts.append(start(reached, Fraction(0), level, top))
+            reached, top = at, level
+        if rate > 0:
+            starts.append(start(at, Fraction(den, w * rate), level, top))
+        rising = rate
+    return starts
 
 
 def rearrange_torus(fn: PwlTorusFunction) -> PwlTorusFunction:
     """Nondecreasing equimeasurable rearrangement: the generalized inverse of
     the sublevel profile.  Left continuous away from 0; value 0 at the origin.
     """
-    profile = sublevel_profile(fn)
-    # sweep the profile in alpha, emitting a segment of the inverse whenever
-    # the measure advances: affine stretches invert to affine pieces, jumps
-    # invert to constants, plateaus invert to jumps (no segment)
-    segments: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
-    x_cur = profile.measure_at(0)
-    if x_cur > 0:
-        segments.append((Fraction(0), x_cur, Fraction(0), Fraction(0)))
-    bounds = list(zip(profile.alphas, profile.alphas[1:]))
-    for (a_lo, a_hi), (s, t) in zip(bounds, profile.pieces):
-        left_val = s * a_lo + t
-        if left_val < x_cur:
-            raise ValidationFailure(
-                f"sublevel profile decreases at level {a_lo}: {left_val} < {x_cur}"
-            )
-        if left_val > x_cur:
-            segments.append((x_cur, left_val, a_lo, Fraction(0)))
-            x_cur = left_val
-        if s > 0:
-            right_lim = s * a_hi + t
-            segments.append((x_cur, right_lim, a_lo, 1 / s))
-            x_cur = right_lim
-    if x_cur < 1:
-        segments.append((x_cur, Fraction(1), profile.alpha_max, Fraction(0)))
-
-    breakpoints: list[Fraction] = []
-    pieces: list[Piece] = []
-    point_values: list[Fraction] = []
-    for x0, _x1, alpha0, slope in segments:
-        breakpoints.append(x0)
-        pieces.append((slope, alpha0 - slope * x0))
-        if not point_values:
-            point_values.append(Fraction(0))
-        else:
-            prev_s, prev_t = pieces[-2]
-            point_values.append(prev_s * x0 + prev_t)  # left continuity
-    return PwlTorusFunction(
-        breakpoints=tuple(breakpoints),
-        pieces=tuple(pieces),
-        point_values=tuple(point_values),
-        mode=MODE_WRAP,
-    )
+    breakpoints, pieces, lefts, _rights = zip(*_rearranged(fn))
+    return PwlTorusFunction(breakpoints, pieces, (0, *lefts[1:]), mode=MODE_WRAP)
 
 
 def tilde_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
@@ -769,14 +775,9 @@ def tilde_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
     verdict = is_minimal_pwl(fn)
     if not verdict.is_minimal:
         raise NotMinimal(f"not minimal: {verdict.violations[0]}")
-    h = rearrange_torus(fn)
-    point_values = [Fraction(0)] + [(v + r) / 2 for _l, v, r in h.limits()[1:]]
-    return PwlTorusFunction(
-        breakpoints=h.breakpoints,
-        pieces=h.pieces,
-        point_values=tuple(point_values),
-        mode=MODE_WRAP,
-    )
+    breakpoints, pieces, lefts, rights = zip(*_rearranged(fn))
+    averages = [(left + right) / 2 for left, right in zip(lefts[1:], rights[1:])]
+    return PwlTorusFunction(breakpoints, pieces, (0, *averages), mode=MODE_WRAP)
 
 
 def _ln_antiderivative_term(w: Fraction) -> float:
@@ -786,10 +787,26 @@ def _ln_antiderivative_term(w: Fraction) -> float:
     return float(w) * (ln_fraction(w) - 1.0)
 
 
+def _log_mean_excess(r: Fraction) -> float:
+    """-r ln r / (1 - r) for r in [0, 1), continued by its limits: 0 at r = 0,
+    and 1 where 1 - r is below the least float."""
+    if r == 0:
+        return 0.0
+    gap = float(1 - r)
+    if gap == 0.0:
+        return 1.0
+    return -float(r) * ln_fraction(r) / gap
+
+
 def integral_ln(fn: PwlTorusFunction) -> float:
     """Closed-form integral of ln(pi) over [0, 1); -inf if pi vanishes on a set
     of positive measure.  Endpoint zeros integrate properly (t ln t -> 0).
-    Each piece's end values are read from `limits()`."""
+    Each piece's end values are read from `limits()`.
+
+    A sloped piece from S to E integrates to (T(E) - T(S)) / slope, with
+    T(w) = w (ln w - 1).  Where no float holds the slope or an end value, it
+    integrates from its width l and end values m < M instead, as
+    l (ln M - 1 + g(m / M)) with g(r) = -r ln r / (1 - r)."""
     _assert_nonnegative(fn)
     limits = fn.limits()
     total = 0.0
@@ -800,10 +817,15 @@ def integral_ln(fn: PwlTorusFunction) -> float:
                 return float("-inf")
             u, v = fn.piece_domain(i)
             total += float(v - u) * ln_fraction(t)
-        else:
+        elif fits_float(s, start, end) and float(s):
             total += (
                 _ln_antiderivative_term(end) - _ln_antiderivative_term(start)
             ) / float(s)
+        else:  # float(s) overflows or is 0.0, or T(end) or T(start) overflows
+            u, v = fn.piece_domain(i)
+            low, high = sorted((start, end))
+            mean = ln_fraction(high) - 1.0 + _log_mean_excess(low / high)
+            total += float(v - u) * mean
     return total
 
 
@@ -817,7 +839,12 @@ class LayerCakeReport:
 def layer_cake_check(fn: PwlTorusFunction) -> LayerCakeReport:
     """Compare -integral ln(pi) with the layer-cake form over the exact
     sublevel profile; the 1/s singularity integrates in closed form because
-    the profile is piecewise affine with zero measure at level 0."""
+    the profile is piecewise affine with zero measure at level 0.
+
+    A profile piece s a + t on [a_lo, a_hi], a_lo > 0, adds s (a_hi - a_lo)
+    + t ln(a_hi / a_lo).  Where no float holds s or t, it adds the same from
+    the measures m_lo at a_lo and m_lo + dm below a_hi, as
+    dm (1 - g(a_lo / a_hi)) + m_lo ln(a_hi / a_lo), g as in `integral_ln`."""
     if any(max(triple) > 1 for triple in fn.limits()):
         raise ValueError("layer-cake comparison expects values within [0, 1]")
     lhs = -integral_ln(fn)
@@ -832,10 +859,13 @@ def layer_cake_check(fn: PwlTorusFunction) -> LayerCakeReport:
                 diverged = True
                 break
             rhs += float(s * a_hi)
-        else:
+        elif fits_float(s, t):
             rhs += float(s) * float(a_hi - a_lo)
             if t != 0:
                 rhs += float(t) * (ln_fraction(a_hi) - ln_fraction(a_lo))
+        else:
+            rise = float(s * (a_hi - a_lo)) * (1.0 - _log_mean_excess(a_lo / a_hi))
+            rhs += rise + float(s * a_lo + t) * ln_fraction(a_hi / a_lo)
     if diverged or profile.measure_at(0) > 0:
         rhs = float("inf")
     elif profile.alpha_max < 1:

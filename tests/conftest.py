@@ -1,4 +1,5 @@
-"""Shared fixtures: a session-wide vertex cache and random minimal functions.
+"""Shared fixtures: a session-wide vertex cache, random minimal functions,
+and circle ramps whose values at 1/4 and 3/4 are set at will.
 
 Random minimal finite functions are convex combinations of polytope vertices
 (the defining constraints are affine equalities and inequalities, so convex
@@ -87,3 +88,19 @@ def make_minimal_pwl(make_minimal_finite):
         return gc.from_finite_function(make_minimal_finite(rng, q, b))
 
     return make
+
+
+def _ramps_through(low, high) -> gc.PwlTorusFunction:
+    """0 at the origin, linear to low at 1/4, to high at 3/4 and to 1 at 1."""
+    xs = (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1))
+    ys = (Fraction(0), low, high, Fraction(1))
+    slopes = [(b - a) / (v - u) for u, v, a, b in zip(xs, xs[1:], ys, ys[1:])]
+    pieces = [(s, a - s * u) for s, u, a in zip(slopes, xs, ys)]
+    return gc.PwlTorusFunction(xs[:3], tuple(pieces), mode=gc.MODE_WRAP)
+
+
+@pytest.fixture
+def ramps_through():
+    """Circle functions with a value at 1/4 and at 3/4 set at will: a slope
+    or a value that no float holds."""
+    return _ramps_through

@@ -7,6 +7,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -282,8 +283,7 @@ class TestOptimize:
         def refuse(q):
             raise AssertionError(f"trial division started at q={q}")
 
-        for module in (polytope, experiments):
-            monkeypatch.setattr(module, "is_prime", refuse)
+        monkeypatch.setattr(group_core, "is_prime", refuse)
         code, out, err = run(capsys, "optimize", "--primes", "10000000000000061")
         assert code == 3 and out == ""
         assert "q=10000000000000061 exceeds the enumeration cap 23" in err
@@ -560,6 +560,37 @@ class TestIntegrate:
         assert payload["lp_norms"]["1"] == pytest.approx(0.5)
         assert payload["layer_cake"]["gap"] < 1e-10
 
+    @pytest.mark.parametrize("flags", [(), ("--layer-cake",)])
+    @pytest.mark.parametrize("kind", ["steep", "flat"])
+    def test_slopes_no_float_holds(self, capsys, tmp_path, ramps_through, kind, flags):
+        # a slope of 10^310, which float() overflows, and one of 4 10^-400,
+        # which it takes to 0.0
+        eps = F(1, 10**400)
+        fn = {
+            "steep": gmi(F(1, 10**310)),
+            "flat": ramps_through(F(1, 2) - eps, F(1, 2) + eps),
+        }[kind]
+        path = tmp_path / "fn.json"
+        path.write_text(fn.to_json())
+        code, out, err = run(capsys, "integrate", str(path), *flags)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        expected = -1.0 if kind == "steep" else (math.log(0.5) - 1) / 2
+        assert payload["integral_ln"] == pytest.approx(expected, abs=1e-12)
+        if flags:
+            assert payload["layer_cake"]["gap"] < 1e-12
+
+    @pytest.mark.parametrize("flags", [(), ("--layer-cake",)])
+    def test_a_norm_no_float_holds_exits_3(
+        self, capsys, tmp_path, ramps_through, flags
+    ):
+        big = F(10**400)
+        path = tmp_path / "big.json"
+        path.write_text(ramps_through(big, big).to_json())
+        code, out, err = run(capsys, "integrate", str(path), *flags)
+        assert (code, out) == (3, "")
+        assert err == "error: the root of index 1 is too large for a float\n"
+
     def test_sublevel_csv(self, capsys, monkeypatch, tmp_path, gmi_half_path):
         # from an empty working directory, the plot is the one file written
         work = tmp_path / "work"
@@ -671,14 +702,16 @@ class TestCertificates:
 
     @pytest.mark.parametrize("flags", [(), ("--tilde",)])
     def test_decreasing_profile_exits_2(self, capsys, monkeypatch, gmi_half_path, flags):
-        half = F(1, 2)
-        decreasing = torus.SublevelProfile(
-            alphas=(F(0), half, F(1)), pieces=((F(1), half), (F(0), F(1, 4)))
-        )
-        monkeypatch.setattr(torus, "sublevel_profile", lambda fn: decreasing)
+        # rows (level, below, at, rate above) over w = 2 and den = 4: the
+        # measure rises from 1/2 at level 0 to 1 just below level 1/2, and is
+        # 1/4 at 1/2
+        decreasing = [(0, 0, 2, 2), (1, 4, 1, 0), (2, 1, 4, 0)], 2, 4
+        monkeypatch.setattr(torus, "_sublevel_sweep", lambda fn: decreasing)
         code, out, err = run(capsys, "rearrange", gmi_half_path, *flags)
         assert (code, out) == (2, "")
-        assert err.startswith("validation failure: sublevel profile decreases")
+        assert err.startswith(
+            "validation failure: sublevel profile decreases at level 1/2: 1/4 < 1"
+        )
         assert "Traceback" not in err
 
     def test_package_has_no_assert(self):
@@ -850,7 +883,7 @@ class TestRiemannOrderCap:
         def refuse(q):
             raise AssertionError(f"trial division started at q={q}")
 
-        monkeypatch.setattr(experiments, "is_prime", refuse)
+        monkeypatch.setattr(group_core, "is_prime", refuse)
         code, out, err = run(capsys, "experiment", "riemann", "--q", "100003")
         assert code == 3 and out == ""
         assert "q=100003 exceeds the riemann cap 10007" in err
@@ -863,7 +896,7 @@ class TestStirlingOrderCap:
         def refuse(q):
             raise AssertionError(f"trial division started at q={q}")
 
-        monkeypatch.setattr(experiments, "is_prime", refuse)
+        monkeypatch.setattr(group_core, "is_prime", refuse)
         code, out, err = run(
             capsys, "experiment", "stirling", "--primes", "11", "100003"
         )

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupcut import experiments, finite_functions, polytope
+from groupcut import experiments, finite_functions, group_core, polytope
 from groupcut import (
     CutInequality,
     DimensionCap,
@@ -303,8 +303,7 @@ class TestOptimizeAndReport:
         def refuse(q):
             raise AssertionError(f"trial division started at q={q}")
 
-        for module in (polytope, experiments):
-            monkeypatch.setattr(module, "is_prime", refuse)
+        monkeypatch.setattr(group_core, "is_prime", refuse)
         with pytest.raises(DimensionCap, match="exceeds the enumeration cap 23"):
             optimize_and_report(ExperimentConfig(prime_list=(10**16 + 61,)))
 
@@ -412,7 +411,7 @@ class TestRiemannOrderCap:
         def refuse(q):
             raise AssertionError(f"trial division started at q={q}")
 
-        monkeypatch.setattr(experiments, "is_prime", refuse)
+        monkeypatch.setattr(group_core, "is_prime", refuse)
 
     @pytest.mark.parametrize(
         "q", [finite_functions.MAX_SCAN_ORDER + 1, 10000000000000061]

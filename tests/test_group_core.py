@@ -9,9 +9,32 @@ from groupcut import (
     NotPrime,
     ZeroElement,
     automorphism_sending,
+    compose,
+    gom,
+    gomory_decomposition,
+    identity_fn,
     is_prime,
+    minimize_volume,
     mod_inverse,
+    rearrange_finite,
+    require_prime,
+    riemann_experiment,
+    stirling_table,
 )
+from groupcut import group_core
+
+# every prime-only entry, each at the composite order 9
+PRIME_ONLY = {
+    "compose": lambda: compose(gom(9, 8), 2),
+    "rearrange_finite": lambda: rearrange_finite(gom(9, 8)),
+    "minimize_volume": lambda: minimize_volume(9, 8),
+    "gomory_decomposition": lambda: gomory_decomposition(gom(9, 8)),
+    "riemann_experiment": lambda: riemann_experiment(identity_fn(), 9),
+    "stirling_table": lambda: stirling_table([5, 9]),
+    "automorphism_sending": lambda: automorphism_sending(
+        CyclicGroup(9).element(2), CyclicGroup(9).element(8)
+    ),
+}
 
 
 class TestPrimality:
@@ -20,6 +43,24 @@ class TestPrimality:
 
     def test_small_composites(self):
         assert not any(is_prime(q) for q in (0, 1, 4, 9, 15, 100, 1001))
+
+    def test_require_prime(self):
+        assert require_prime(7) is None
+        with pytest.raises(NotPrime, match="^q=9 is not prime$"):
+            require_prime(9)
+
+    @pytest.mark.parametrize("entry", sorted(PRIME_ONLY))
+    def test_each_prime_only_entry_refuses_through_one_test(self, monkeypatch, entry):
+        asked, test = [], group_core.is_prime
+
+        def recorded(q):
+            asked.append(q)
+            return test(q)
+
+        monkeypatch.setattr(group_core, "is_prime", recorded)
+        with pytest.raises(NotPrime, match="^q=9 is not prime$"):
+            PRIME_ONLY[entry]()
+        assert asked[-1] == 9
 
 
 class TestGroupElements:

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupcut import polytope
+from groupcut import group_core, polytope
 from groupcut import (
     CyclicGroup,
     DimensionCap,
@@ -214,7 +214,7 @@ class TestMinimizeVolume:
         def refuse(q):
             raise AssertionError(f"trial division started at q={q}")
 
-        monkeypatch.setattr(polytope, "is_prime", refuse)
+        monkeypatch.setattr(group_core, "is_prime", refuse)
         with pytest.raises(DimensionCap, match="exceeds the enumeration cap 23"):
             minimize_volume(10**16 + 61, 1)
 

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcut import as_fraction, ln_fraction, nth_root_float
-from groupcut.rationals import PackedFields, iroot, json_field, strict_int
+from groupcut import OutOfRange, as_fraction, ln_fraction, nth_root_float
+from groupcut.rationals import (
+    FLOAT_HUGE,
+    PackedFields,
+    fits_float,
+    iroot,
+    json_field,
+    strict_int,
+)
 
 
 class TestAsFraction:
@@ -133,6 +140,13 @@ class TestNthRootFloat:
         assert nth_root_float(Fraction(1), 5) == 1.0
         assert nth_root_float(Fraction(0), 3) == 0.0
 
+    def test_a_root_no_float_holds_is_refused(self):
+        top = Fraction(FLOAT_HUGE)
+        assert nth_root_float(top - Fraction(1, 10**400), 1) == 1.7976931348623157e308
+        for x, p in ((top, 1), (Fraction(10**400), 1), (Fraction(10**800), 2)):
+            with pytest.raises(OutOfRange, match=f"root of index {p} is too large"):
+                nth_root_float(x, p)
+
     @given(
         st.fractions(
             min_value=Fraction(1, 10**6), max_value=Fraction(10**6)
@@ -143,6 +157,18 @@ class TestNthRootFloat:
         got = nth_root_float(x, p)
         want = float(x) ** (1.0 / p)
         assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_fits_float_is_where_float_overflows():
+    # half an ulp above the largest float rounds, ties to even, to 2^1024
+    top = Fraction(FLOAT_HUGE)
+    eps = Fraction(1, 10**400)
+    below = [top - eps, -(top - eps), Fraction(1, 2**1100), Fraction(0)]
+    assert fits_float(*below) and float(top - eps) == 1.7976931348623157e308
+    for x in (top, -top, top + eps, Fraction(10**400)):
+        assert not fits_float(Fraction(1), x)
+        with pytest.raises(OverflowError):
+            float(x)
 
 
 def test_packed_fields_at_their_boundaries():

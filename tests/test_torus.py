@@ -511,6 +511,25 @@ class TestRightLimitAndTilde:
 
 
 class TestIntegralLn:
+    def test_a_slope_above_every_float(self):
+        # gmi's first piece rises with slope 10^310, which float() overflows
+        assert abs(integral_ln(gmi(F(1, 10**310))) + 1.0) < 1e-12
+
+    def test_a_slope_below_every_float(self, ramps_through):
+        # the middle piece rises by 2 10^-400 over [1/4, 3/4): float() of its
+        # slope is 0.0
+        eps = F(1, 10**400)
+        flat = ramps_through(F(1, 2) - eps, F(1, 2) + eps)
+        constant = ramps_through(F(1, 2), F(1, 2))
+        assert abs(integral_ln(flat) - integral_ln(constant)) < 1e-12
+
+    def test_end_values_above_every_float(self, ramps_through):
+        # ramps up to 10^400 and back to 1 around a plateau at 10^400; each
+        # ramp from 0 or 1 integrates to 1/4 (ln 10^400 - 1) up to e^-921
+        big = F(10**400)
+        expected = 400 * math.log(10) - 0.5
+        assert integral_ln(ramps_through(big, big)) == pytest.approx(expected, 1e-15)
+
     def test_gmi_attains_minus_one(self):
         for b in (F(1, 10), F(1, 3), F(1, 2), F(9, 10)):
             assert abs(integral_ln(gmi(b)) + 1.0) < 1e-9
@@ -544,6 +563,12 @@ class TestIntegralLn:
 
 
 class TestLayerCake:
+    def test_slopes_no_float_holds(self, ramps_through):
+        eps = F(1, 10**400)
+        for fn in (gmi(F(1, 10**310)), ramps_through(F(1, 2) - eps, F(1, 2) + eps)):
+            report = layer_cake_check(fn)
+            assert report.lhs == -integral_ln(fn) and report.gap < 1e-12
+
     @pytest.mark.parametrize(
         "fn",
         [

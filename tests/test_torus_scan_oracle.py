@@ -13,11 +13,13 @@ no violation, and the verdict must be the scan-only one.
 
 `_symmetry_scan` evaluates pi(x) + pi(partner(x)) on integer coordinates;
 `oracle_symmetry_scan` is the `Fraction` scan with `value_at` it replaced.
-`sublevel_profile` builds the profile in one sweep over the levels;
+`sublevel_profile` reads the profile off one integer sweep over the levels;
 `oracle_profile` fits each level interval through two exact sublevel
-measures, as the profile was built before.  With both oracles patched in,
-`rearrange_torus`, `tilde_fn` and `layer_cake_check` must return what they
-return on the new code, failures included.
+measures, as the profile was built before.  `rearrange_torus` and
+`tilde_fn` read the inverse straight off the sweep's rows; `oracle_rearrange`
+and `oracle_tilde` are the `Fraction` inversion of `oracle_profile` they
+replaced, and `layer_cake_check` runs on `oracle_profile` patched in.  All
+three must return what they return on the new code, failures included.
 
 The oracles read `value_at`, `left_limit_at` and `right_limit_at`, which on
 a breakpoint read the `limits()` table that one walk along the pieces
@@ -40,7 +42,9 @@ from groupcut import (
     MODE_RHS,
     MODE_WRAP,
     MinimalityVerdict,
+    NotMinimal,
     PwlTorusFunction,
+    ValidationFailure,
     Violation,
     build_polytope,
     enumerate_vertices,
@@ -133,6 +137,55 @@ def oracle_profile(fn):
         pieces.append((slope, intercept))
     assert sublevel_measure(fn, alphas[-1]) == 1
     return torus.SublevelProfile(alphas=tuple(alphas), pieces=tuple(pieces))
+
+
+def oracle_rearrange(fn):
+    """The generalized inverse of `oracle_profile`, swept in alpha: affine
+    stretches invert to affine pieces, jumps to constants and plateaus to
+    jumps (no segment); left continuous away from 0, and 0 at the origin."""
+    profile = oracle_profile(fn)
+    segments = []  # (x0, alpha0, slope)
+    x_cur = profile.measure_at(0)
+    if x_cur > 0:
+        segments.append((F(0), F(0), F(0)))
+    bounds = list(zip(profile.alphas, profile.alphas[1:]))
+    for (a_lo, a_hi), (s, t) in zip(bounds, profile.pieces):
+        left_val = s * a_lo + t
+        if left_val < x_cur:
+            raise ValidationFailure(
+                f"sublevel profile decreases at level {a_lo}: {left_val} < {x_cur}"
+            )
+        if left_val > x_cur:
+            segments.append((x_cur, a_lo, F(0)))
+            x_cur = left_val
+        if s > 0:
+            segments.append((x_cur, a_lo, 1 / s))
+            x_cur = s * a_hi + t
+    if x_cur < 1:
+        segments.append((x_cur, profile.alpha_max, F(0)))
+    pieces = [(slope, alpha0 - slope * x0) for x0, alpha0, slope in segments]
+    point_values = [F(0)] + [
+        s * x0 + t for (s, t), (x0, _a, _s) in zip(pieces, segments[1:])
+    ]
+    return PwlTorusFunction(
+        tuple(x0 for x0, _a, _s in segments),
+        tuple(pieces),
+        tuple(point_values),
+        mode=MODE_WRAP,
+    )
+
+
+def oracle_tilde(fn):
+    """The average of `oracle_rearrange` and its right limits, read back from
+    the built function's `limits()`."""
+    verdict = oracle_is_minimal_pwl(fn)
+    if not verdict.is_minimal:
+        raise NotMinimal(f"not minimal: {verdict.violations[0]}")
+    h = oracle_rearrange(fn)
+    point_values = [F(0)] + [(v + r) / 2 for _l, v, r in h.limits()[1:]]
+    return PwlTorusFunction(
+        h.breakpoints, h.pieces, tuple(point_values), mode=MODE_WRAP
+    )
 
 
 def oracle_is_minimal_pwl(fn):
@@ -305,12 +358,38 @@ def test_rearrangement_and_layer_cake_match_the_oracles(monkeypatch):
     calls = (rearrange_torus, tilde_fn, layer_cake_check)
     got = [[outcome(call, fn) for call in calls] for fn in CORPUS]
     monkeypatch.setattr(torus, "sublevel_profile", oracle_profile)
-    monkeypatch.setattr(torus, "_symmetry_scan", oracle_symmetry_scan)
-    expected = [[outcome(call, fn) for call in calls] for fn in CORPUS]
+    oracles = (oracle_rearrange, oracle_tilde, layer_cake_check)
+    expected = [[outcome(call, fn) for call in oracles] for fn in CORPUS]
     assert got == expected
     kinds = Counter(o.split(":")[0] if ": " in o else "ok" for row in got for o in row)
     assert kinds["ok"] > 200 and kinds["NotMinimal"] and kinds["ValueError"]
     assert any("inf" in row[2] for row in got)  # a zero set of positive measure
+
+
+def test_rearrangement_reads_one_sweep_and_no_profile(monkeypatch):
+    sweeps, asked = [], []
+    sweep, limits = torus._sublevel_sweep, PwlTorusFunction.limits
+
+    def refused(*args):
+        raise AssertionError("the rearrangement reads the sweep's rows")
+
+    def counted(calls, call):
+        return lambda fn: calls.append(fn) or call(fn)
+
+    monkeypatch.setattr(torus, "_sublevel_sweep", counted(sweeps, sweep))
+    monkeypatch.setattr(PwlTorusFunction, "limits", counted(asked, limits))
+    monkeypatch.setattr(torus, "sublevel_profile", refused)
+    monkeypatch.setattr(torus.SublevelProfile, "measure_at", refused)
+    minimal = [fn for fn in CORPUS if is_minimal_pwl(fn).is_minimal]
+    for fn in minimal:
+        for call in (rearrange_torus, tilde_fn):
+            sweeps.clear()
+            asked.clear()
+            call(fn)
+            # one sweep, and limits() only of the input, never of a result
+            assert len(sweeps) == 1 and sweeps[0] is fn
+            assert all(f is fn for f in asked)
+    assert len(minimal) >= 40
 
 
 def test_limits_table_matches_one_sided_limits():
