@@ -26,7 +26,7 @@ import gc
 import json
 import math
 import sys
-from itertools import repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .criteria import score_function
@@ -148,36 +148,38 @@ def _render_check(verdict, fmt: str) -> str:
     each witness entry and amount as its str: exactly json.dumps(payload,
     indent=2) for json, the `key: value` lines for text.
 
-    One pass, with no payload built: each violation fills one template in C.
-    Each distinct kind and amount is quoted once, keyed by object identity,
-    which the verdict keeps alive.  The str of an int or a Fraction holds only
-    digits, '-' and '/', so the witness entries need no escaping and are
-    quoted by the separator that joins them."""
+    One join, with no payload built.  A violation is three pieces: the head
+    of its kind, its witness and the tail of its amount.  Each distinct kind
+    and amount fills its head or tail once, keyed by object identity, which
+    the verdict keeps alive.  Each witness fills, in C, the one template for
+    its length.  The str of an int or a Fraction holds only digits, '-' and
+    '/', so the witness entries need no escaping: the template quotes them."""
     if fmt == "json":
         quote, flag = encode_basestring_ascii, json.dumps(verdict.is_minimal)
         page = '{\n  "is_minimal": %s,\n  "violations": %s\n}'
-        template = (
-            '    {\n      "kind": %s,\n      "witness": [\n        "%s"\n      ],\n'
-            '      "amount": %s\n    }'
-        )
-        joint, separator, listing = '",\n        "', ",\n", "[\n%s\n  ]"
+        separator, listing = ",\n", "[\n%s\n  ]"
+        head = separator + '    {\n      "kind": %s,\n      "witness": [\n        "'
+        joint, tail = '",\n        "', '"\n      ],\n      "amount": %s\n    }'
     else:
         quote, flag = repr, verdict.is_minimal
         page = "is_minimal: %s\nviolations: %s"
-        template = "{'kind': %s, 'witness': ['%s'], 'amount': %s}"
-        joint, separator, listing = "', '", ", ", "[%s]"
+        separator, listing = ", ", "[%s]"
+        head = separator + "{'kind': %s, 'witness': ['"
+        joint, tail = "', '", "'], 'amount': %s}"
     if not verdict.violations:
         return page % (flag, "[]")
 
-    def quoted(objects):
+    def filled(form, objects):
         distinct = dict(zip(map(id, objects), objects))
-        text = {key: quote(str(obj)) for key, obj in distinct.items()}
+        text = {key: form % quote(str(obj)) for key, obj in distinct.items()}
         return map(text.__getitem__, map(id, objects))
 
     kinds, witnesses, amounts = zip(*verdict.violations)
-    entries = map(joint.join, map(map, repeat(str), witnesses))
-    items = map(template.__mod__, zip(quoted(kinds), entries, quoted(amounts)))
-    return page % (flag, listing % separator.join(items))
+    forms = {n: joint.join(["%s"] * n) for n in set(map(len, witnesses))}
+    entries = map(str.__mod__, map(forms.__getitem__, map(len, witnesses)), witnesses)
+    pieces = zip(filled(head, kinds), entries, filled(tail, amounts))
+    body = "".join(chain.from_iterable(pieces))[len(separator) :]
+    return page % (flag, listing % body)
 
 
 def _cmd_check(args) -> int:

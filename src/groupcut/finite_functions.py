@@ -160,16 +160,19 @@ def dantzig(q: int, b: int = 1) -> FiniteGroupFunction:
 MAX_SCAN_ORDER = 10007
 
 
-def _negative_rows(nums: Sequence[int]) -> Iterator[int]:
+def _negative_rows(nums: Sequence[int]) -> Iterator[tuple[int, bytes]]:
     """The rows x, ascending, that hold a pair (x, y) with x <= y < q and
-    nums[x] + nums[y] < nums[(x + y) % q]: the one pair scan behind every
-    finite subadditivity check.  The numerators must be nonnegative, as a
-    FiniteGroupFunction's are.
+    nums[x] + nums[y] < nums[(x + y) % q], each with its flags: one byte per
+    y in [x, q), 1 where that pair's slack is negative and 0 elsewhere.  The
+    one pair scan behind every finite subadditivity check.  The numerators
+    must be nonnegative, as a FiniteGroupFunction's are.
 
     The numerators are packed one per field of a `PackedFields` layout for
     slacks up to 2 max(nums) in magnitude, and row x is one shifted add and
     subtract, whose fields' top bits are clear exactly at its negative
-    slacks (the argument is on `PackedFields`).
+    slacks (the argument is on `PackedFields`).  A clean row costs only that
+    and the test of its top bits; the flags are read off a flagged row's
+    cleared top bits.
     """
     q = len(nums)
     fields = PackedFields(q, 2 * max(nums))
@@ -182,47 +185,50 @@ def _negative_rows(nums: Sequence[int]) -> Iterator[int]:
         row = (packed >> s) + (nums[x] + fields.half) * (ones >> s)
         row -= (wrapped >> 2 * s) & (mask >> s)
         if row & top != top:
-            yield x
+            yield x, fields.low_bytes((top & ~row) >> (width - 1))[: q - x]
 
 
 def _subadditivity(nums: Sequence[int], den: int) -> Iterator[Iterator[Violation]]:
     """Per row x that holds a negative slack, the subadditivity violations of
     nums/den at the pairs (x, y), in y order.
 
-    `_negative_rows` finds the rows.  In such a row the slacks, witnesses,
-    amounts and Violations are built by C-level map and zip over the
-    compressed columns, so no pair takes a Python-level step.  Slacks repeat
-    heavily, so each distinct amount is built as a Fraction once per call and
-    shared by every pair that fails by it."""
+    `_negative_rows` finds the rows and flags their failing pairs.  Only
+    those pairs are picked out of the row's columns, by C-level compress, and
+    their slacks, witnesses, amounts and Violations are built by C-level map
+    and zip, so no pair takes a Python-level step.  Slacks repeat heavily, so
+    each distinct amount is built as a Fraction once per call and shared by
+    every pair that fails by it."""
     q = len(nums)
     wrapped = nums * 2  # wrapped[x + y] == nums[(x + y) % q]
     amounts: dict[int, Fraction] = {}
-    for x in _negative_rows(nums):
-        row = list(map(sub, nums[x:], wrapped[2 * x : x + q]))
-        bound = -nums[x]  # the pair (x, y) is violated when row[y - x] < bound
-        failing = list(map(bound.__gt__, row))
-        slacks = list(map(nums[x].__add__, compress(row, failing)))
+    for x, flags in _negative_rows(nums):
+        sums = map(nums[x].__add__, compress(nums[x:], flags))
+        slacks = list(map(sub, sums, compress(wrapped[2 * x : x + q], flags)))
         for slack in set(slacks).difference(amounts):
             amounts[slack] = Fraction(-slack, den)
         fields = zip(
             repeat("subadditivity"),
-            zip(repeat(x), compress(range(x, q), failing)),
+            zip(repeat(x), compress(range(x, q), flags)),
             map(amounts.__getitem__, slacks),
         )
         yield map(tuple.__new__, repeat(Violation), fields)
 
 
-def _violations(nums: Sequence[int], den: int, b: int) -> Iterator[Violation]:
-    """Origin, then subadditivity, then symmetry violations of nums/den."""
+def _symmetry(nums: Sequence[int], den: int, b: int) -> Iterator[Violation]:
+    """The symmetry violations of nums/den for the right-hand side b."""
     q = len(nums)
-    if nums[0] != 0:
-        yield Violation("origin", (0,), Fraction(nums[0], den))
-    yield from chain.from_iterable(_subadditivity(nums, den))
     for x in range(q):
         partner = (b - x) % q
         gap = nums[x] + nums[partner] - den
         if x <= partner and gap != 0:
             yield Violation("symmetry", (x,), Fraction(abs(gap), den))
+
+
+def _violations(nums: Sequence[int], den: int, b: int) -> Iterator[Violation]:
+    """Origin, then subadditivity, then symmetry violations of nums/den, as
+    one lazy chain."""
+    origin = [Violation("origin", (0,), Fraction(nums[0], den))] if nums[0] else []
+    return chain(origin, chain.from_iterable(_subadditivity(nums, den)), _symmetry(nums, den, b))
 
 
 def is_minimal(

@@ -128,16 +128,17 @@ def iroot(n: int, p: int) -> int:
 def nth_root_float(x: Fraction, p: int) -> float:
     """p-th root of a nonnegative rational, within 1 ulp of correctly rounded.
 
-    The value is scaled by a power of two so that the integer root carries
-    at least 60 significant bits before the final float conversion.  A root
-    that, so scaled, no float can hold raises OutOfRange.
+    The value is scaled by 2^(p k) so that the integer root r carries at
+    least 60 significant bits; r is cut to its top 64 bits, which a float
+    conversion rounds to 53, and the cut is folded into the power of two.  A
+    root that no float holds raises OutOfRange.
     """
     if x < 0:
         raise ValueError("root of negative rational")
     if x == 0:
         return 0.0
     if p == 1:
-        r, k = x, 0
+        root, exponent = x, 0
     else:
         num, den = x.numerator, x.denominator
         k = 64 + max(0, (den.bit_length() - num.bit_length()) // p + 2)
@@ -147,9 +148,12 @@ def nth_root_float(x: Fraction, p: int) -> float:
                 break
             k += 16
         r = iroot(n, p)
-    if not fits_float(r):
-        raise OutOfRange(f"the root of index {p} is too large for a float")
-    return math.ldexp(float(r), -k)
+        cut = max(0, r.bit_length() - 64)
+        root, exponent = r >> cut, cut - k
+    try:
+        return math.ldexp(float(root), exponent)
+    except OverflowError:
+        raise OutOfRange(f"the root of index {p} is too large for a float") from None
 
 
 class PackedFields:

@@ -804,8 +804,9 @@ def integral_ln(fn: PwlTorusFunction) -> float:
     Each piece's end values are read from `limits()`.
 
     A sloped piece from S to E integrates to (T(E) - T(S)) / slope, with
-    T(w) = w (ln w - 1).  Where no float holds the slope or an end value, it
-    integrates from its width l and end values m < M instead, as
+    T(w) = w (ln w - 1).  Where no float holds the slope, an end value or
+    T at an end (T overflows above w = 2.56 10^305), it integrates
+    from its width l and end values m < M instead, as
     l (ln M - 1 + g(m / M)) with g(r) = -r ln r / (1 - r)."""
     _assert_nonnegative(fn)
     limits = fn.limits()
@@ -817,11 +818,15 @@ def integral_ln(fn: PwlTorusFunction) -> float:
                 return float("-inf")
             u, v = fn.piece_domain(i)
             total += float(v - u) * ln_fraction(t)
-        elif fits_float(s, start, end) and float(s):
-            total += (
-                _ln_antiderivative_term(end) - _ln_antiderivative_term(start)
-            ) / float(s)
-        else:  # float(s) overflows or is 0.0, or T(end) or T(start) overflows
+        elif (
+            fits_float(s, start, end)
+            and float(s)
+            and math.isfinite(
+                rise := _ln_antiderivative_term(end) - _ln_antiderivative_term(start)
+            )
+        ):
+            total += rise / float(s)
+        else:  # float(s) overflows or is 0.0, or T(end) or T(start) is not finite
             u, v = fn.piece_domain(i)
             low, high = sorted((start, end))
             mean = ln_fraction(high) - 1.0 + _log_mean_excess(low / high)

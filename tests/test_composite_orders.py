@@ -10,13 +10,25 @@ that vanishes on H.  So the least value product is 0 exactly when some
 nontrivial proper subgroup avoids b: the subgroup of order q/d, for a
 divisor 1 < d < q of q, holds b exactly when d divides b.  At the prime
 powers, where every such subgroup holds b, the least product is gom(q, b)'s.
+
+There the minimizers are counted against the images of gom(q, b) under the
+units u with u b = b, x -> pi(u x): every image is a minimizer, and at
+q = 8 and 16 there are minimizers that are not images.  Whether the images
+are all the minimizers at every odd prime power is not claimed.
 """
 
 import functools
+import math
 
 import pytest
 
-from groupcut import build_polytope, enumerate_vertices, gom, volume_product
+from groupcut import (
+    FiniteGroupFunction,
+    build_polytope,
+    enumerate_vertices,
+    gom,
+    volume_product,
+)
 
 COMPOSITE = [q for q in range(4, 17) if any(q % d == 0 for d in range(2, q))]
 
@@ -27,9 +39,28 @@ def avoided(q, b):
 
 
 @functools.cache
-def least_product(q, b):
+def minimizers(q, b):
+    """The least value product over the vertices at (q, b), and the set of
+    vertices that attain it."""
     vertices = enumerate_vertices(build_polytope(q, b)).vertices
-    return min(volume_product(v) for v in vertices)
+    products = [volume_product(v) for v in vertices]
+    least = min(products)
+    return least, {v for v, product in zip(vertices, products) if product == least}
+
+
+def least_product(q, b):
+    return minimizers(q, b)[0]
+
+
+def unit_images(pi):
+    """The distinct functions x -> pi(u x) over the units u of Z/qZ with
+    u b = b, each at pi's own rhs b."""
+    q, b, nums = pi.q, pi.b_residue, pi.numerators
+    units = [u for u in range(1, q) if math.gcd(u, q) == 1 and u * b % q == b]
+    return {
+        FiniteGroupFunction(pi.group, pi.b, [nums[u * x % q] for x in range(q)], pi.denominator)
+        for u in units
+    }
 
 
 @pytest.mark.parametrize("q", COMPOSITE)
@@ -44,3 +75,14 @@ def test_prime_powers_where_no_subgroup_avoids_b_reach_gom():
     assert held == {(4, 2), (8, 4), (9, 3), (9, 6), (16, 8)}
     for q, b in held:
         assert least_product(q, b) == volume_product(gom(q, b)) > 0
+
+
+@pytest.mark.parametrize(
+    ("q", "b", "count", "images"),
+    [(4, 2, 1, 1), (8, 4, 4, 2), (9, 3, 3, 3), (9, 6, 3, 3), (16, 8, 8, 4)],
+)
+def test_prime_power_minimizers_against_the_unit_images_of_gom(q, b, count, images):
+    _least, found = minimizers(q, b)
+    carried = unit_images(gom(q, b))
+    assert (len(found), len(carried)) == (count, images)
+    assert carried <= found

@@ -10,14 +10,16 @@ import pytest
 
 from groupcut import (
     FiniteGroupFunction,
+    MinimalityVerdict,
     PwlTorusFunction,
+    Violation,
     gmi,
     gom,
     is_minimal,
     is_minimal_pwl,
     md2,
 )
-from groupcut.cli import main
+from groupcut.cli import _render_check, main
 
 
 def assert_same(out: str, expected: str) -> None:
@@ -164,3 +166,49 @@ def test_check_cases_cover_every_kind_and_an_empty_list(corpus):
         data = json.load(handle)
     assert not is_minimal(FiniteGroupFunction.from_dict(data)).violations
 
+
+def random_verdict(rng, count):
+    """A verdict of count violations that mixes the four kinds, witnesses of
+    one and two entries, int and Fraction entries, and equal kinds and amounts
+    held in distinct objects as well as shared ones."""
+    kinds = ["origin", "subadditivity", "symmetry", "negativity"]
+    shared = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+    violations = []
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        if rng.random() < 0.3:
+            kind = "".join(kind)  # an equal kind in a distinct object
+        entries = [
+            rng.randrange(-50, 50)
+            if rng.random() < 0.5
+            else F(rng.randrange(-50, 50), rng.randint(1, 12))
+            for _ in range(rng.choice((1, 2)))
+        ]
+        if rng.random() < 0.5:
+            amount = rng.choice(shared)
+        else:  # equal to a shared amount, or not, but always a new object
+            amount = F(rng.randint(1, 9), rng.randint(1, 9))
+        violations.append(Violation(kind, tuple(entries), amount))
+    return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
+
+
+def test_random_verdicts_hold_equal_fields_in_distinct_objects():
+    found = random_verdict(random.Random(9100), 200).violations
+    for values in ([v.kind for v in found], [v.amount for v in found]):
+        # more objects than distinct values: some equal values are distinct objects
+        assert len({id(x) for x in values}) > len(set(values))
+    assert {len(v.witness) for v in found} == {1, 2}
+    assert {type(w) for v in found for w in v.witness} == {int, F}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_render_matches_the_payload_on_random_verdicts(seed):
+    """check's one-join renderer against json.dumps and the `key: value` text
+    form, on seeded verdicts of no, one and many violations."""
+    rng = random.Random(9000 + seed)
+    count = (0, 1, rng.randint(2, 60))[seed % 3]
+    verdict = random_verdict(rng, count)
+    ref = check_reference(verdict)
+    assert_same(_render_check(verdict, "json"), json.dumps(ref, indent=2))
+    text = "\n".join(f"{key}: {value}" for key, value in ref.items())
+    assert_same(_render_check(verdict, "text"), text)

@@ -3,6 +3,7 @@ integer roots, and the packed-field layout of the big-int scans."""
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,16 @@ class TestNthRootFloat:
         top = Fraction(FLOAT_HUGE)
         assert nth_root_float(top - Fraction(1, 10**400), 1) == 1.7976931348623157e308
         for x, p in ((top, 1), (Fraction(10**400), 1), (Fraction(10**800), 2)):
+            with pytest.raises(OutOfRange, match=f"root of index {p} is too large"):
+                nth_root_float(x, p)
+
+    def test_roots_between_2_to_960_and_2_to_1024(self):
+        # the root scaled by 2^64 is above every float; the root is not
+        assert nth_root_float(Fraction(2**2000), 2) == 2.0**1000
+        largest = int(sys.float_info.max)  # (2^53 - 1) 2^971, just below 2^1024
+        assert nth_root_float(Fraction(largest) ** 2, 2) == sys.float_info.max
+        assert nth_root_float(Fraction(largest) ** 3, 3) == sys.float_info.max
+        for x, p in ((Fraction(2**2048), 2), (Fraction(2**2048 + 1), 2), (Fraction(2**3100), 3)):
             with pytest.raises(OutOfRange, match=f"root of index {p} is too large"):
                 nth_root_float(x, p)
 

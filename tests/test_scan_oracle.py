@@ -390,25 +390,31 @@ def test_tilde_gmi_sample_at_q_211(b):
 
 # The packed row screen itself: `_negative_rows` packs the numerators into
 # one int, a fixed-width field per value, and flags a row when some field's
-# top bit is clear.  Against the definition on nonnegative integer vectors:
+# top bit is clear, with one flag per pair (x, y), read off those cleared
+# top bits.  Rows and flags against the definition on nonnegative integer vectors:
 # the smallest groups, all-zero vectors, maxima at both sides of a field-width
 # boundary (the width grows when 2 max(nums) reaches 2^(8B-1)), values near
 # 10^30, slacks of exactly 0 and -1, and sorted and unsorted vectors.
 
 
 def oracle_negative_rows(nums):
+    """The flagged rows from the definition: (x, flags) with one flag per y in
+    [x, q), 1 where nums[x] + nums[y] < nums[(x + y) % q]."""
     q = len(nums)
-    return [
-        x
-        for x in range(q)
-        if any(nums[x] + nums[y] < nums[(x + y) % q] for y in range(x, q))
-    ]
+    rows = []
+    for x in range(q):
+        flags = bytes(nums[x] + nums[y] < nums[(x + y) % q] for y in range(x, q))
+        if any(flags):
+            rows.append((x, flags))
+    return rows
 
 
 def assert_rows_match(nums):
+    """The scan's rows, each with its flags for every pair (x, y), against
+    the definition; the flagged row indices are returned."""
     expected = oracle_negative_rows(nums)
     assert list(_negative_rows(nums)) == expected, nums
-    return expected
+    return [x for x, _ in expected]
 
 
 def random_vector(rng, q, top):

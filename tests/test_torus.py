@@ -530,6 +530,15 @@ class TestIntegralLn:
         expected = 400 * math.log(10) - 0.5
         assert integral_ln(ramps_through(big, big)) == pytest.approx(expected, 1e-15)
 
+    def test_end_values_whose_antiderivative_overflows(self):
+        # a ramp 0 -> 10^307 -> 0 (slopes +-2 10^307): float() holds the end
+        # value 10^307, but T(w) = w (ln w - 1) there is above every float
+        big = F(10**307)
+        ramp = PwlTorusFunction(
+            (F(0), F(1, 2)), ((2 * big, F(0)), (-2 * big, 2 * big)), mode=MODE_WRAP
+        )
+        assert abs(integral_ln(ramp) - (307 * math.log(10) - 1)) < 1e-9
+
     def test_gmi_attains_minus_one(self):
         for b in (F(1, 10), F(1, 3), F(1, 2), F(9, 10)):
             assert abs(integral_ln(gmi(b)) + 1.0) < 1e-9
