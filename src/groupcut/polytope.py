@@ -37,10 +37,12 @@ __all__ = [
 IntRow = tuple[tuple[int, ...], int]  # coeffs . z >= rhs, integer, primitive
 
 # Largest order whose vertex enumeration has been measured to finish:
-# minimize_volume(23, 22) (7188 vertices) takes about 3.6 s (3.1-4.4 s over
-# six runs) in one process on a shared Intel Xeon core (Python 3.11), against
-# 11 s there with the rows inserted in lexicographic order, while at q = 29 a
-# fraction of the polytope alone took ten minutes.
+# minimize_volume(23, 22) (7188 vertices) takes about 1.9 s (1.81-1.93 s over
+# five fresh processes on an Intel Xeon core, Python 3.11, against 2.18-2.29 s
+# in alternating runs when every cutting row rebuilt the incidence bitsets
+# from the masks).  A slower shared core that took 3.6 s for it took 11 s
+# with the rows inserted in lexicographic order, and at q = 29 a fraction of
+# the polytope alone took ten minutes.
 MAX_ORDER = 23
 
 
@@ -78,7 +80,8 @@ class VertexSet:
     q: int
     b: int
     # each certified vertex as its value vector's integer numerators over
-    # one denominator, in the enumerator's order
+    # one denominator, in the enumerator's slot order; nothing depends on
+    # that order (`.vertices` and `minimize_volume`'s argmin are sorted)
     points: tuple[tuple[tuple[int, ...], int], ...]
 
     def __len__(self) -> int:
@@ -186,7 +189,7 @@ def build_polytope(q: int, b: int) -> MinimalFunctionPolytope:
 
 
 def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    g = math.gcd(den, *(abs(n) for n in nums)) if nums else den
+    g = math.gcd(den, *nums)
     if g > 1:
         nums = [n // g for n in nums]
         den //= g
@@ -319,8 +322,7 @@ def _enumerate_reduced(
     processed row is tight there exactly when it is tight at both, and its mask
     is inherited as (mu & mw) | bit.  Two vertices are adjacent iff no third
     vertex is tight on their common tight set, which needs at least d - 1
-    rows.  Both tests run on incidence bitsets (Fukuda & Prodon 1996): per
-    inserted row, one bitset of vertex indices for each processed row.  For
+    rows.  Both tests run on incidence bitsets (Fukuda & Prodon 1996).  For
     each vertex on the smaller of the two sides, `_partners` screens the
     other side down to the vertices sharing at least d - 1 of its tight rows,
     so no pair below that count is ever visited; a screened pair is adjacent
@@ -329,53 +331,73 @@ def _enumerate_reduced(
     does not rely on them.  With d = 0 the box is the one empty point, which
     each row keeps (c <= 0) or cuts away (c > 0).
 
+    A vertex keeps one slot for its whole life: `points` and `masks` are
+    indexed by slot, `points` holding None at a free slot, and the bitset
+    `alive` holds the occupied slots.  incidence[r], for each processed row
+    r, is the bitset of the alive slots tight on r; it is built once for the
+    box and then kept up to date in place.  A cutting row clears the cut
+    slots from every incidence bitset and sets its own bit in the masks of
+    the zero-slack survivors.  Each new vertex takes the lowest free slot,
+    or a slot appended past the end when none is free, and its slot bit goes
+    into the incidence of each row in its inherited mask; the new row's
+    incidence is the zero-slack survivors and the new vertices.  A row that
+    cuts nothing only appends the set of its zero-slack slots.  The vertices
+    come back in slot order.
+
     Rows are inserted in the order given.  `build_polytope` lists them
     sparse first, by number of nonzero coefficients: the insertion order
     decides how large the intermediate vertex sets grow (Fukuda & Prodon
     1996), and at q = 23 this order keeps the largest at 7360 vertices
     where the lexicographic order reaches 10968.
     """
-    vertices: list[tuple[tuple[tuple[int, ...], int], int]] = []
+    points: list[tuple[tuple[int, ...], int] | None] = []
+    masks: list[int] = []
     for code in range(1 << d):
         nums = tuple((code >> j) & 1 for j in range(d))
         mask = 0
         for j in range(d):
             mask |= 1 << (2 * j + nums[j])  # rows 2j: z_j>=0, 2j+1: z_j<=1
-        vertices.append(((nums, 1), mask))
+        points.append((nums, 1))
+        masks.append(mask)
+    alive = (1 << len(points)) - 1
+    incidence = [
+        sum(1 << slot for slot, mask in enumerate(masks) if mask >> r & 1)
+        for r in range(2 * d)
+    ]
 
     need = d - 1
     for idx in range(2 * d, len(rows)):
         a, c = rows[idx]
         bit = 1 << idx
-        slacks = [sum(map(mul, a, v[0])) - c * v[1] for v, _mask in vertices]
-        survivors = [
-            (v, mask | bit if s == 0 else mask)
-            for (v, mask), s in zip(vertices, slacks)
-            if s >= 0
+        slacks = [
+            None if p is None else sum(map(mul, a, p[0])) - c * p[1] for p in points
         ]
-        if len(survivors) == len(vertices):
-            vertices = survivors
+        zero = [k for k, s in enumerate(slacks) if s == 0]
+        zero_set = sum(1 << k for k in zero)
+        for k in zero:
+            masks[k] |= bit
+        neg = [k for k, s in enumerate(slacks) if s is not None and s < 0]
+        if not neg:
+            incidence.append(zero_set)
             continue
-        if not survivors:
+        if len(neg) == alive.bit_count():
             return []
-        # processed row -> bitset of vertex indices tight on it: the columns
-        # of the mask matrix, read with the last vertex as the leading digit
-        columns = zip(*(format(mask, f"0{idx}b") for _v, mask in reversed(vertices)))
-        incidence = [int("".join(col), 2) for col in columns][::-1]
-        pos = [k for k, s in enumerate(slacks) if s > 0]
-        neg = [k for k, s in enumerate(slacks) if s < 0]
-        outer, inner = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
-        inner_set = sum(1 << k for k in inner)
+        pos = [k for k, s in enumerate(slacks) if s is not None and s > 0]
+        neg_set = sum(1 << k for k in neg)
+        if len(pos) <= len(neg):
+            outer, inner_set = pos, neg_set
+        else:
+            outer, inner_set = neg, alive ^ neg_set ^ zero_set
         new_points: dict[tuple[tuple[int, ...], int], int] = {}
         for i in outer:
-            mi = vertices[i][1]
+            mi = masks[i]
             rest = _partners(mi, inner_set, incidence, need)
             while rest:
                 low = rest & -rest
                 rest ^= low
                 k = low.bit_length() - 1
-                common = mi & vertices[k][1]
-                shared = -1  # the pair's own bits always survive the ANDs
+                common = mi & masks[k]
+                shared = alive  # the pair's own bits always survive the ANDs
                 tight = common
                 while tight:
                     row_bit = tight & -tight
@@ -384,13 +406,35 @@ def _enumerate_reduced(
                 if shared.bit_count() > 2:
                     continue
                 iu, iw = (i, k) if slacks[i] > 0 else (k, i)
-                (un, ud), su = vertices[iu][0], slacks[iu]
-                (wn, wd), sw = vertices[iw][0], slacks[iw]
+                (un, ud), su = points[iu], slacks[iu]
+                (wn, wd), sw = points[iw], slacks[iw]
                 nums = [su * w - sw * u for u, w in zip(un, wn)]
-                new_points.setdefault(_canonical(nums, su * wd - sw * ud), common | bit)
-        vertices = survivors + list(new_points.items())
+                new_points.setdefault(_canonical(nums, su * wd - sw * ud), common)
 
-    return vertices
+        keep = ~neg_set
+        incidence = [inc & keep for inc in incidence]
+        alive &= keep
+        for k in neg:
+            points[k] = None
+        free = iter([k for k, p in enumerate(points) if p is None])
+        new_row = zero_set
+        for point, inherited in new_points.items():
+            slot = next(free, len(points))
+            if slot == len(points):
+                points.append(None)
+                masks.append(0)
+            points[slot] = point
+            masks[slot] = inherited | bit
+            slot_bit = 1 << slot
+            new_row |= slot_bit
+            while inherited:
+                low = inherited & -inherited
+                incidence[low.bit_length() - 1] |= slot_bit
+                inherited ^= low
+        alive |= new_row
+        incidence.append(new_row)
+
+    return [(p, mask) for p, mask in zip(points, masks) if p is not None]
 
 
 def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:

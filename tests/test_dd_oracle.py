@@ -10,16 +10,24 @@ contains its common tight set.  Both must return the same (point, mask)
 list once sorted, on prime and composite orders and on canonical and
 non-canonical rhs.
 
+Each vertex keeps one slot for its life, and a cut vertex's slot goes to a
+later new vertex; the second test compares every row prefix's vertex set,
+so that every reused slot is read back, and checks that no point comes
+back twice.  `_canonical` is checked against `Fraction` reduction on
+signed numerator vectors and on the empty one.
+
 `_partners` finds the candidate pairs from the incidence bitsets alone; the
-second test checks it, on the vertex set before every cutting row, against
-the pair-by-pair count of common tight rows.  The third checks that the
-sparse-first row order `build_polytope` emits, the lexicographic order and
+partner-screen test checks it, on the vertex set before every cutting row,
+against the pair-by-pair count of common tight rows.  The last test checks
+that the sparse-first row order `build_polytope` emits, the lexicographic order and
 seeded shuffles all enumerate the same points.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -108,6 +116,35 @@ def test_double_description_matches_adjacency_scan(q, b):
     expected = sorted(oracle_enumerate(rows, poly.dimension))
     assert len(expected) > 1
     assert got == expected
+
+
+@pytest.mark.parametrize("q, b", [(9, 4), (11, 10), (13, 5), (13, 12)])
+def test_every_row_prefix_matches_the_oracle_with_distinct_points(q, b):
+    # a cut vertex's slot is reused by a later new vertex: every prefix's
+    # vertex set, read back from the slots, must be the oracle's, each point once
+    poly = build_polytope(q, b)
+    rows = list(poly.box_rows) + list(poly.other_rows)
+    d = poly.dimension
+    for idx in range(2 * d, len(rows) + 1):
+        got = _enumerate_reduced(rows[:idx], d)
+        assert sorted(got) == sorted(oracle_enumerate(rows[:idx], d))
+        assert len({point for point, _mask in got}) == len(got)
+
+
+def test_canonical_form_is_fraction_reduction():
+    rng = random.Random(7)
+    cases = [([], 1), ([], 6)]
+    for d in range(1, 6):
+        for _ in range(40):
+            den = rng.randint(1, 60) * rng.choice((1, 2, 6))
+            cases.append(([rng.randint(-90, 90) * rng.choice((1, den)) for _ in range(d)], den))
+    cases.append(([0, 0, 0], 8))
+    for nums, den in cases:
+        got_nums, got_den = _canonical(nums, den)
+        fracs = [Fraction(n, den) for n in nums]
+        expected_den = math.lcm(*(f.denominator for f in fracs))
+        assert got_den == expected_den
+        assert got_nums == tuple(int(f * expected_den) for f in fracs)
 
 
 @pytest.mark.parametrize("q, b", [(13, 12), (13, 5), (17, 16), (17, 3)])
