@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DimensionCap,
@@ -64,6 +64,31 @@ MODE_RHS = "rhs"  # symmetry partner of x is (b - x) mod 1
 MODE_WRAP = "wrap"  # symmetry partner of x is (1 - x) mod 1, origin exempt
 
 Piece = tuple[Fraction, Fraction]  # slope, intercept: value = slope*x + intercept
+
+
+class _IntegerForm(NamedTuple):
+    """A circle function as integers, worked out once by `_integer_form`."""
+
+    dx: int  # the lcm of the breakpoint denominators
+    xs: tuple[int, ...]  # the breakpoints over dx
+    w: int  # lcm(dx L, point value denominators), L = lcm(piece coefficient denominators)
+    slopes: tuple[int, ...]  # each piece's slope per 1/dx step, over w
+    offsets: tuple[int, ...]  # each piece's intercept over w
+    values: tuple[int, ...]  # the point values over w
+
+
+def _integer_form(fn: PwlTorusFunction) -> _IntegerForm:
+    dx = math.lcm(*(x.denominator for x in fn.breakpoints))
+    coefficients = math.lcm(*(c.denominator for piece in fn.pieces for c in piece))
+    w = math.lcm(dx * coefficients, *(v.denominator for v in fn.point_values))
+    return _IntegerForm(
+        dx,
+        tuple(x.numerator * (dx // x.denominator) for x in fn.breakpoints),
+        w,
+        tuple(s.numerator * (w // (s.denominator * dx)) for s, _t in fn.pieces),
+        tuple(t.numerator * (w // t.denominator) for _s, t in fn.pieces),
+        tuple(v.numerator * (w // v.denominator) for v in fn.point_values),
+    )
 
 
 @dataclass(frozen=True)
@@ -114,6 +139,8 @@ class PwlTorusFunction:
         object.__setattr__(self, "breakpoints", tuple(bps[i] for i in keep))
         object.__setattr__(self, "pieces", tuple(pieces[i] for i in keep))
         object.__setattr__(self, "point_values", tuple(pvs[i] for i in keep))
+        # kept outside the dataclass fields, so ==, hash and repr do not see it
+        object.__setattr__(self, "_form", _integer_form(self))
 
     def piece_domain(self, i: int) -> tuple[Fraction, Fraction]:
         hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else Fraction(1)
@@ -144,13 +171,10 @@ class PwlTorusFunction:
         from one `_walk_pieces` at the breakpoints."""
         return self._limit_table
 
-    # built on first use and kept outside the dataclass fields, so ==, hash
-    # and repr do not see it
+    # built on first use and, like the integer form, kept outside the fields
     @functools.cached_property
     def _limit_table(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        dx = math.lcm(*(x.denominator for x in self.breakpoints))
-        xs = [x.numerator * (dx // x.denominator) for x in self.breakpoints]
-        scaled, w = _walk_pieces(self, dx, xs)
+        scaled, w = _walk_pieces(self, self._form.dx, self._form.xs)
         return tuple(tuple(Fraction(v, w) for v in t) for t in scaled.values())
 
     def to_dict(self) -> dict:
@@ -322,27 +346,24 @@ def _admit_breakpoints(fn: PwlTorusFunction) -> None:
         )
 
 
-def _subadditivity_scan(
-    fn: PwlTorusFunction,
-) -> tuple[Fraction, tuple, list[tuple[tuple, Fraction]]]:
+def _subadditivity_scan(fn: PwlTorusFunction) -> tuple[Fraction, tuple, list[Violation]]:
     """Minimum of the subadditivity slack over the whole torus square.
 
     The slack is affine on each cell cut out by the breakpoints in x, y and
     x+y, so its infimum over points *and* one-sided limits is attained at a
     cell corner (a breakpoint pair or a difference-aligned pair) under one of
     the realizable approach patterns.  Coordinates are scanned as integers
-    over their common denominator dx, and `_walk_pieces` gives the left
-    limit, value and right limit at every corner coordinate as integers over
-    one common denominator w; both scalings are positive, so the corner
-    order, the witness and the violations are those of the exact scan.
+    over the integer form's dx, and `_walk_pieces` gives the left limit,
+    value and right limit at every corner coordinate as integers over its w;
+    both scalings are positive, so the corner order, the witness and the
+    violations are those of the exact scan.
 
     The sorted corners are scanned column-wise: the 13 patterns fold into 9
     slack columns, because the three (2,0,.) patterns share Rx+Ly and the
     three (0,2,.) patterns share Lx+Ry, each against the largest entry of
     x+y.  The pattern of the witness is found once, at the winning corner.
     """
-    dx = math.lcm(*(x.denominator for x in fn.breakpoints))
-    xs = [x.numerator * (dx // x.denominator) for x in fn.breakpoints]
+    dx, xs = fn._form.dx, fn._form.xs
     corners = {(x, y) for x in xs for y in xs}
     corners |= {(x, (y - x) % dx) for x in xs for y in xs}
     corners = sorted(corners)
@@ -365,7 +386,7 @@ def _subadditivity_scan(
     slacks = [tx[sx] + ty[sy] - tz[sz] for sx, sy, sz in _LIMIT_COMBOS]
     witness = (Fraction(x, dx), Fraction(y, dx), _LIMIT_COMBOS[slacks.index(best)])
     violations = [
-        ((Fraction(x, dx), Fraction(y, dx)), Fraction(-slack, w))
+        Violation("subadditivity", (Fraction(x, dx), Fraction(y, dx)), Fraction(-slack, w))
         for (x, y), slack in zip(corners, worst)
         if slack < 0
     ]
@@ -400,8 +421,7 @@ def _screen_is_clean(fn: PwlTorusFunction) -> bool:
     pattern is one of the 7 screen columns or at least one of them.  At the
     corners the 7 columns miss no negative slack of the scan's 9.
     """
-    n = len(fn.breakpoints)
-    dx = math.lcm(*(x.denominator for x in fn.breakpoints))
+    n, dx = len(fn.breakpoints), fn._form.dx
     if dx > n * min(n, 100):
         return False
     nums, _w = _walk_pieces(fn, dx, range(dx))
@@ -413,8 +433,7 @@ def _screen_is_clean(fn: PwlTorusFunction) -> bool:
     packed = [fields.pack(side, bias) for side in sides]
     ysides = [side + tops for side in packed[:3]]
     doubled = [side | side << dx * width for side in packed]  # field k: k % dx
-    for x in fn.breakpoints:
-        p = x.numerator * (dx // x.denominator)
+    for p in fn._form.xs:
         xsides = [a * ones for a in nums[p]]
         zsides = [(z >> p * width) & mask for z in doubled]
         row = tops
@@ -429,31 +448,25 @@ def subadditivity_slack(fn: PwlTorusFunction) -> tuple[Fraction, tuple]:
     """Exact infimum of pi(x) + pi(y) - pi(x+y), with a witness corner.  A
     function above MAX_BREAKPOINTS raises DimensionCap before any scan."""
     _admit_breakpoints(fn)
-    best, witness, _violations = _subadditivity_scan(fn)
-    return best, witness
+    return _subadditivity_scan(fn)[:2]
 
 
 def _walk_pieces(
     fn: PwlTorusFunction, d: int, points: Iterable[int]
 ) -> tuple[dict[int, tuple[int, int, int]], int]:
-    """{p: (left limit, value, right limit) of fn at p / d, times w} for the
-    ascending integers p in [0, d), and w.
+    """{p: (left limit, value, right limit) of fn at p / d, times k w} for
+    the ascending integers p in [0, d), and k w, where d = k dx.
 
-    d must be a multiple of every breakpoint denominator.  Over the common
-    denominator w piece i is the integer affine map slopes[i] * p + offsets[i].
+    Over k w piece i of the integer form is the integer affine map
+    slopes[i] p + k offsets[i] (a step of 1/d is a step of 1/dx over k w).
     Off a breakpoint all three entries are the value of the piece there; on
     breakpoint i they are piece i-1 (the last piece at d when i = 0), the
     point value and piece i.  So one walk along the pieces gives every entry
     as an integer; the walk at the breakpoints is `limits()`.
     """
-    xs = [x.numerator * (d // x.denominator) for x in fn.breakpoints]
-    w = math.lcm(
-        d * math.lcm(*(c.denominator for piece in fn.pieces for c in piece)),
-        *(v.denominator for v in fn.point_values),
-    )
-    slopes = [s.numerator * (w // (s.denominator * d)) for s, _t in fn.pieces]
-    offsets = [t.numerator * (w // t.denominator) for _s, t in fn.pieces]
-    values = [v.numerator * (w // v.denominator) for v in fn.point_values]
+    dx, xs, w, slopes, offsets, values = fn._form
+    k = d // dx
+    xs, offsets = [x * k for x in xs], [t * k for t in offsets]
     scaled: dict[int, tuple[int, int, int]] = {}
     i, last = 0, len(xs) - 1
     for p in points:
@@ -464,28 +477,25 @@ def _walk_pieces(
             scaled[p] = (right, right, right)
         else:  # p is 0 only on breakpoint 0, whose left piece ends at d
             left = slopes[i - 1] * (p or d) + offsets[i - 1]
-            scaled[p] = (left, values[i], right)
-    return scaled, w
+            scaled[p] = (left, values[i] * k, right)
+    return scaled, k * w
 
 
-def _symmetry_scan(fn: PwlTorusFunction) -> list[tuple[tuple, Fraction]]:
+def _symmetry_scan(fn: PwlTorusFunction) -> Iterator[Violation]:
     """Violations of pi(x) + pi(partner(x)) = 1 on the refined breakpoint grid
     plus two interior probes per refined cell (the sum is affine per cell).
 
     The partner of x is (b - x) mod 1, or (-x) mod 1 in wrap mode.  Over
-    d = 3 lcm(breakpoint denominators, denominator of b) the grid and the
-    probes at 1/3 and 2/3 of each cell are integers, and the reflection maps
-    grid points to grid points and probes to probes, so each point's value
-    is taken once, as an integer over a common denominator w, from the
-    middle entry of one walk along the pieces.
+    d = 3 lcm(dx, denominator of b) the grid and the probes at 1/3 and 2/3
+    of each cell are integers, and the reflection maps grid points to grid
+    points and probes to probes, so each point's value is taken once, as an
+    integer over a common denominator w, from the middle entry of one walk
+    along the pieces.
     """
     rhs = fn.mode == MODE_RHS
-    d = 3 * math.lcm(
-        *(x.denominator for x in fn.breakpoints), fn.b.denominator if rhs else 1
-    )
-    xs = [x.numerator * (d // x.denominator) for x in fn.breakpoints]
+    d = 3 * math.lcm(fn._form.dx, fn.b.denominator if rhs else 1)
     bd = fn.b.numerator * (d // fn.b.denominator) if rhs else 0
-    grid = set(xs) | {0, bd}
+    grid = {x * (d // fn._form.dx) for x in fn._form.xs} | {0, bd}
     refined = sorted(grid | {(bd - p) % d for p in grid})
     ends = refined + [d]
     points = []
@@ -499,55 +509,50 @@ def _symmetry_scan(fn: PwlTorusFunction) -> list[tuple[tuple, Fraction]]:
     # itself and is exempt
     probes = [p for k, p in enumerate(points) if k % 3]
     checked = (refined if rhs else refined[1:]) + probes
-    violations: list[tuple[tuple, Fraction]] = []
     for p in checked:
         gap = scaled[p][1] + scaled[(bd - p) % d][1] - w
         if gap != 0:
-            violations.append(((Fraction(p, d),), Fraction(abs(gap), w)))
-    return violations
+            yield Violation("symmetry", (Fraction(p, d),), Fraction(abs(gap), w))
+
+
+def _violations(fn: PwlTorusFunction) -> Iterator[Violation]:
+    """Negativity, origin, subadditivity, then symmetry violations of fn, as
+    one lazy chain.  A function above MAX_BREAKPOINTS raises DimensionCap
+    before the first.  Subadditivity is screened on the packed grid first;
+    only when the screen flags a row, or does not run, does the corner scan
+    list the violations."""
+    _admit_breakpoints(fn)
+    for i, triple in enumerate(fn.limits()):
+        negative = next((v for v in triple if v < 0), None)  # the first of the three
+        if negative is not None:
+            yield Violation("negativity", (i,), -negative)
+    origin = fn.limits()[0][1]
+    if origin != 0:
+        yield Violation("origin", (0,), abs(origin))
+    if not _screen_is_clean(fn):
+        yield from _subadditivity_scan(fn)[2]
+    yield from _symmetry_scan(fn)
 
 
 def is_minimal_pwl(fn: PwlTorusFunction) -> MinimalityVerdict:
-    """Origin value, nonnegativity, subadditivity and symmetry, all exact.
+    """Origin value, nonnegativity, subadditivity and symmetry, all exact:
+    the verdict of the whole `_violations` chain.
 
     Witnesses are reported as breakpoint coordinates rather than residues.
     A function above MAX_BREAKPOINTS raises DimensionCap before any scan.
-    Subadditivity is screened on the packed grid first; only when the screen
-    flags a row, or does not run, does the corner scan list the violations.
     """
-    _admit_breakpoints(fn)
-    violations: list[Violation] = []
-    for i, triple in enumerate(fn.limits()):
-        for v in triple:
-            if v < 0:
-                violations.append(Violation("negativity", (i,), -v))
-                break
-    origin = fn.limits()[0][1]
-    if origin != 0:
-        violations.append(Violation("origin", (0,), abs(origin)))
-    if not _screen_is_clean(fn):
-        _best, _witness, sub_violations = _subadditivity_scan(fn)
-        for (x0, y0), amount in sub_violations:
-            violations.append(Violation("subadditivity", (x0, y0), amount))
-    for witness, amount in _symmetry_scan(fn):
-        violations.append(Violation("symmetry", witness, amount))
-    return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
+    violations = tuple(_violations(fn))
+    return MinimalityVerdict(is_minimal=not violations, violations=violations)
 
 
 def _spans(fn: PwlTorusFunction) -> tuple[list[tuple[int, int, int]], int, int]:
-    """Per piece (start value, end value, length) as integers, and dx and w:
-    the lengths are over dx, the lcm of the breakpoint denominators, and the
-    end values over w, from one `_walk_pieces` at the breakpoints.  Piece i
-    starts at breakpoint i's right limit and ends at breakpoint i+1's left
-    limit; the last piece ends at breakpoint 0's left limit, its value at 1.
-    """
-    dx = math.lcm(*(x.denominator for x in fn.breakpoints))
-    xs = [x.numerator * (dx // x.denominator) for x in fn.breakpoints]
-    scaled, w = _walk_pieces(fn, dx, xs)
-    triples = list(scaled.values())  # one per breakpoint, in order
-    starts = [right for _left, _value, right in triples]
-    ends = [left for left, _value, _right in triples[1:] + triples[:1]]
-    return list(zip(starts, ends, map(sub, xs[1:] + [dx], xs))), dx, w
+    """Per piece (start value, end value, length) as integers, and dx and w,
+    read off the integer form with no walk: with slope s and intercept t over
+    w, piece i runs from s x_i + t to s x_{i+1} + t, over x_{i+1} - x_i, the
+    breakpoints x_i over dx and x_n = dx."""
+    dx, xs, w, slopes, offsets, _values = fn._form
+    pieces = zip(slopes, offsets, xs, xs[1:] + (dx,))
+    return [(s * u + t, s * v + t, v - u) for s, t, u, v in pieces], dx, w
 
 
 def _rise_lcm(spans: list[tuple[int, int, int]]) -> int:
@@ -772,9 +777,9 @@ def tilde_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
     origin, and equals the rearrangement off the breakpoint set.  The origin
     keeps value 0 (a null-set normalization that preserves all integrals).
     """
-    verdict = is_minimal_pwl(fn)
-    if not verdict.is_minimal:
-        raise NotMinimal(f"not minimal: {verdict.violations[0]}")
+    first = next(_violations(fn), None)
+    if first is not None:
+        raise NotMinimal(f"not minimal: {first}")
     breakpoints, pieces, lefts, rights = zip(*_rearranged(fn))
     averages = [(left + right) / 2 for left, right in zip(lefts[1:], rights[1:])]
     return PwlTorusFunction(breakpoints, pieces, (0, *averages), mode=MODE_WRAP)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import groupcut
-from groupcut import FiniteGroupFunction, PwlTorusFunction, gmi, gom, identity_fn, md2
+from groupcut import FiniteGroupFunction, PwlTorusFunction, gmi, gom, identity_fn, md2, tilde_fn
 from groupcut import (
     cli,
     experiments,
@@ -799,6 +799,56 @@ class TestExperiment:
         )
         assert code == 3
         assert "unknown profile" in err
+
+    def test_riemann_profile_files_print_what_the_identity_prints(self, capsys, tmp_path):
+        # tilde(gmi(b)) is the identity ramp for every b, so a file of it, a
+        # file of the identity and gmi:<b> all discretize the same profile
+        argv = ["experiment", "riemann", "--q", "11", "--h"]
+        expected = run(capsys, *argv, "identity")
+        assert expected[0] == 0 and expected[2] == ""
+        for name, fn in (("identity", identity_fn()), ("tilde", tilde_fn(gmi(F(1, 3))))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(fn.to_json())
+            assert run(capsys, *argv, f"file:{path}") == expected
+        assert run(capsys, *argv, "gmi:1/3") == expected
+
+    def test_riemann_refuses_a_finite_function_file(self, capsys, gom54_path):
+        argv = ["experiment", "riemann", "--q", "11", "--h", f"file:{gom54_path}"]
+        assert run(capsys, *argv) == (3, "", "error: missing key: 'breakpoints'\n")
+
+
+def _without(data, *path):
+    """data with the key at the end of path removed, one level per name."""
+    *parents, key = path
+    inner = data
+    for name in parents:
+        inner = inner[name]
+    del inner[key]
+    return data
+
+
+class TestMissingKey:
+    """An input object without a key the command reads exits 3 with empty
+    stdout and names the key on stderr."""
+
+    @pytest.mark.parametrize(
+        "command, data, key",
+        [
+            ("check", _without(gom(5, 4).to_dict(), "b"), "b"),
+            ("check", _without(gmi(F(1, 2)).to_dict(), "limits"), "limits"),
+            ("check", _without(gmi(F(1, 2)).to_dict(), "limits", 1, "left"), "left"),
+            ("cutgen", {"columns": [{"name": "s1", "frac": "1/4"}]}, "rhs"),
+        ],
+        ids=["finite-b", "circle-limits", "limit-entry-left", "cutgen-row-rhs"],
+    )
+    def test_missing_key_exits_3(self, capsys, tmp_path, gmi_half_path, command, data, key):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        if command == "check":
+            argv = ["check", str(path)]
+        else:
+            argv = ["cutgen", "--row", str(path), "--function", gmi_half_path]
+        assert run(capsys, *argv) == (3, "", f"error: missing key: '{key}'\n")
 
 
 class TestCutgen:

@@ -35,6 +35,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from operator import sub
 
 import pytest
 
@@ -90,7 +91,7 @@ def oracle_scan(fn):
             if slack < 0 and (worst_here is None or slack < worst_here):
                 worst_here = slack
         if worst_here is not None:
-            violations.append(((x0, y0), -worst_here))
+            violations.append(Violation("subadditivity", (x0, y0), -worst_here))
     return best, witness, violations
 
 
@@ -108,13 +109,13 @@ def oracle_symmetry_scan(fn):
             continue
         gap = fn.value_at(r) + fn.value_at(partner(r)) - 1
         if gap != 0:
-            violations.append(((r,), abs(gap)))
+            violations.append(Violation("symmetry", (r,), abs(gap)))
     endpoints = refined + [F(1)]
     for u, v in zip(endpoints, endpoints[1:]):
         for t in (u + (v - u) / 3, u + 2 * (v - u) / 3):
             gap = fn.value_at(t) + fn.value_at(partner(t)) - 1
             if gap != 0:
-                violations.append(((t,), abs(gap)))
+                violations.append(Violation("symmetry", (t,), abs(gap)))
     return violations
 
 
@@ -197,10 +198,7 @@ def oracle_is_minimal_pwl(fn):
                 break
     if fn.value_at(0) != 0:
         violations.append(Violation("origin", (0,), abs(fn.value_at(0))))
-    for corner, amount in oracle_scan(fn)[2]:
-        violations.append(Violation("subadditivity", corner, amount))
-    for witness, amount in oracle_symmetry_scan(fn):
-        violations.append(Violation("symmetry", witness, amount))
+    violations += oracle_scan(fn)[2] + oracle_symmetry_scan(fn)
     return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
 
 
@@ -326,7 +324,7 @@ def test_symmetry_scan_matches_fraction_scan():
     violated = 0
     for fn in CORPUS:
         expected = oracle_symmetry_scan(fn)
-        got = torus._symmetry_scan(fn)
+        got = list(torus._symmetry_scan(fn))
         assert got == expected
         assert repr(got) == repr(expected)  # Fractions, not ints
         violated += bool(expected)
@@ -977,3 +975,144 @@ def test_a_negative_point_value_alone_is_refused():
     expected = "ValueError: function is negative near breakpoint 1/2"
     for call, oracle in pairs:
         assert outcome(call, fn) == outcome(oracle, fn) == expected
+
+
+# Each function's integer form (dx, the breakpoints over dx, w, and each
+# piece's slope per 1/dx step, its intercept and each point value over w) is
+# worked out once, when the function is constructed.  `_spans` is a formula
+# over it; its oracle is the walk at the breakpoints that it replaced, with
+# w as that walk took it and the limits from their definition.
+
+
+def walk_denominator(fn, d):
+    """w as the walk on the grid d took it before the integer form held it:
+    the lcm of d L (L that of the piece coefficients' denominators) and the
+    point values' denominators."""
+    coefficients = math.lcm(*(c.denominator for piece in fn.pieces for c in piece))
+    return math.lcm(d * coefficients, *(v.denominator for v in fn.point_values))
+
+
+def oracle_spans(fn):
+    dx = math.lcm(*(x.denominator for x in fn.breakpoints))
+    xs = [x.numerator * (dx // x.denominator) for x in fn.breakpoints]
+    w = walk_denominator(fn, dx)
+    triples = [
+        [v.numerator * (w // v.denominator) for v in direct_limits(fn, x)]
+        for x in fn.breakpoints
+    ]
+    starts = [right for _left, _value, right in triples]
+    ends = [left for left, _value, _right in triples[1:] + triples[:1]]
+    return list(zip(starts, ends, map(sub, xs[1:] + [dx], xs))), dx, w
+
+
+def test_spans_match_the_breakpoint_walk():
+    seen = Counter()
+    for fn in CORPUS + GRID_FUNCTIONS:
+        assert torus._spans(fn) == oracle_spans(fn)
+        seen[fn.mode] += 1
+        seen["negative"] += min(map(min, fn.limits())) < 0
+        seen["origin jump"] += fn.limits()[0][0] != fn.limits()[0][2]
+        seen["mixed"] += len({x.denominator for x in fn.breakpoints[1:]}) > 1
+    kinds = (MODE_RHS, MODE_WRAP, "negative", "origin jump", "mixed")
+    assert all(seen[kind] for kind in kinds), seen
+
+
+def a_seventh_at_a_jump():
+    """2/5 on (0, 1/3), 1/2 on (1/3, 2/3) and 3/5 on (2/3, 1), with the point
+    values 3/7 and 4/7 at the jumps: nondecreasing and minimal in wrap mode.
+    The 7 divides neither dx = 3 nor a piece coefficient's denominator, so on
+    a grid d = k dx with 7 | k the walk's k w is larger than the w it took
+    before the integer form, lcm(d L, 7)."""
+    third = F(1, 3)
+    return PwlTorusFunction(
+        (F(0), third, 2 * third),
+        ((F(0), F(2, 5)), (F(0), F(1, 2)), (F(0), F(3, 5))),
+        (F(0), F(3, 7), F(4, 7)),
+        mode=MODE_WRAP,
+    )
+
+
+def a_seventh_off_symmetry():
+    """A ramp of slope 1/2 from 1/4 on the halves, with point value 1/7 at
+    1/2, in rhs mode at b = 1/2: neither symmetric nor subadditive."""
+    half = F(1, 2)
+    return PwlTorusFunction(
+        (F(0), half), ((half, F(1, 4)), (half, F(1, 4))), (F(0), F(1, 7)), b=half
+    )
+
+
+def test_the_walk_on_a_finer_grid_matches_the_one_sided_limits():
+    widened = 0
+    for fn in (a_seventh_at_a_jump(), a_seventh_off_symmetry()):
+        dx, w = fn._form.dx, fn._form.w
+        for n in (1, 3, 6, 7, 14, 21, 42, 84):
+            d = math.lcm(n, dx)
+            scaled, walked_w = torus._walk_pieces(fn, d, range(d))
+            assert walked_w == (d // dx) * w
+            widened += walked_w > walk_denominator(fn, d)
+            assert [tuple(F(v, walked_w) for v in t) for t in scaled.values()] == [
+                (fn.left_limit_at(F(p, d)), fn.value_at(F(p, d)), fn.right_limit_at(F(p, d)))
+                for p in range(d)
+            ]
+    assert widened >= 8
+
+
+def test_a_seventh_at_a_jump_keeps_its_answers(monkeypatch):
+    minimal, broken = a_seventh_at_a_jump(), a_seventh_off_symmetry()
+    assert is_nondecreasing(minimal) and is_minimal_pwl(minimal).is_minimal
+    for fn in (minimal, broken):
+        assert list(torus._symmetry_scan(fn)) == oracle_symmetry_scan(fn)
+        assert repr(is_minimal_pwl(fn)) == repr(oracle_is_minimal_pwl(fn))
+    kinds = {v.kind for v in is_minimal_pwl(broken).violations}
+    assert kinds == {"subadditivity", "symmetry"}
+    # the sample at q = 43 lies on the grid 1/42, where k w = 14 * 210 is
+    # larger than lcm(42 * 10, 7) = 420, and takes both point values
+    assert walk_denominator(minimal, 42) == 420 < 14 * minimal._form.w
+    orders = (5, 29, 43, 211)
+    got = [outcome(lambda h: riemann_experiment(h, q), minimal) for q in orders]
+    assert riemann_experiment(minimal, 43).product == F(19131876, 73015689849853515625)
+    monkeypatch.setattr(experiments, "_walk_pieces", oracle_walk)
+    assert got == [outcome(lambda h: riemann_experiment(h, q), minimal) for q in orders]
+    assert all(o.startswith("RiemannResult") for o in got)
+
+
+def test_the_integer_form_is_worked_out_once_per_function(monkeypatch):
+    derived = []
+    form = torus._integer_form
+    monkeypatch.setattr(torus, "_integer_form", lambda fn: derived.append(fn) or form(fn))
+    fn = a_seventh_at_a_jump()
+    assert len(derived) == 1 and derived[0] is fn
+    derived.clear()
+    is_minimal_pwl(fn)
+    tilde = tilde_fn(fn)
+    torus.integral_ln(fn)
+    torus.lp_power_torus(fn, 3)
+    layer_cake_check(fn)
+    riemann_experiment(fn, 43)
+    # no walk or scan works the form out again: the one function built is
+    # tilde_fn's result
+    assert len(derived) == 1 and derived[0] is tilde
+
+
+# `is_minimal_pwl` is the verdict of one lazy chain, `_violations`, whose
+# scans build the `Violation`s themselves; `tilde_fn` reads its first one.
+
+
+def test_tilde_fn_names_the_first_violation_of_the_chain(monkeypatch):
+    failing = [(fn, is_minimal_pwl(fn)) for fn in CORPUS]
+    failing = [(fn, verdict) for fn, verdict in failing if not verdict.is_minimal]
+    for fn, verdict in failing:
+        assert tuple(torus._violations(fn)) == verdict.violations
+        assert outcome(tilde_fn, fn) == f"NotMinimal: not minimal: {verdict.violations[0]}"
+    # a first violation before the scans is read without any of them
+    early = [fn for fn, v in failing if v.violations[0].kind in ("negativity", "origin")]
+
+    def refuse(fn):
+        raise AssertionError("a scan ran after the first violation")
+
+    for scan in ("_screen_is_clean", "_subadditivity_scan", "_symmetry_scan"):
+        monkeypatch.setattr(torus, scan, refuse)
+    for fn in early:
+        with pytest.raises(NotMinimal):
+            tilde_fn(fn)
+    assert len(failing) > 100 and len(early) > 50
