@@ -11,9 +11,9 @@ Exit codes: 0 success, 2 a certified identity failed its check, 3 bad input
 (usage errors included, and an order above a subcommand's cap).
 
 JSON output is json.dumps(payload, indent=2).  The one payload not built as
-a dict is check's verdict: _render_check prints the same bytes in one pass
-straight from the verdict, in both formats, one template per violation, so
-check stays cheap when it lists tens of thousands of violations.
+a dict is check's verdict: _render_check writes the same bytes block by block
+off the lazy violation chain, in both formats, one template per violation, so
+check stays cheap, in bounded memory, when it lists millions of violations.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import gc
 import json
 import math
 import sys
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from .criteria import score_function
@@ -40,15 +40,15 @@ from .experiments import (
     riemann_experiment,
     stirling_table,
 )
-from .finite_functions import FiniteGroupFunction, is_minimal, rearrange_finite
+from .finite_functions import FiniteGroupFunction, _violations, rearrange_finite
 from .polytope import gomory_decomposition
 from .rationals import as_fraction, strict_int
 from .torus import (
     PwlTorusFunction,
+    _violations as _circle_violations,
     gmi,
     identity_fn,
     integral_ln,
-    is_minimal_pwl,
     layer_cake_check,
     lp_norm_torus,
     rearrange_torus,
@@ -142,55 +142,72 @@ def _emit(payload: dict, args) -> None:
             print(f"{key}: {value}")
 
 
-def _render_check(verdict, fmt: str) -> str:
-    """The verdict as _emit would print the payload {"is_minimal": ...,
-    "violations": [{"kind": ..., "witness": [...], "amount": ...}, ...]} with
-    each witness entry and amount as its str: exactly json.dumps(payload,
-    indent=2) for json, the `key: value` lines for text.
+_BLOCK = 4096  # violations per write: check holds one block, and its text, at a time
 
-    One join, with no payload built.  A violation is three pieces: the head
-    of its kind, its witness and the tail of its amount.  Each distinct kind
-    and amount fills its head or tail once, keyed by object identity, which
-    the verdict keeps alive.  Each witness fills, in C, the one template for
-    its length.  The str of an int or a Fraction holds only digits, '-' and
-    '/', so the witness entries need no escaping: the template quotes them."""
+
+def _render_check(violations, fmt: str) -> None:
+    """Write the verdict of the lazy chain `violations` to stdout as _emit
+    would print the payload {"is_minimal": ..., "violations": [{"kind": ...,
+    "witness": [...], "amount": ...}, ...]} with each witness entry and amount
+    as its str: exactly json.dumps(payload, indent=2) for json, the
+    `key: value` lines for text.
+
+    The first block is pulled before any byte is written: it decides the flag,
+    and a chain that refuses its input (a circle function above the
+    breakpoint cap) raises there.  Then the opening, one join per block and
+    the closing are written, with no payload built.  A violation is three
+    pieces: the head of its kind, its witness and the tail of its amount.
+    Each distinct kind and amount of a block fills its head or tail once,
+    keyed by object identity, which the block keeps alive.  Each witness
+    fills, in C, the one template for its length.  The str of an int or a
+    Fraction holds only digits, '-' and '/', so the witness entries need no
+    escaping: the template quotes them."""
+    block = list(islice(violations, _BLOCK))
     if fmt == "json":
-        quote, flag = encode_basestring_ascii, json.dumps(verdict.is_minimal)
-        page = '{\n  "is_minimal": %s,\n  "violations": %s\n}'
+        quote, flag = encode_basestring_ascii, json.dumps(not block)
+        page = '{\n  "is_minimal": %s,\n  "violations": %s\n}\n'
         separator, listing = ",\n", "[\n%s\n  ]"
         head = separator + '    {\n      "kind": %s,\n      "witness": [\n        "'
         joint, tail = '",\n        "', '"\n      ],\n      "amount": %s\n    }'
     else:
-        quote, flag = repr, verdict.is_minimal
-        page = "is_minimal: %s\nviolations: %s"
+        quote, flag = repr, not block
+        page = "is_minimal: %s\nviolations: %s\n"
         separator, listing = ", ", "[%s]"
         head = separator + "{'kind': %s, 'witness': ['"
         joint, tail = "', '", "'], 'amount': %s}"
-    if not verdict.violations:
-        return page % (flag, "[]")
+    # an empty listing leaves no %s in the page: the opening is all of it
+    opening, _, closing = (page % (flag, listing if block else "[]")).partition("%s")
 
     def filled(form, objects):
         distinct = dict(zip(map(id, objects), objects))
         text = {key: form % quote(str(obj)) for key, obj in distinct.items()}
         return map(text.__getitem__, map(id, objects))
 
-    kinds, witnesses, amounts = zip(*verdict.violations)
-    forms = {n: joint.join(["%s"] * n) for n in set(map(len, witnesses))}
-    entries = map(str.__mod__, map(forms.__getitem__, map(len, witnesses)), witnesses)
-    pieces = zip(filled(head, kinds), entries, filled(tail, amounts))
-    body = "".join(chain.from_iterable(pieces))[len(separator) :]
-    return page % (flag, listing % body)
+    write, skip = sys.stdout.write, len(separator)
+    write(opening)
+    while block:
+        kinds, witnesses, amounts = zip(*block)
+        forms = {n: joint.join(["%s"] * n) for n in set(map(len, witnesses))}
+        entries = map(str.__mod__, map(forms.__getitem__, map(len, witnesses)), witnesses)
+        pieces = zip(filled(head, kinds), entries, filled(tail, amounts))
+        write("".join(chain.from_iterable(pieces))[skip:])
+        block, skip = list(islice(violations, _BLOCK)), 0
+    write(closing)
 
 
 def _cmd_check(args) -> int:
     fn = _load(_function_from_dict, args.path)
     if isinstance(fn, FiniteGroupFunction):
-        verdict = is_minimal(fn, b=args.b)
+        if args.b is not None:
+            fn = FiniteGroupFunction(
+                fn.group, fn.group.element(args.b), fn.numerators, fn.denominator
+            )
+        violations = _violations(fn.numerators, fn.denominator, fn.b_residue)
     elif args.b is not None:
         raise ValueError("--b applies to finite functions only")
     else:
-        verdict = is_minimal_pwl(fn)
-    print(_render_check(verdict, args.format))
+        violations = _circle_violations(fn)
+    _render_check(violations, args.format)
     return 0
 
 

@@ -37,9 +37,9 @@ from .torus import (
     MODE_RHS,
     MODE_WRAP,
     PwlTorusFunction,
+    _violations as _circle_violations,
     _walk_pieces,
     integral_ln,
-    is_minimal_pwl,
     is_nondecreasing,
 )
 
@@ -215,9 +215,9 @@ def riemann_experiment(h: PwlTorusFunction, q: int) -> RiemannResult:
         raise NotInClassG("expected wraparound symmetry (mode 'wrap')")
     if not is_nondecreasing(h):
         raise NotInClassG("expected a nondecreasing function")
-    verdict = is_minimal_pwl(h)
-    if not verdict.is_minimal:
-        raise NotInClassG(f"not minimal: {verdict.violations[0]}")
+    first = next(_circle_violations(h), None)
+    if first is not None:
+        raise NotInClassG(f"not minimal: {first}")
     # h at x/(q-1) for x < q-1 is h at x * (d // (q-1)) over d
     d = math.lcm(q - 1, *(x.denominator for x in h.breakpoints))
     # the sample is checked and scored as integers over w: h(1) = 1 is w
@@ -349,7 +349,7 @@ def _carried_rows(q: int, bs: Sequence[int]) -> list[OptimizationRow]:
         matches = (
             base.unique
             and product == floor
-            and is_minimal(argmin, b=b, early_exit=True).is_minimal
+            and is_minimal(argmin).is_minimal
             and rearrange_finite(argmin) == shape
         )
         now = time.perf_counter()

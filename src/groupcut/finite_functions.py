@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -231,22 +231,10 @@ def _violations(nums: Sequence[int], den: int, b: int) -> Iterator[Violation]:
     return chain(origin, chain.from_iterable(_subadditivity(nums, den)), _symmetry(nums, den, b))
 
 
-def is_minimal(
-    pi: FiniteGroupFunction,
-    b: int | None = None,
-    early_exit: bool = False,
-) -> MinimalityVerdict:
-    """Check origin value, subadditivity and symmetry exactly.
-
-    All violations are reported with exact rational amounts unless
-    ``early_exit`` asks for the first one only.  ``b`` overrides the
-    function's stored right-hand side.
-    """
-    b_res = pi.b_residue if b is None else b % pi.q
-    if b_res == 0:
-        raise ZeroElement("minimality needs a nonzero right-hand side")
-    found = _violations(pi.numerators, pi.denominator, b_res)
-    violations = tuple(islice(found, 1) if early_exit else found)
+def is_minimal(pi: FiniteGroupFunction) -> MinimalityVerdict:
+    """Check origin value, subadditivity and symmetry exactly, at pi's own
+    right-hand side: every violation, with its exact rational amount."""
+    violations = tuple(_violations(pi.numerators, pi.denominator, pi.b_residue))
     return MinimalityVerdict(is_minimal=not violations, violations=violations)
 
 

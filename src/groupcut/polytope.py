@@ -310,10 +310,8 @@ def _partners(mask: int, others: int, incidence: list[int], need: int) -> int:
     return within[m]
 
 
-def _enumerate_reduced(
-    rows: list[IntRow], d: int
-) -> list[tuple[tuple[tuple[int, ...], int], int]]:
-    """Vertices of {z : rows} as (homogeneous point, tight-row bitmask).
+def _enumerate_reduced(rows: list[IntRow], d: int) -> list[tuple[tuple[int, ...], int]]:
+    """Vertices of {z : rows} as homogeneous points (nums, den).
 
     Incremental double description starting from the unit box, which is always
     part of the row system here.  Inserting row idx cuts each edge between a
@@ -327,9 +325,10 @@ def _enumerate_reduced(
     other side down to the vertices sharing at least d - 1 of its tight rows,
     so no pair below that count is ever visited; a screened pair is adjacent
     iff ANDing the incidence bitsets over its common rows leaves only its own
-    two bits.  The returned masks are the inherited ones; `enumerate_vertices`
-    does not rely on them.  With d = 0 the box is the one empty point, which
-    each row keeps (c <= 0) or cuts away (c > 0).
+    two bits.  The masks stay inside: only the points come back, and
+    `enumerate_vertices` certifies each from the point.  With d = 0 the box
+    is the one empty point, which each row keeps (c <= 0) or cuts away
+    (c > 0).
 
     A vertex keeps one slot for its whole life: `points` and `masks` are
     indexed by slot, `points` holding None at a free slot, and the bitset
@@ -434,14 +433,13 @@ def _enumerate_reduced(
         alive |= new_row
         incidence.append(new_row)
 
-    return [(p, mask) for p, mask in zip(points, masks) if p is not None]
+    return [p for p in points if p is not None]
 
 
 def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
     """All vertices of the polytope, each certified from the point alone.
 
-    The certificate does not rest on the enumerator's inherited masks: every
-    row's slack is recomputed at every returned point nums/den at once
+    Every row's slack is recomputed at every returned point nums/den at once
     (`_tight_flags`), and the first point in the enumerator's order with a
     negative slack or with tight rows of rank below the dimension raises,
     naming the negative slack when it has both.  Each vertex is kept as
@@ -452,7 +450,7 @@ def enumerate_vertices(polytope: MinimalFunctionPolytope) -> VertexSet:
         raise DimensionCap.order(polytope.q, "enumeration", MAX_ORDER)
     rows = list(polytope.box_rows) + list(polytope.other_rows)
     d = polytope.dimension
-    found = [point for point, _mask in _enumerate_reduced(rows, d)]
+    found = _enumerate_reduced(rows, d)
     first_bad, flags = _tight_flags(rows, found)
     stacked = b"".join(flags)  # point k's flags over the rows: stacked[k::count]
     count = len(found)

@@ -4,12 +4,13 @@ experiment, the exact floor table, and the batch optimization report."""
 import csv
 import io
 import math
+import re
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from groupcut import experiments, finite_functions, group_core, polytope
+from groupcut import experiments, finite_functions, group_core, polytope, torus
 from groupcut import (
     CutInequality,
     DimensionCap,
@@ -178,6 +179,27 @@ class TestRiemannExperiment:
         )
         with pytest.raises(NotInClassG):
             riemann_experiment(lifted, 5)
+
+    def test_a_profile_that_fails_early_is_refused_before_the_later_scans(
+        self, monkeypatch
+    ):
+        # 1/4 + x/2 is nondecreasing, but its value 1/4 at the origin is the
+        # first violation of its chain: the grid screen and the symmetry scan
+        # never run
+        ramp = PwlTorusFunction((F(0),), ((F(1, 2), F(1, 4)),), (F(1, 4),), mode=MODE_WRAP)
+        ran = []
+        for scan in ("_screen_is_clean", "_symmetry_scan"):
+            original = getattr(torus, scan)
+            monkeypatch.setattr(
+                torus, scan, lambda fn, scan=scan, original=original: ran.append(scan) or original(fn)
+            )
+        first = "Violation(kind='origin', witness=(0,), amount=Fraction(1, 4))"
+        with pytest.raises(NotInClassG, match=rf"^not minimal: {re.escape(first)}$"):
+            riemann_experiment(ramp, 5)
+        assert ran == []
+        # the whole verdict reaches both spies
+        assert str(torus.is_minimal_pwl(ramp).violations[0]) == first
+        assert ran == ["_screen_is_clean", "_symmetry_scan"]
 
 
 def sampled_function(h, q):

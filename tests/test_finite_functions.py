@@ -32,7 +32,7 @@ from groupcut import (
     volume_product,
 )
 from groupcut import finite_functions
-from groupcut.finite_functions import MAX_SCAN_ORDER
+from groupcut.finite_functions import MAX_SCAN_ORDER, _violations
 
 
 def fractions(*texts):
@@ -102,7 +102,7 @@ class TestMinimality:
         assert is_minimal(fn).is_minimal
 
     def test_dantzig_fails_at_origin(self):
-        verdict = is_minimal(dantzig(3), b=1)
+        verdict = is_minimal(dantzig(3, 1))
         assert not verdict.is_minimal
         assert any(v.kind == "origin" for v in verdict.violations)
 
@@ -126,18 +126,30 @@ class TestMinimality:
         assert violation.witness == (1,)
         assert violation.amount == F(1, 4)
 
-    def test_rhs_override_changes_verdict(self):
+    def test_another_rhs_changes_verdict(self):
         fn = md2(5, 2)
         assert is_minimal(fn).is_minimal
-        assert not is_minimal(fn, b=4).is_minimal
+        assert not is_minimal(at_rhs(fn, 4)).is_minimal
 
-    def test_early_exit_reports_single_violation(self):
-        verdict = is_minimal(dantzig(5), early_exit=True)
-        assert len(verdict.violations) == 1
+    def test_the_chain_yields_one_violation_at_a_time(self):
+        fn = dantzig(5)
+        chain = _violations(fn.numerators, fn.denominator, fn.b_residue)
+        assert next(chain) == is_minimal(fn).violations[0]
 
-    def test_zero_rhs_override_rejected(self):
-        with pytest.raises(ZeroElement):
-            is_minimal(gom(5, 4), b=0)
+    @pytest.mark.parametrize("b", [0, 5, -5])
+    def test_the_constructor_refuses_a_zero_rhs(self, b):
+        with pytest.raises(ZeroElement, match="^right-hand side b must be nonzero$"):
+            at_rhs(gom(5, 4), b)
+
+
+def at_rhs(fn, b):
+    """fn's values at the right-hand side b, as `check --b` builds them."""
+    return FiniteGroupFunction(fn.group, fn.group.element(b), fn.numerators, fn.denominator)
+
+
+def first_violation(fn):
+    """The first element of fn's lazy violation chain, or None."""
+    return next(_violations(fn.numerators, fn.denominator, fn.b_residue), None)
 
 
 def dense(q=503, den=100):
@@ -189,10 +201,9 @@ class TestViolation:
         ],
         ids=["dense", "dantzig", "origin"],
     )
-    def test_early_exit_is_the_first_of_the_full_list(self, fn):
+    def test_the_chain_s_first_element_is_the_first_of_the_full_list(self, fn):
         full = is_minimal(fn).violations
-        assert is_minimal(fn, early_exit=True).violations == full[:1]
-        assert full
+        assert first_violation(fn) == full[0]
 
 
 class TestSerialization:

@@ -1,9 +1,12 @@
 """Every JSON-emitting subcommand's stdout against its own stdlib round trip,
-and check's one-pass verdict renderer against the payload it stands for, so
-that the CLI prints exactly the bytes the stdlib encoder would."""
+and check's block writer against the payload it stands for, so that the CLI
+prints exactly the bytes the stdlib encoder would.  The writer's block size is
+patched down to 1, 2 and 7 violations as well, so that every block boundary
+is crossed."""
 
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +22,10 @@ from groupcut import (
     is_minimal_pwl,
     md2,
 )
-from groupcut.cli import _render_check, main
+from groupcut import cli, finite_functions, torus
+from groupcut.cli import main
+
+BLOCKS = [1, 2, 7, cli._BLOCK]
 
 
 def assert_same(out: str, expected: str) -> None:
@@ -132,28 +138,75 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("name", CHECKS)
-def test_check_prints_its_reference_payload(capsys, corpus, name, fmt):
+def expected_page(verdict, fmt) -> str:
     """json is json.dumps(payload, indent=2); text is one `key: value` line
     per payload entry, the list printed as Python shows it."""
+    ref = check_reference(verdict)
+    if fmt == "json":
+        return json.dumps(ref, indent=2) + "\n"
+    return "".join(f"{key}: {value}\n" for key, value in ref.items())
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_prints_its_reference_payload(capsys, monkeypatch, corpus, name, fmt, block):
     path, b = CHECKS[name]
     with open(corpus[path]) as handle:
         data = json.load(handle)
     if "values" in data:
-        verdict = is_minimal(FiniteGroupFunction.from_dict(data), b=b)
+        fn = FiniteGroupFunction.from_dict(data)
+        if b is not None:
+            fn = FiniteGroupFunction(fn.group, fn.group.element(b), fn.numerators, fn.denominator)
+        verdict = is_minimal(fn)
     else:
         verdict = is_minimal_pwl(PwlTorusFunction.from_dict(data))
-    ref = check_reference(verdict)
     flags = [] if b is None else ["--b", str(b)]
+    monkeypatch.setattr(cli, "_BLOCK", block)
     code = main(["check", corpus[path], *flags, "--format", fmt])
-    out = capsys.readouterr().out
-    if fmt == "json":
-        expected = json.dumps(ref, indent=2) + "\n"
-    else:
-        expected = "".join(f"{key}: {value}\n" for key, value in ref.items())
     assert code == 0
-    assert_same(out, expected)
+    assert_same(capsys.readouterr().out, expected_page(verdict, fmt))
+
+
+@pytest.mark.parametrize("b", ["0", "5", "-10"])
+def test_check_at_a_zero_rhs_exits_3_with_no_stdout(capsys, corpus, b):
+    code = main(["check", corpus["gom54.json"], "--b", b])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: right-hand side b must be nonzero\n"
+
+
+def test_check_reads_the_chain_and_no_verdict(capsys, monkeypatch, corpus):
+    # check writes each chain as it comes: neither whole verdict is built
+    spied = {"is_minimal": finite_functions.is_minimal, "is_minimal_pwl": torus.is_minimal_pwl}
+    calls = []
+
+    def spy(name):
+        def called(*args):
+            calls.append(name)
+            return spied[name](*args)
+
+        return called
+
+    modules = [m for n, m in sys.modules.items() if n == "groupcut" or n.startswith("groupcut.")]
+    for module in modules:
+        for name, original in spied.items():
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, spy(name))
+    for argv in (
+        ["dense.json"],
+        ["dense.json", "--b", "7", "--format", "text"],
+        ["gom54.json"],
+        ["gmi_half.json"],
+        ["circle_bad.json", "--format", "text"],
+    ):
+        assert main(["check", corpus[argv[0]], *argv[1:]]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the spies are in place: the library's own calls reach them
+    finite_functions.is_minimal(gom(5, 4))
+    torus.is_minimal_pwl(gmi(F(1, 2)))
+    assert calls == ["is_minimal", "is_minimal_pwl"]
 
 
 def test_check_cases_cover_every_kind_and_an_empty_list(corpus):
@@ -201,14 +254,19 @@ def test_random_verdicts_hold_equal_fields_in_distinct_objects():
     assert {type(w) for v in found for w in v.witness} == {int, F}
 
 
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("seed", range(40))
-def test_render_matches_the_payload_on_random_verdicts(seed):
-    """check's one-join renderer against json.dumps and the `key: value` text
-    form, on seeded verdicts of no, one and many violations."""
+def test_render_matches_the_payload_on_random_verdicts(
+    capsys, monkeypatch, corpus, seed, block
+):
+    """check's block writer against json.dumps and the `key: value` text
+    form, on seeded verdicts of no, one and many violations, through main:
+    the finite chain check reads is replaced by the verdict's violations."""
     rng = random.Random(9000 + seed)
     count = (0, 1, rng.randint(2, 60))[seed % 3]
     verdict = random_verdict(rng, count)
-    ref = check_reference(verdict)
-    assert_same(_render_check(verdict, "json"), json.dumps(ref, indent=2))
-    text = "\n".join(f"{key}: {value}" for key, value in ref.items())
-    assert_same(_render_check(verdict, "text"), text)
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    monkeypatch.setattr(cli, "_violations", lambda *args: iter(verdict.violations))
+    for fmt in ("json", "text"):
+        assert main(["check", corpus["gom54.json"], "--format", fmt]) == 0
+        assert_same(capsys.readouterr().out, expected_page(verdict, fmt))

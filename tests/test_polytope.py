@@ -106,7 +106,7 @@ class TestBuildPolytope:
                 )
                 values = value_vector(poly, z)
                 minimal = min(values) >= 0 and is_minimal(
-                    FiniteGroupFunction.from_values(q, b, values), early_exit=True
+                    FiniteGroupFunction.from_values(q, b, values)
                 ).is_minimal
                 assert in_rows == minimal, (q, b, z)
                 accepted += in_rows
@@ -156,15 +156,15 @@ class TestEnumerateVertices:
             enumerate_vertices(build_polytope(37, 36))
 
     def test_certificate_recomputes_the_tight_rows(self, monkeypatch):
-        # a midpoint of two vertices, carrying the first one's mask, is no
-        # vertex: its own tight rows have rank below the dimension
+        # a midpoint of two vertices is no vertex: its tight rows have rank
+        # below the dimension
         enumerate_reduced = polytope._enumerate_reduced
 
         def with_midpoint(rows, d):
             vertices = enumerate_reduced(rows, d)
-            ((un, ud), mask), ((wn, wd), _mask) = vertices[:2]
+            (un, ud), (wn, wd) = vertices[:2]
             nums = [u * wd + w * ud for u, w in zip(un, wn)]
-            return vertices + [(polytope._canonical(nums, 2 * ud * wd), mask)]
+            return vertices + [polytope._canonical(nums, 2 * ud * wd)]
 
         monkeypatch.setattr(polytope, "_enumerate_reduced", with_midpoint)
         with pytest.raises(ValidationFailure, match="tight rank below"):
@@ -176,7 +176,7 @@ class TestEnumerateVertices:
         enumerate_reduced = polytope._enumerate_reduced
 
         def with_origin(rows, d):
-            return enumerate_reduced(rows, d) + [(((0, 0), 1), 0b101)]
+            return enumerate_reduced(rows, d) + [((0, 0), 1)]
 
         poly = build_polytope(7, 6)
         values = value_vector(poly, (F(0), F(0)))
@@ -366,7 +366,7 @@ class TestGomoryDecomposition:
     ):
         fn = FiniteGroupFunction.from_values(7, 6, values)
         assert any(values[x] > values[x + 1] for x in range(6))
-        assert str(is_minimal(fn, early_exit=True).violations[0]) == message
+        assert str(is_minimal(fn).violations[0]) == message
         with pytest.raises(NotMinimal) as refused:
             gomory_decomposition(fn)
         assert str(refused.value) == f"not minimal: {message}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -29,7 +30,7 @@ from groupcut import (
     rearrange_finite,
     tilde_fn,
 )
-from groupcut.finite_functions import _negative_rows
+from groupcut.finite_functions import _negative_rows, _violations
 
 ORDERS = (2, 5, 9, 13, 31)
 PRIMES = tuple(q for q in ORDERS if q != 9)
@@ -69,6 +70,20 @@ def oracle_is_minimal(pi, b=None, early_exit=False):
                 if record("symmetry", (x,), abs(gap)):
                     break
     return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
+
+
+def at_rhs(pi, b):
+    """pi's values at the right-hand side b (pi itself for None), as
+    `check --b` builds them."""
+    if b is None:
+        return pi
+    return FiniteGroupFunction(pi.group, pi.group.element(b), pi.numerators, pi.denominator)
+
+
+def first_of_the_chain(pi):
+    """The verdict of the first element of pi's lazy violation chain alone."""
+    found = tuple(islice(_violations(pi.numerators, pi.denominator, pi.b_residue), 1))
+    return MinimalityVerdict(is_minimal=not found, violations=found)
 
 
 def oracle_subadditivity_error(pi):
@@ -151,8 +166,8 @@ def test_is_minimal_matches_fraction_scan(q):
     for pi in functions:
         for b in (None, *rhs_choices(q)[:3]):
             expected = oracle_is_minimal(pi, b)
-            assert is_minimal(pi, b) == expected
-            assert is_minimal(pi, b, early_exit=True) == oracle_is_minimal(
+            assert is_minimal(at_rhs(pi, b)) == expected
+            assert first_of_the_chain(at_rhs(pi, b)) == oracle_is_minimal(
                 pi, b, early_exit=True
             )
             kinds.update(v.kind for v in expected.violations)
@@ -194,14 +209,12 @@ def test_gomory_gamma_matches_fraction_scan(q):
 # the boundary of gamma's wrap-around slice.
 
 
-def assert_matches_oracle(pi, b=None):
-    expected = oracle_is_minimal(pi, b)
-    got = is_minimal(pi, b)
+def assert_matches_oracle(pi):
+    expected = oracle_is_minimal(pi)
+    got = is_minimal(pi)
     assert got == expected
     assert repr(got) == repr(expected)  # Fraction amounts, not ints
-    assert is_minimal(pi, b, early_exit=True) == oracle_is_minimal(
-        pi, b, early_exit=True
-    )
+    assert first_of_the_chain(pi) == oracle_is_minimal(pi, early_exit=True)
     return expected
 
 
@@ -284,19 +297,19 @@ def test_dense_violations_match_in_order():
         assert str(info.value) == oracle_subadditivity_error(pi)
 
 
-def test_early_exit_reports_the_first_violation_only():
+def test_the_chain_yields_the_first_violation_first():
     rng = random.Random(54)
     for _ in range(8):
         pi = dense_function(rng, 53)
         full = oracle_is_minimal(pi)
-        first = is_minimal(pi, early_exit=True)
+        first = first_of_the_chain(pi)
         assert first.violations == full.violations[:1]
         assert first == oracle_is_minimal(pi, early_exit=True)
     # with a nonzero origin the origin violation comes first
     values = list(dense_function(rng, 53).values)
     values[0] = F(1, 7)
     pi = FiniteGroupFunction.from_values(53, 1, values)
-    first = is_minimal(pi, early_exit=True).violations
+    first = first_of_the_chain(pi).violations
     assert [v.kind for v in first] == ["origin"]
 
 

@@ -199,7 +199,7 @@ def test_the_certificate_agrees_with_the_direct_one_on_every_enumeration():
         poly = build_polytope(q, b)
         rows = list(poly.box_rows) + list(poly.other_rows)
         d = poly.dimension
-        found = [point for point, _mask in polytope._enumerate_reduced(rows, d)]
+        found = polytope._enumerate_reduced(rows, d)
         first_bad, flags = _tight_flags(rows, found)
         assert first_bad == len(found)
         stacked = b"".join(flags)
@@ -210,14 +210,14 @@ def test_the_certificate_agrees_with_the_direct_one_on_every_enumeration():
             assert _int_rank(tight, d) == d
 
 
-VIOLATING = (((0, 0), 1), 0b101)  # tight on two box rows, but not minimal
+VIOLATING = ((0, 0), 1)  # tight on two box rows, but not minimal
 
 
 def test_a_violating_point_of_low_rank_is_named_as_violating(monkeypatch):
     # z = (-1, 3) is outside the box and tight on no row at all
     enumerate_reduced = polytope._enumerate_reduced
     monkeypatch.setattr(
-        polytope, "_enumerate_reduced", lambda rows, d: enumerate_reduced(rows, d) + [(((-1, 3), 1), 0b11)]
+        polytope, "_enumerate_reduced", lambda rows, d: enumerate_reduced(rows, d) + [((-1, 3), 1)]
     )
     text = "point (-1, 3)/1 violates a row of the polytope"
     with pytest.raises(ValidationFailure, match=f"^{re.escape(text)}$"):
@@ -225,7 +225,7 @@ def test_a_violating_point_of_low_rank_is_named_as_violating(monkeypatch):
 
 
 def midpoint(vertices):
-    ((un, ud), _mask), ((wn, wd), _mask2) = vertices[:2]
+    (un, ud), (wn, wd) = vertices[:2]
     nums = [u * wd + w * ud for u, w in zip(un, wn)]
     return polytope._canonical(nums, 2 * ud * wd)
 
@@ -237,9 +237,7 @@ def test_the_first_bad_point_in_enumeration_order_raises(monkeypatch, violating_
 
     def with_bad_points(rows, d):
         vertices = enumerate_reduced(rows, d)
-        # the rank-deficient point carries a full-rank vertex's mask, and
-        # the violating one a mask of rank 2: neither mask may be read
-        deficient = (midpoint(vertices), vertices[0][1])
+        deficient = midpoint(vertices)
         bad = [VIOLATING, deficient] if violating_first else [deficient, VIOLATING]
         k = len(vertices) if at == "end" else at
         return vertices[:k] + bad + vertices[k:]
@@ -254,13 +252,3 @@ def test_the_first_bad_point_in_enumeration_order_raises(monkeypatch, violating_
     with pytest.raises(ValidationFailure, match=f"^{re.escape(text)}$"):
         enumerate_vertices(poly)
 
-
-def test_the_certificate_reads_no_mask(monkeypatch):
-    enumerate_reduced = polytope._enumerate_reduced
-    expected = enumerate_vertices(build_polytope(11, 10)).points
-
-    def with_wrong_masks(rows, d):
-        return [(point, k % 3) for k, (point, _mask) in enumerate(enumerate_reduced(rows, d))]
-
-    monkeypatch.setattr(polytope, "_enumerate_reduced", with_wrong_masks)
-    assert enumerate_vertices(build_polytope(11, 10)).points == expected
