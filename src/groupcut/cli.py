@@ -8,7 +8,9 @@ Settings come from flags only, and results go to stdout only; the one file
 written is integrate --sublevel-csv's plot data, which stdout does not carry.
 
 Exit codes: 0 success, 2 a certified identity failed its check, 3 bad input
-(usage errors included, and an order above a subcommand's cap).
+(usage errors included, and an order above a subcommand's cap), 141
+(128 + SIGPIPE) the reader of stdout closed its end before the output was
+written, with nothing on stderr.
 
 JSON output is json.dumps(payload, indent=2).  The one payload not built as
 a dict is check's verdict: _render_check writes the same bytes block by block
@@ -25,6 +27,7 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -42,7 +45,7 @@ from .experiments import (
 )
 from .finite_functions import FiniteGroupFunction, _violations, rearrange_finite
 from .polytope import gomory_decomposition
-from .rationals import as_fraction, strict_int
+from .rationals import as_fraction, check_exponent, strict_int
 from .torus import (
     PwlTorusFunction,
     _violations as _circle_violations,
@@ -241,6 +244,8 @@ def _cmd_optimize(args) -> int:
 def _cmd_integrate(args) -> int:
     fn = _load(_function_from_dict, args.path)
     ps = tuple(args.p) if args.p else (1, 2, 3)
+    for p in ps:  # every exponent is refused before any arithmetic
+        check_exponent(p)
     if isinstance(fn, FiniteGroupFunction):
         if args.layer_cake or args.sublevel_csv:
             raise ValueError(
@@ -453,13 +458,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at os.devnull: its
+    reader has gone, and the interpreter's final flush must print nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except ValueError:  # io.UnsupportedOperation, or a closed stdout
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     global _input_digits
     args = _build_parser().parse_args(argv)
     with _int_digits(0) as caller_digits, _collector_paused():
         _input_digits = caller_digits
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a reader that has gone shows here, not at exit
+            return code
+        except BrokenPipeError:
+            _silence_stdout()
+            return 141
         except ValidationFailure as exc:
             print(f"validation failure: {exc}", file=sys.stderr)
             return 2

@@ -62,22 +62,17 @@ def strict_int(text: str) -> int:
     return int(text)
 
 
-# float() of a rational rounds to nearest, ties to even, so it overflows
-# exactly from 2^1024 - 2^970, half an ulp above the largest float
-FLOAT_HUGE = 2**1024 - 2**970
-
-
-def fits_float(*values: Fraction) -> bool:
-    """float() of every value is finite: each magnitude, so its floor, is
-    below FLOAT_HUGE."""
-    return all(abs(x.numerator) // x.denominator < FLOAT_HUGE for x in values)
-
-
 def ln_fraction(x: Fraction) -> float:
-    """Natural log of a nonnegative rational; exact-int logs avoid float overflow."""
-    n, d = x.numerator, x.denominator
+    """Natural log of a nonnegative rational: `ln_ratio` of its numerator and
+    denominator."""
+    return ln_ratio(x.numerator, x.denominator)
+
+
+def ln_ratio(n: int, d: int) -> float:
+    """Natural log of n / d for ints n >= 0 and d > 0; exact-int logs avoid
+    float overflow."""
     if n < 0:
-        raise ValueError(f"logarithm of negative rational {x}")
+        raise ValueError(f"logarithm of negative rational {Fraction(n, d)}")
     if n == 0:
         return float("-inf")
     # near 1 (2/3 < n/d < 2) the two-log form cancels badly; log1p of the

@@ -1,5 +1,6 @@
 """Piecewise-linear functions on the circle [0,1): construction, minimality
-certification, rearrangement, and closed-form integrals.
+certification, rearrangement, and integrals, each read off the integer
+widths and end values of the pieces.
 
 A function is stored as breakpoints with one affine piece per half-open
 interval and explicit point values at breakpoints, so jump discontinuities
@@ -29,9 +30,8 @@ from .rationals import (
     PackedFields,
     as_fraction,
     check_exponent,
-    fits_float,
     json_field,
-    ln_fraction,
+    ln_ratio,
     nth_root_float,
 )
 
@@ -785,57 +785,37 @@ def tilde_fn(fn: PwlTorusFunction) -> PwlTorusFunction:
     return PwlTorusFunction(breakpoints, pieces, (0, *averages), mode=MODE_WRAP)
 
 
-def _ln_antiderivative_term(w: Fraction) -> float:
-    """w * (ln w - 1), continued by its limit 0 at w = 0."""
-    if w == 0:
+def _log_mean_excess(low: int, high: int) -> float:
+    """g(r) = -r ln r / (1 - r) at r = low / high, for ints 0 <= low <= high
+    and high > 0, continued by its limits: 0 at r = 0, and 1 where 1 - r,
+    formed as (high - low) / high, is below the least float."""
+    if low == 0:
         return 0.0
-    return float(w) * (ln_fraction(w) - 1.0)
-
-
-def _log_mean_excess(r: Fraction) -> float:
-    """-r ln r / (1 - r) for r in [0, 1), continued by its limits: 0 at r = 0,
-    and 1 where 1 - r is below the least float."""
-    if r == 0:
-        return 0.0
-    gap = float(1 - r)
+    gap = (high - low) / high
     if gap == 0.0:
         return 1.0
-    return -float(r) * ln_fraction(r) / gap
+    return -(low / high) * ln_ratio(low, high) / gap
 
 
 def integral_ln(fn: PwlTorusFunction) -> float:
-    """Closed-form integral of ln(pi) over [0, 1); -inf if pi vanishes on a set
-    of positive measure.  Endpoint zeros integrate properly (t ln t -> 0).
-    Each piece's end values are read from `limits()`.
+    """Integral of ln(pi) over [0, 1); -inf if pi vanishes on a set of
+    positive measure.  Endpoint zeros integrate properly (t ln t -> 0).
 
-    A sloped piece from S to E integrates to (T(E) - T(S)) / slope, with
-    T(w) = w (ln w - 1).  Where no float holds the slope, an end value or
-    T at an end (T overflows above w = 2.56 10^305), it integrates
-    from its width l and end values m < M instead, as
-    l (ln M - 1 + g(m / M)) with g(r) = -r ln r / (1 - r)."""
+    One route per piece, over the integer span table: a piece of length l
+    (over dx) adds l / dx times the mean of ln over it.  At a constant
+    value S (over w) that mean is ln(S / w); from m to M > m it is
+    ln(M / w) - 1 + g(m / M), g as in `_log_mean_excess`.  Every float
+    formed is a ratio of ints in [0, 1] or the log of a ratio of ints, so
+    none overflows, and a nearly flat piece does not cancel."""
     _assert_nonnegative(fn)
-    limits = fn.limits()
+    spans, dx, w = _spans(fn)
     total = 0.0
-    for i, (s, t) in enumerate(fn.pieces):
-        start, end = limits[i][2], limits[i + 1 - len(limits)][0]
-        if s == 0:
-            if t == 0:
-                return float("-inf")
-            u, v = fn.piece_domain(i)
-            total += float(v - u) * ln_fraction(t)
-        elif (
-            fits_float(s, start, end)
-            and float(s)
-            and math.isfinite(
-                rise := _ln_antiderivative_term(end) - _ln_antiderivative_term(start)
-            )
-        ):
-            total += rise / float(s)
-        else:  # float(s) overflows or is 0.0, or T(end) or T(start) is not finite
-            u, v = fn.piece_domain(i)
-            low, high = sorted((start, end))
-            mean = ln_fraction(high) - 1.0 + _log_mean_excess(low / high)
-            total += float(v - u) * mean
+    for start, end, length in spans:
+        low, high = sorted((start, end))
+        mean = ln_ratio(high, w)
+        if low != high:
+            mean += _log_mean_excess(low, high) - 1.0
+        total += length / dx * mean
     return total
 
 
@@ -847,39 +827,28 @@ class LayerCakeReport:
 
 
 def layer_cake_check(fn: PwlTorusFunction) -> LayerCakeReport:
-    """Compare -integral ln(pi) with the layer-cake form over the exact
-    sublevel profile; the 1/s singularity integrates in closed form because
-    the profile is piecewise affine with zero measure at level 0.
+    """Compare -integral ln(pi) with the layer-cake form, the integral of
+    measure{pi <= a} / a over (0, 1], read off the rows of one
+    `_sublevel_sweep`.
 
-    A profile piece s a + t on [a_lo, a_hi], a_lo > 0, adds s (a_hi - a_lo)
-    + t ln(a_hi / a_lo).  Where no float holds s or t, it adds the same from
-    the measures m_lo at a_lo and m_lo + dm below a_hi, as
-    dm (1 - g(a_lo / a_hi)) + m_lo ln(a_hi / a_lo), g as in `integral_ln`."""
+    The measure is affine between two consecutive levels a < a', from m at
+    a to m + dm below a', so the stretch adds dm (1 - g(a / a')) +
+    m ln(a' / a), g as in `_log_mean_excess`; from level 0 it adds dm, and a
+    measure above 0 at level 0 makes the form diverge.  Above the top level
+    the measure is 1 up to 1.  Levels are ints over w and measures ints over
+    den, so every float is again a ratio of ints or the log of one."""
     if any(max(triple) > 1 for triple in fn.limits()):
         raise ValueError("layer-cake comparison expects values within [0, 1]")
     lhs = -integral_ln(fn)
-    profile = sublevel_profile(fn)
-    rhs = 0.0
-    diverged = False
-    for (a_lo, a_hi), (s, t) in zip(
-        zip(profile.alphas, profile.alphas[1:]), profile.pieces
-    ):
-        if a_lo == 0:
-            if t != 0:
-                diverged = True
-                break
-            rhs += float(s * a_hi)
-        elif fits_float(s, t):
-            rhs += float(s) * float(a_hi - a_lo)
-            if t != 0:
-                rhs += float(t) * (ln_fraction(a_hi) - ln_fraction(a_lo))
-        else:
-            rise = float(s * (a_hi - a_lo)) * (1.0 - _log_mean_excess(a_lo / a_hi))
-            rhs += rise + float(s * a_lo + t) * ln_fraction(a_hi / a_lo)
-    if diverged or profile.measure_at(0) > 0:
+    rows, w, den = _sublevel_sweep(fn)
+    if rows[0][2] > 0:  # the measure at level 0
         rhs = float("inf")
-    elif profile.alpha_max < 1:
-        rhs += -ln_fraction(profile.alpha_max)
+    else:
+        rhs = ln_ratio(w, rows[-1][0])
+        for (a, _below, m, _rate), (b, below, *_rest) in zip(rows, rows[1:]):
+            rhs += (below - m) / den * (1.0 - _log_mean_excess(a, b))
+            if m:  # m is 0 at level 0, where ln(b / a) has no value
+                rhs += m / den * ln_ratio(b, a)
     if lhs == float("inf") and rhs == float("inf"):
         return LayerCakeReport(lhs=lhs, rhs=rhs, gap=0.0)
     return LayerCakeReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -1104,16 +1105,16 @@ class TestCollector:
         self, capsys, monkeypatch, gmi_half_path, caller_enabled, flags, off, expected
     ):
         during = []
-        exact_ln, exact_measure = torus.integral_ln, torus.sublevel_measure
+        exact_load, exact_measure = cli._function_from_dict, torus.sublevel_measure
 
-        def spy_ln(fn):
+        def spy_load(data):  # every case loads its file, --p 1001 too
             during.append(gc.isenabled())
-            return exact_ln(fn)
+            return exact_load(data)
 
         def off_measure(fn, alpha):  # a nonzero offset fails the sweep check
             return exact_measure(fn, alpha) + off
 
-        monkeypatch.setattr("groupcut.cli.integral_ln", spy_ln)
+        monkeypatch.setattr(cli, "_function_from_dict", spy_load)
         monkeypatch.setattr(torus, "sublevel_measure", off_measure)
         previous = gc.isenabled()
         (gc.enable if caller_enabled else gc.disable)()
@@ -1125,3 +1126,42 @@ class TestCollector:
         assert code == expected
         assert during == [False]
         assert after is caller_enabled
+
+
+class _GonePipe(io.StringIO):
+    """A stdout whose reader has gone, with no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early is not bad input: exit 141
+    (128 + SIGPIPE), with nothing on stderr."""
+
+    @pytest.mark.parametrize("command", ["check", "integrate"])
+    def test_in_process_exits_141(self, capsys, monkeypatch, gom54_path, command):
+        monkeypatch.setattr(sys, "stdout", _GonePipe())
+        assert main([command, gom54_path]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_a_reader_that_closes_early_exits_141(self, tmp_path):
+        # about 0.4 MB of violations, well above a pipe's buffer, so the
+        # child is still writing when the reader closes after 10 bytes
+        q = 211
+        rng = random.Random(q)
+        values = ["0"] + [f"{rng.randint(1, 100)}/100" for _ in range(q - 1)]
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"q": q, "b": q - 1, "values": values}))
+        src = Path(groupcut.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with subprocess.Popen(
+            [sys.executable, "-m", "groupcut.cli", "check", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as child:
+            head = child.stdout.read(10)
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, head, err) == (141, b'{\n  "is_mi', b"")

@@ -18,8 +18,9 @@ no violation, and the verdict must be the scan-only one.
 measures, as the profile was built before.  `rearrange_torus` and
 `tilde_fn` read the inverse straight off the sweep's rows; `oracle_rearrange`
 and `oracle_tilde` are the `Fraction` inversion of `oracle_profile` they
-replaced, and `layer_cake_check` runs on `oracle_profile` patched in.  All
-three must return what they return on the new code, failures included.
+replaced, and both must return what they return on the new code, failures
+included.  `layer_cake_check` sums the same rows in floats; its oracle is
+the closed form over `oracle_profile` in 60-digit decimal arithmetic.
 
 The oracles read `value_at`, `left_limit_at` and `right_limit_at`, which on
 a breakpoint read the `limits()` table that one walk along the pieces
@@ -34,6 +35,7 @@ import functools
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from operator import sub
 
@@ -352,16 +354,14 @@ def test_sublevel_profile_matches_three_point_fit():
     assert 100 < profiled < len(CORPUS)
 
 
-def test_rearrangement_and_layer_cake_match_the_oracles(monkeypatch):
-    calls = (rearrange_torus, tilde_fn, layer_cake_check)
+def test_rearrangement_matches_the_oracles():
+    calls = (rearrange_torus, tilde_fn)
     got = [[outcome(call, fn) for call in calls] for fn in CORPUS]
-    monkeypatch.setattr(torus, "sublevel_profile", oracle_profile)
-    oracles = (oracle_rearrange, oracle_tilde, layer_cake_check)
+    oracles = (oracle_rearrange, oracle_tilde)
     expected = [[outcome(call, fn) for call in oracles] for fn in CORPUS]
     assert got == expected
     kinds = Counter(o.split(":")[0] if ": " in o else "ok" for row in got for o in row)
     assert kinds["ok"] > 200 and kinds["NotMinimal"] and kinds["ValueError"]
-    assert any("inf" in row[2] for row in got)  # a zero set of positive measure
 
 
 def test_rearrangement_reads_one_sweep_and_no_profile(monkeypatch):
@@ -782,10 +782,12 @@ def test_riemann_sample_matches_value_at(monkeypatch, q):
 
 
 # `_spans` gives each piece's start value, end value and length as integers;
-# `_piece_sublevels` (behind `sublevel_measure` and `sublevel_set`) and
-# `lp_power_torus` read it, `integral_ln` reads the end values from
-# `limits()`, and `ln_fraction` branches on integers.  Their oracles are the
-# `Fraction` routines they replaced: each piece from its slope and intercept.
+# `_piece_sublevels` (behind `sublevel_measure` and `sublevel_set`),
+# `lp_power_torus` and `integral_ln` read it, and `ln_fraction` branches on
+# integers.  Their oracles are the `Fraction` routines they replaced, each
+# piece from its slope and intercept, and for the two floats, the log
+# integral and the layer-cake form, the exact closed forms in 60-digit
+# decimal arithmetic.
 
 
 def oracle_assert_nonnegative(fn):
@@ -846,32 +848,77 @@ def oracle_ln(x):
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def decimal(x):
+    """A rational as a decimal, rounded once to the context's precision."""
+    x = F(x)
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
 def oracle_integral_ln(fn):
-    def term(w):
-        return 0.0 if w == 0 else float(w) * (oracle_ln(w) - 1.0)
+    """The integral of ln(pi) to about 60 digits, or -inf: a constant piece
+    at S adds its width times ln S, and a sloped one from S to E its width
+    times the closed form (T(E) - T(S)) / (E - S), T(y) = y (ln y - 1),
+    worked out with 60 digits more than the rise cancels."""
+
+    def antiderivative(y):
+        return decimal(y) * (decimal(y).ln() - 1) if y else Decimal(0)
 
     oracle_assert_nonnegative(fn)
-    total = 0.0
+    total = Decimal(0)
     for i, (s, t) in enumerate(fn.pieces):
         u, v = fn.piece_domain(i)
-        if s == 0:
-            if t == 0:
-                return float("-inf")
-            total += float(v - u) * oracle_ln(t)
-        else:
-            total += (term(s * v + t) - term(s * u + t)) / float(s)
+        low, high = sorted((s * u + t, s * v + t))
+        if high == 0:
+            return float("-inf")
+        with localcontext() as ctx:
+            ctx.prec = 60
+            if low == high:
+                total += decimal(v - u) * decimal(high).ln()
+                continue
+            ctx.prec += len(str(high // (high - low)))
+            rise = antiderivative(high) - antiderivative(low)
+            total += decimal(v - u) * rise / decimal(high - low)
     return total
 
 
-def hex_outcome(call, fn):
-    """float.hex of each float the call returns, or the exception."""
+def oracle_layer_cake(fn):
+    """(lhs, rhs) of the layer-cake comparison to about 60 digits, or inf
+    for both: -`oracle_integral_ln`, and over the pieces (s, t) of
+    `oracle_profile` on [a, a'] the integral of (s x + t) / x, s a' from
+    a = 0 and s (a' - a) + t ln(a' / a) above it, then -ln of the top level,
+    each piece with 60 digits more than s and t cancel."""
+    if any(max(triple) > 1 for triple in fn.limits()):
+        raise ValueError("layer-cake comparison expects values within [0, 1]")
+    lhs = -oracle_integral_ln(fn)
+    profile = oracle_profile(fn)
+    if profile.measure_at(0) > 0:
+        return lhs, float("inf")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rhs = -decimal(profile.alpha_max).ln()
+    levels = zip(profile.alphas, profile.alphas[1:])
+    for (a, b), (s, t) in zip(levels, profile.pieces):
+        with localcontext() as ctx:
+            ctx.prec = 60 + len(str(math.floor(abs(s) + abs(t))))
+            rhs += decimal(s * (b - a))
+            if a:
+                rhs += decimal(t) * decimal(b / a).ln()
+    return lhs, rhs
+
+
+def settled(call, fn):
+    """The call's result, or the type and message of its exception."""
     try:
-        got = call(fn)
-    except Exception as exc:
+        return call(fn)
+    except Exception as exc:  # failures must agree too
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(got, float):
-        return got.hex()
-    return tuple(value.hex() for value in (got.lhs, got.rhs, got.gap))
+
+
+def within(got, expected, bound):
+    """A float within bound of a decimal, or the same infinity or text."""
+    if isinstance(expected, Decimal):
+        return isinstance(got, float) and abs(Decimal(got) - expected) <= bound
+    return got == expected
 
 
 def probe_levels(fn):
@@ -906,25 +953,63 @@ def test_sublevel_measure_and_set_match_piece_clip():
 
 
 def test_integral_ln_matches_fraction_oracle():
-    outcomes = Counter()
+    kinds = Counter()
     for fn in CORPUS:
-        expected = hex_outcome(oracle_integral_ln, fn)
-        assert hex_outcome(torus.integral_ln, fn) == expected
-        outcomes[expected.split(":")[0]] += 1
-    assert outcomes["ValueError"] and outcomes["-inf"] and len(outcomes) > 50
+        expected = settled(oracle_integral_ln, fn)
+        assert within(settled(torus.integral_ln, fn), expected, 1e-13)
+        kinds[expected if isinstance(expected, float) else type(expected).__name__] += 1
+    assert kinds["str"] and kinds[float("-inf")] and kinds["Decimal"] > 150
 
 
-def test_layer_cake_floats_match_the_oracles(monkeypatch):
+def test_layer_cake_floats_match_the_oracles():
     tildes = [tilde_fn(fn) for fn in CORPUS if is_minimal_pwl(fn).is_minimal]
-    functions = CORPUS + tildes
-    got = [hex_outcome(layer_cake_check, fn) for fn in functions]
-    lns = [hex_outcome(torus.integral_ln, fn) for fn in functions]
-    monkeypatch.setattr(torus, "sublevel_profile", oracle_profile)
-    monkeypatch.setattr(torus, "integral_ln", oracle_integral_ln)
-    monkeypatch.setattr(torus, "ln_fraction", oracle_ln)
-    assert got == [hex_outcome(layer_cake_check, fn) for fn in functions]
-    assert lns == [hex_outcome(oracle_integral_ln, fn) for fn in functions]
-    assert sum(isinstance(row, tuple) for row in got) > 150
+    reports = Counter()
+    for fn in CORPUS + tildes:
+        got, expected = settled(layer_cake_check, fn), settled(oracle_layer_cake, fn)
+        if isinstance(expected, str):
+            assert got == expected
+            continue
+        assert got.lhs == -torus.integral_ln(fn)
+        assert within(got.lhs, expected[0], 1e-13)
+        assert within(got.rhs, expected[1], 1e-12)
+        assert got.gap == (0.0 if got.rhs == float("inf") else abs(got.lhs - got.rhs))
+        reports[got.rhs == float("inf")] += 1
+    # a zero set of positive measure sends both sides to inf
+    assert reports[False] > 150 and reports[True]
+
+
+def wrap_ramp(rise):
+    """1/2 at the origin, linear to 1/2 + rise at 1/2 and back to 1/2."""
+    half = F(1, 2)
+    pieces = ((2 * rise, half), (-2 * rise, half + 2 * rise))
+    return PwlTorusFunction((F(0), half), pieces, mode=MODE_WRAP)
+
+
+@pytest.mark.parametrize("family", ["near-flat wrap ramps", "no float holds", "corpus"])
+def test_integral_ln_and_layer_cake_are_within_their_bounds(ramps_through, family):
+    # the closed form (T(E) - T(S)) / slope cancelled on a nearly flat piece:
+    # on the ramp of rise 10^-12 it gave -0.6921130 where the integral is
+    # -0.6931472, and a layer-cake gap of 1.1e-4 where both sides are equal
+    eps = F(1, 10**400)
+    functions = {
+        "near-flat wrap ramps": [wrap_ramp(F(1, 10**k)) for k in (6, 9, 12)],
+        "no float holds": [
+            gmi(F(1, 10**310)),
+            ramps_through(F(1, 2) - eps, F(1, 2) + eps),
+        ],
+        "corpus": CORPUS,
+    }[family]
+    finite = gapped = 0
+    for fn in functions:
+        expected = settled(oracle_integral_ln, fn)
+        if isinstance(expected, Decimal):
+            assert abs(Decimal(torus.integral_ln(fn)) - expected) <= 1e-13
+            finite += 1
+        report = settled(layer_cake_check, fn)
+        if not isinstance(report, str) and math.isfinite(report.rhs):
+            assert report.gap <= 1e-12
+            gapped += 1
+    assert finite > len(functions) / 2 and gapped > len(functions) / 3
 
 
 def ln_probes():
