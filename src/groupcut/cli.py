@@ -14,8 +14,9 @@ written, with nothing on stderr.
 
 JSON output is json.dumps(payload, indent=2).  The one payload not built as
 a dict is check's verdict: _render_check writes the same bytes block by block
-off the lazy violation chain, in both formats, one template per violation, so
-check stays cheap, in bounded memory, when it lists millions of violations.
+off the lazy chain of runs, in both formats, each run's head formatted once
+and each violation only its last witness entry and amount, so check stays
+cheap, in bounded memory, when it lists millions of violations.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 
 from .criteria import score_function
@@ -43,19 +44,22 @@ from .experiments import (
     riemann_experiment,
     stirling_table,
 )
-from .finite_functions import FiniteGroupFunction, _violations, rearrange_finite
+from .finite_functions import FiniteGroupFunction, _runs, rearrange_finite
 from .polytope import gomory_decomposition
 from .rationals import as_fraction, check_exponent, strict_int
 from .torus import (
     PwlTorusFunction,
+    SublevelProfile,
+    _assert_unit_values,
+    _layer_cake,
+    _profile,
+    _sublevel_sweep,
     _violations as _circle_violations,
     gmi,
     identity_fn,
     integral_ln,
-    layer_cake_check,
     lp_norm_torus,
     rearrange_torus,
-    sublevel_profile,
     tilde_fn,
 )
 
@@ -148,24 +152,46 @@ def _emit(payload: dict, args) -> None:
 _BLOCK = 4096  # violations per write: check holds one block, and its text, at a time
 
 
-def _render_check(violations, fmt: str) -> None:
-    """Write the verdict of the lazy chain `violations` to stdout as _emit
+def _blocks(runs):
+    """The chain `runs` cut into blocks of _BLOCK violations each, the last
+    one shorter: a run that crosses the end of a block is split there, so
+    each block's text has the same size however the rows fall (blocks of
+    whole runs moved the cli benchmark's peak RSS by up to 2.5 MiB)."""
+    block, room = [], _BLOCK
+    for kind, prefix, lasts, amounts in runs:
+        while len(lasts) >= room:
+            block.append((kind, prefix, lasts[:room], amounts[:room]))
+            yield block
+            lasts, amounts = lasts[room:], amounts[room:]
+            block, room = [], _BLOCK
+        if lasts:
+            block.append((kind, prefix, lasts, amounts))
+            room -= len(lasts)
+    if block:
+        yield block
+
+
+def _render_check(runs, fmt: str) -> None:
+    """Write the verdict of the lazy run chain `runs` to stdout as _emit
     would print the payload {"is_minimal": ..., "violations": [{"kind": ...,
     "witness": [...], "amount": ...}, ...]} with each witness entry and amount
     as its str: exactly json.dumps(payload, indent=2) for json, the
-    `key: value` lines for text.
+    `key: value` lines for text.  A run (kind, prefix, lasts, amounts), never
+    empty, stands for the violations (kind, prefix + (last,), amount).
 
     The first block is pulled before any byte is written: it decides the flag,
     and a chain that refuses its input (a circle function above the
-    breakpoint cap) raises there.  Then the opening, one join per block and
-    the closing are written, with no payload built.  A violation is three
-    pieces: the head of its kind, its witness and the tail of its amount.
-    Each distinct kind and amount of a block fills its head or tail once,
-    keyed by object identity, which the block keeps alive.  Each witness
-    fills, in C, the one template for its length.  The str of an int or a
+    breakpoint cap) raises there.  Then the opening, one join per block of
+    `_blocks` and the closing are written, with no payload built.  A run's
+    head, its kind and prefix entries, is filled once; per violation only
+    the str of its last entry and the tail of its amount are added, in C.
+    Each distinct amount of a block fills its tail once, keyed by object
+    identity, which the block's runs keep alive: a key by value would run
+    Fraction.__hash__, in Python, per violation.  The str of an int or a
     Fraction holds only digits, '-' and '/', so the witness entries need no
     escaping: the template quotes them."""
-    block = list(islice(violations, _BLOCK))
+    blocks = _blocks(runs)
+    block = next(blocks, [])
     if fmt == "json":
         quote, flag = encode_basestring_ascii, json.dumps(not block)
         page = '{\n  "is_minimal": %s,\n  "violations": %s\n}\n'
@@ -181,21 +207,33 @@ def _render_check(violations, fmt: str) -> None:
     # an empty listing leaves no %s in the page: the opening is all of it
     opening, _, closing = (page % (flag, listing if block else "[]")).partition("%s")
 
-    def filled(form, objects):
-        distinct = dict(zip(map(id, objects), objects))
-        text = {key: form % quote(str(obj)) for key, obj in distinct.items()}
-        return map(text.__getitem__, map(id, objects))
-
     write, skip = sys.stdout.write, len(separator)
     write(opening)
     while block:
-        kinds, witnesses, amounts = zip(*block)
-        forms = {n: joint.join(["%s"] * n) for n in set(map(len, witnesses))}
-        entries = map(str.__mod__, map(forms.__getitem__, map(len, witnesses)), witnesses)
-        pieces = zip(filled(head, kinds), entries, filled(tail, amounts))
-        write("".join(chain.from_iterable(pieces))[skip:])
-        block, skip = list(islice(violations, _BLOCK)), 0
+        tails: dict[int, str] = {}
+        parts = []
+        for kind, prefix, lasts, amounts in block:
+            ids = list(map(id, amounts))
+            missing = set(ids).difference(tails)
+            if missing:
+                distinct = dict(zip(ids, amounts))
+                tails.update((key, tail % quote(str(distinct[key]))) for key in missing)
+            start = head % quote(kind) + "".join([str(entry) + joint for entry in prefix])
+            parts += chain.from_iterable(
+                zip(repeat(start), map(str, lasts), map(tails.__getitem__, ids))
+            )
+        write("".join(parts)[skip:])
+        block, skip = next(blocks, []), 0
     write(closing)
+
+
+def _circle_runs(fn: PwlTorusFunction):
+    """The circle violation chain as runs: each stretch of violations of one
+    kind whose witnesses agree but for their last entry is one run."""
+    violations = _circle_violations(fn)
+    for (kind, prefix), group in groupby(violations, lambda v: (v.kind, v.witness[:-1])):
+        group = list(group)
+        yield kind, prefix, [v.witness[-1] for v in group], [v.amount for v in group]
 
 
 def _cmd_check(args) -> int:
@@ -205,12 +243,12 @@ def _cmd_check(args) -> int:
             fn = FiniteGroupFunction(
                 fn.group, fn.group.element(args.b), fn.numerators, fn.denominator
             )
-        violations = _violations(fn.numerators, fn.denominator, fn.b_residue)
+        runs = _runs(fn.numerators, fn.denominator, fn.b_residue)
     elif args.b is not None:
         raise ValueError("--b applies to finite functions only")
     else:
-        violations = _circle_violations(fn)
-    _render_check(violations, args.format)
+        runs = _circle_runs(fn)
+    _render_check(runs, args.format)
     return 0
 
 
@@ -253,19 +291,24 @@ def _cmd_integrate(args) -> int:
             )
         payload = score_function(fn, ps=ps).to_dict()
     else:
+        log_integral = integral_ln(fn)
         payload = {
-            "integral_ln": _json_float(integral_ln(fn)),
+            "integral_ln": _json_float(log_integral),
             "lp_norms": {str(p): _json_float(lp_norm_torus(fn, p)) for p in ps},
         }
+        sweep = None  # one sweep serves the layer cake and the plot
         if args.layer_cake:
-            report = layer_cake_check(fn)
+            _assert_unit_values(fn)
+            sweep = _sublevel_sweep(fn)
+            report = _layer_cake(log_integral, *sweep)
             payload["layer_cake"] = {
                 "lhs": _json_float(report.lhs),
                 "rhs": _json_float(report.rhs),
                 "gap": _json_float(report.gap),
             }
         if args.sublevel_csv:
-            _write_sublevel_csv(fn, args.sublevel_csv)
+            profile = _profile(*(sweep or _sublevel_sweep(fn)))
+            _write_sublevel_csv(profile, args.sublevel_csv)
             payload["sublevel_csv"] = args.sublevel_csv
     _emit(payload, args)
     return 0
@@ -277,9 +320,8 @@ def _json_float(value: float) -> float | str:
     return value if math.isfinite(value) else repr(value)
 
 
-def _write_sublevel_csv(fn: PwlTorusFunction, path: str) -> None:
+def _write_sublevel_csv(profile: SublevelProfile, path: str) -> None:
     """Plot data: level alpha against measure{pi <= alpha}, exact strings."""
-    profile = sublevel_profile(fn)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["alpha", "measure"])

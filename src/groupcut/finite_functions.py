@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import sub
+from operator import add, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DimensionCap, IdenticallyZero, NotSubadditive, ZeroElement
@@ -31,8 +31,8 @@ __all__ = [
 class Violation(NamedTuple):
     """One failed minimality condition, with the exact amount by which it fails.
 
-    A named tuple, so that a scan can build a row of them in C (see
-    _subadditivity); it compares equal to the plain tuple of its fields."""
+    A named tuple, so that a run of them is built in C (see `_expand`); it
+    compares equal to the plain tuple of its fields."""
 
     kind: str  # origin | subadditivity | symmetry; circle functions add negativity
     witness: tuple[int, ...]
@@ -188,47 +188,76 @@ def _negative_rows(nums: Sequence[int]) -> Iterator[tuple[int, bytes]]:
             yield x, fields.low_bytes((top & ~row) >> (width - 1))[: q - x]
 
 
-def _subadditivity(nums: Sequence[int], den: int) -> Iterator[Iterator[Violation]]:
+# A run (kind, witness prefix, last witness entries, amounts) stands for the
+# violations (kind, prefix + (last,), amount), one per pair of a last entry
+# and its amount, in order; a run is never empty.
+_Run = tuple[str, tuple, Sequence, Sequence[Fraction]]
+
+
+def _subadditivity(nums: Sequence[int], den: int) -> Iterator[_Run]:
     """Per row x that holds a negative slack, the subadditivity violations of
-    nums/den at the pairs (x, y), in y order.
+    nums/den at the pairs (x, y), in y order, as one run: ("subadditivity",
+    (x,), the flagged ys, their amounts).
 
     `_negative_rows` finds the rows and flags their failing pairs.  Only
     those pairs are picked out of the row's columns, by C-level compress, and
-    their slacks, witnesses, amounts and Violations are built by C-level map
-    and zip, so no pair takes a Python-level step.  Slacks repeat heavily, so
-    each distinct amount is built as a Fraction once per call and shared by
-    every pair that fails by it."""
+    their amounts are built by C-level map, so no pair takes a Python-level
+    step.  The ys are picked out of one list of the indices, not a range,
+    so that no y is made anew, and each amount's numerator is taken as
+    nums[x + y] - (nums[x] + nums[y]), which is positive: for small
+    numerators CPython holds every such int cached.  Slacks repeat heavily,
+    so each distinct amount is built as a Fraction once per call and shared
+    by every pair that fails by it."""
     q = len(nums)
     wrapped = nums * 2  # wrapped[x + y] == nums[(x + y) % q]
+    indices = list(range(q))
     amounts: dict[int, Fraction] = {}
     for x, flags in _negative_rows(nums):
-        sums = map(nums[x].__add__, compress(nums[x:], flags))
-        slacks = list(map(sub, sums, compress(wrapped[2 * x : x + q], flags)))
-        for slack in set(slacks).difference(amounts):
-            amounts[slack] = Fraction(-slack, den)
-        fields = zip(
-            repeat("subadditivity"),
-            zip(repeat(x), compress(range(x, q), flags)),
-            map(amounts.__getitem__, slacks),
-        )
-        yield map(tuple.__new__, repeat(Violation), fields)
+        sums = map(add, compress(nums[x:], flags), repeat(nums[x]))
+        excess = list(map(sub, compress(wrapped[2 * x : x + q], flags), sums))
+        for gap in set(excess).difference(amounts):
+            amounts[gap] = Fraction(gap, den)
+        ys = list(compress(indices[x:], flags))
+        yield "subadditivity", (x,), ys, list(map(amounts.__getitem__, excess))
 
 
-def _symmetry(nums: Sequence[int], den: int, b: int) -> Iterator[Violation]:
-    """The symmetry violations of nums/den for the right-hand side b."""
+def _symmetry(nums: Sequence[int], den: int, b: int) -> Iterator[_Run]:
+    """The symmetry violations of nums/den for the right-hand side b, as one
+    run with an empty prefix, if there are any."""
     q = len(nums)
+    xs, amounts = [], []
     for x in range(q):
         partner = (b - x) % q
         gap = nums[x] + nums[partner] - den
         if x <= partner and gap != 0:
-            yield Violation("symmetry", (x,), Fraction(abs(gap), den))
+            xs.append(x)
+            amounts.append(Fraction(abs(gap), den))
+    if xs:
+        yield "symmetry", (), xs, amounts
+
+
+def _runs(nums: Sequence[int], den: int, b: int) -> Iterator[_Run]:
+    """Origin, then subadditivity, then symmetry violations of nums/den, as
+    one lazy chain of runs: the origin run, one run per flagged row of the
+    pair scan, and one run of every symmetry violation."""
+    if nums[0]:
+        yield "origin", (), (0,), (Fraction(nums[0], den),)
+    yield from _subadditivity(nums, den)
+    yield from _symmetry(nums, den, b)
+
+
+def _expand(run: _Run) -> Iterator[Violation]:
+    """The violations of one run, built in C: each witness is the prefix
+    entries zipped with one last entry."""
+    kind, prefix, lasts, amounts = run
+    witnesses = zip(*map(repeat, prefix), lasts)
+    return map(tuple.__new__, repeat(Violation), zip(repeat(kind), witnesses, amounts))
 
 
 def _violations(nums: Sequence[int], den: int, b: int) -> Iterator[Violation]:
-    """Origin, then subadditivity, then symmetry violations of nums/den, as
-    one lazy chain."""
-    origin = [Violation("origin", (0,), Fraction(nums[0], den))] if nums[0] else []
-    return chain(origin, chain.from_iterable(_subadditivity(nums, den)), _symmetry(nums, den, b))
+    """The violations of nums/den, the flattening of `_runs`, as one lazy
+    chain."""
+    return chain.from_iterable(map(_expand, _runs(nums, den, b)))
 
 
 def is_minimal(pi: FiniteGroupFunction) -> MinimalityVerdict:
@@ -267,9 +296,10 @@ def rearrange_finite(pi: FiniteGroupFunction) -> FiniteGroupFunction:
         raise IdenticallyZero("cannot rearrange the zero function")
     if nums[0] != 0:
         raise ValueError("rearrangement requires value 0 at the origin")
-    bad = next(chain.from_iterable(_subadditivity(nums, den)), None)
+    bad = next(_subadditivity(nums, den), None)
     if bad is not None:
-        x, y = bad.witness
-        raise NotSubadditive(f"pi({x}) + pi({y}) < pi({(x + y) % q}) by {bad.amount}")
+        _kind, (x,), ys, amounts = bad
+        y = ys[0]
+        raise NotSubadditive(f"pi({x}) + pi({y}) < pi({(x + y) % q}) by {amounts[0]}")
     group = pi.group
     return FiniteGroupFunction(group, group.element(q - 1), sorted(nums), den)

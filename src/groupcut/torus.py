@@ -385,10 +385,15 @@ def _subadditivity_scan(fn: PwlTorusFunction) -> tuple[Fraction, tuple, list[Vio
     tx, ty, tz = nums[x], nums[y], nums[sums[k]]
     slacks = [tx[sx] + ty[sy] - tz[sz] for sx, sy, sz in _LIMIT_COMBOS]
     witness = (Fraction(x, dx), Fraction(y, dx), _LIMIT_COMBOS[slacks.index(best)])
+    # each distinct coordinate and amount is one Fraction, shared by every
+    # violation that holds it
+    failing = [(corner, slack) for corner, slack in zip(corners, worst) if slack < 0]
+    coordinates = {p for corner, _slack in failing for p in corner}
+    points = {p: Fraction(p, dx) for p in coordinates}
+    amounts = {s: Fraction(-s, w) for s in {slack for _corner, slack in failing}}
     violations = [
-        Violation("subadditivity", (Fraction(x, dx), Fraction(y, dx)), Fraction(-slack, w))
-        for (x, y), slack in zip(corners, worst)
-        if slack < 0
+        Violation("subadditivity", (points[x], points[y]), amounts[slack])
+        for (x, y), slack in failing
     ]
     return Fraction(best, w), witness, violations
 
@@ -716,7 +721,11 @@ def sublevel_profile(fn: PwlTorusFunction) -> SublevelProfile:
     `_sublevel_sweep` as `Fraction`s.  Level A, with measure m at A and rate
     r above it, starts the piece (r w, m - r A) / den; the top level starts
     none, as the measure stays 1 beyond."""
-    rows, w, den = _sublevel_sweep(fn)
+    return _profile(*_sublevel_sweep(fn))
+
+
+def _profile(rows: list[tuple[int, ...]], w: int, den: int) -> SublevelProfile:
+    """The profile of the rows of one `_sublevel_sweep`, over w and den."""
     return SublevelProfile(
         alphas=tuple(Fraction(level, w) for level, *_measures in rows),
         pieces=tuple(
@@ -829,7 +838,21 @@ class LayerCakeReport:
 def layer_cake_check(fn: PwlTorusFunction) -> LayerCakeReport:
     """Compare -integral ln(pi) with the layer-cake form, the integral of
     measure{pi <= a} / a over (0, 1], read off the rows of one
-    `_sublevel_sweep`.
+    `_sublevel_sweep` (see `_layer_cake`)."""
+    _assert_unit_values(fn)
+    return _layer_cake(integral_ln(fn), *_sublevel_sweep(fn))
+
+
+def _assert_unit_values(fn: PwlTorusFunction) -> None:
+    if any(max(triple) > 1 for triple in fn.limits()):
+        raise ValueError("layer-cake comparison expects values within [0, 1]")
+
+
+def _layer_cake(
+    log_integral: float, rows: list[tuple[int, ...]], w: int, den: int
+) -> LayerCakeReport:
+    """The layer-cake report of a function whose `integral_ln` is
+    log_integral and whose `_sublevel_sweep` gave rows, w and den.
 
     The measure is affine between two consecutive levels a < a', from m at
     a to m + dm below a', so the stretch adds dm (1 - g(a / a')) +
@@ -837,10 +860,7 @@ def layer_cake_check(fn: PwlTorusFunction) -> LayerCakeReport:
     measure above 0 at level 0 makes the form diverge.  Above the top level
     the measure is 1 up to 1.  Levels are ints over w and measures ints over
     den, so every float is again a ratio of ints or the log of one."""
-    if any(max(triple) > 1 for triple in fn.limits()):
-        raise ValueError("layer-cake comparison expects values within [0, 1]")
-    lhs = -integral_ln(fn)
-    rows, w, den = _sublevel_sweep(fn)
+    lhs = -log_integral
     if rows[0][2] > 0:  # the measure at level 0
         rhs = float("inf")
     else:

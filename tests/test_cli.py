@@ -607,6 +607,37 @@ class TestIntegrate:
         assert rows[0] == ["alpha", "measure"]
         assert ["1/2", "1/2"] in rows
 
+    def test_one_integral_and_one_sweep_per_call(
+        self, capsys, monkeypatch, tmp_path, gmi_half_path
+    ):
+        # the layer cake reads the payload's integral, and the plot the
+        # layer cake's sweep
+        calls = []
+
+        def spy(name, original):
+            def called(*args):
+                calls.append(name)
+                return original(*args)
+
+            return called
+
+        modules = [m for n, m in sys.modules.items() if n.startswith("groupcut")]
+        for name in ("integral_ln", "_sublevel_sweep"):
+            original = vars(torus)[name]
+            for module in modules:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, spy(name, original))
+        plot = tmp_path / "p.csv"
+        code, out, _err = run(
+            capsys, "integrate", gmi_half_path, "--layer-cake", "--sublevel-csv", str(plot)
+        )
+        assert code == 0 and {"layer_cake", "sublevel_csv"} <= set(json.loads(out))
+        assert plot.exists()
+        assert sorted(calls) == ["_sublevel_sweep", "integral_ln"]
+        # the spies are in place: the library's own calls reach them
+        torus.layer_cake_check(gmi(F(1, 2)))
+        assert sorted(calls) == ["_sublevel_sweep"] * 2 + ["integral_ln"] * 2
+
     def test_zero_set_prints_valid_json(self, capsys, tmp_path):
         # pi vanishes on [0, 1/2): the log integral is -inf, and JSON has no
         # number for it

@@ -220,37 +220,58 @@ def test_check_cases_cover_every_kind_and_an_empty_list(corpus):
     assert not is_minimal(FiniteGroupFunction.from_dict(data)).violations
 
 
-def random_verdict(rng, count):
-    """A verdict of count violations that mixes the four kinds, witnesses of
-    one and two entries, int and Fraction entries, and equal kinds and amounts
-    held in distinct objects as well as shared ones."""
+def random_runs(rng, count):
+    """Runs (kind, prefix, lasts, amounts) of count violations in all that
+    mix the four kinds, empty and one-entry prefixes, runs longer than the small
+    blocks, int and Fraction entries, and equal kinds and amounts held in
+    distinct objects as well as shared ones."""
     kinds = ["origin", "subadditivity", "symmetry", "negativity"]
     shared = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
-    violations = []
-    for _ in range(count):
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randrange(-50, 50)
+        return F(rng.randrange(-50, 50), rng.randint(1, 12))
+
+    def amount():
+        if rng.random() < 0.5:
+            return rng.choice(shared)
+        # equal to a shared amount, or not, but always a new object
+        return F(rng.randint(1, 9), rng.randint(1, 9))
+
+    runs, left = [], count
+    while left > 0:
         kind = rng.choice(kinds)
         if rng.random() < 0.3:
             kind = "".join(kind)  # an equal kind in a distinct object
-        entries = [
-            rng.randrange(-50, 50)
-            if rng.random() < 0.5
-            else F(rng.randrange(-50, 50), rng.randint(1, 12))
-            for _ in range(rng.choice((1, 2)))
-        ]
-        if rng.random() < 0.5:
-            amount = rng.choice(shared)
-        else:  # equal to a shared amount, or not, but always a new object
-            amount = F(rng.randint(1, 9), rng.randint(1, 9))
-        violations.append(Violation(kind, tuple(entries), amount))
-    return MinimalityVerdict(is_minimal=not violations, violations=tuple(violations))
+        length = min(left, rng.randint(1, 20))
+        prefix = tuple(entry() for _ in range(rng.choice((0, 1))))
+        runs.append(
+            (kind, prefix, [entry() for _ in range(length)], [amount() for _ in range(length)])
+        )
+        left -= length
+    return runs
 
 
-def test_random_verdicts_hold_equal_fields_in_distinct_objects():
-    found = random_verdict(random.Random(9100), 200).violations
+def flattened(runs):
+    """The verdict the runs stand for."""
+    violations = tuple(
+        Violation(kind, (*prefix, last), amount)
+        for kind, prefix, lasts, amounts in runs
+        for last, amount in zip(lasts, amounts)
+    )
+    return MinimalityVerdict(is_minimal=not violations, violations=violations)
+
+
+def test_random_runs_hold_equal_fields_in_distinct_objects():
+    runs = random_runs(random.Random(9100), 200)
+    found = flattened(runs).violations
+    assert len(found) == 200
     for values in ([v.kind for v in found], [v.amount for v in found]):
         # more objects than distinct values: some equal values are distinct objects
         assert len({id(x) for x in values}) > len(set(values))
-    assert {len(v.witness) for v in found} == {1, 2}
+    assert {len(prefix) for _kind, prefix, _lasts, _amounts in runs} == {0, 1}
+    assert max(len(lasts) for _kind, _prefix, lasts, _amounts in runs) > max(BLOCKS[:-1])
     assert {type(w) for v in found for w in v.witness} == {int, F}
 
 
@@ -260,13 +281,38 @@ def test_render_matches_the_payload_on_random_verdicts(
     capsys, monkeypatch, corpus, seed, block
 ):
     """check's block writer against json.dumps and the `key: value` text
-    form, on seeded verdicts of no, one and many violations, through main:
-    the finite chain check reads is replaced by the verdict's violations."""
+    form, on seeded run chains of no, one and many violations, through main:
+    the finite run chain check reads is replaced by the seeded runs.  Every
+    eighth seed adds a run longer than the full block."""
     rng = random.Random(9000 + seed)
     count = (0, 1, rng.randint(2, 60))[seed % 3]
-    verdict = random_verdict(rng, count)
+    runs = random_runs(rng, count)
+    if seed % 8 == 7:
+        long = random_runs(rng, 1)[0]
+        length = cli._BLOCK + rng.randint(1, 9)
+        runs.insert(rng.randint(0, len(runs)), (*long[:2], long[2] * length, long[3] * length))
+    verdict = flattened(runs)
     monkeypatch.setattr(cli, "_BLOCK", block)
-    monkeypatch.setattr(cli, "_violations", lambda *args: iter(verdict.violations))
+    monkeypatch.setattr(cli, "_runs", lambda *args: iter(runs))
     for fmt in ("json", "text"):
         assert main(["check", corpus["gom54.json"], "--format", fmt]) == 0
         assert_same(capsys.readouterr().out, expected_page(verdict, fmt))
+
+
+def test_check_builds_no_violation_on_a_finite_file(capsys, monkeypatch, corpus):
+    # check writes the runs of the finite chain: the run expander, which
+    # builds the Violations of a run, is never called
+    pages = {}
+    for fmt in ("json", "text"):
+        assert main(["check", corpus["dense.json"], "--format", fmt]) == 0
+        pages[fmt] = capsys.readouterr().out
+
+    def refuse(run):
+        raise AssertionError("a Violation was built")
+
+    monkeypatch.setattr(finite_functions, "_expand", refuse)
+    with pytest.raises(AssertionError, match="a Violation was built"):
+        list(finite_functions._violations([0, 2, 1], 1, 1))
+    for fmt in ("json", "text"):
+        assert main(["check", corpus["dense.json"], "--format", fmt]) == 0
+        assert_same(capsys.readouterr().out, pages[fmt])

@@ -30,7 +30,7 @@ from groupcut import (
     rearrange_finite,
     tilde_fn,
 )
-from groupcut.finite_functions import _negative_rows, _violations
+from groupcut.finite_functions import _negative_rows, _runs, _violations
 
 ORDERS = (2, 5, 9, 13, 31)
 PRIMES = tuple(q for q in ORDERS if q != 9)
@@ -174,6 +174,29 @@ def test_is_minimal_matches_fraction_scan(q):
     # the corpus reaches every kind, and some functions are minimal
     assert {"origin", "subadditivity", "symmetry"} <= set(kinds)
     assert any(is_minimal(pi).is_minimal for pi in functions)
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_runs_flatten_to_the_violations(q):
+    # every run is non-empty, holds as many last entries as amounts, and the
+    # runs, flattened, are the violation chain and the ordered oracle
+    shapes = Counter()
+    for pi in corpus(q, seed=1):
+        for b in (None, *rhs_choices(q)[:3]):
+            fn = at_rhs(pi, b)
+            args = fn.numerators, fn.denominator, fn.b_residue
+            runs = list(_runs(*args))
+            assert all(lasts for _kind, _prefix, lasts, _amounts in runs)
+            assert all(len(lasts) == len(amounts) for _k, _p, lasts, amounts in runs)
+            flat = tuple(
+                Violation(kind, (*prefix, last), amount)
+                for kind, prefix, lasts, amounts in runs
+                for last, amount in zip(lasts, amounts)
+            )
+            assert flat == tuple(_violations(*args)) == oracle_is_minimal(pi, b).violations
+            shapes.update((kind, len(prefix)) for kind, prefix, _lasts, _amounts in runs)
+    # origin and symmetry runs have no prefix, a subadditivity run its row
+    assert set(shapes) == {("origin", 0), ("subadditivity", 1), ("symmetry", 0)}
 
 
 @pytest.mark.parametrize("q", PRIMES)

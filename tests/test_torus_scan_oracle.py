@@ -307,6 +307,9 @@ def test_corner_scan_matches_fraction_scan():
         assert repr(got) == repr(expected)  # Fractions, not ints
         assert subadditivity_slack(fn) == expected[:2]
         violated += bool(expected[2])
+        # each distinct coordinate and each distinct amount is one Fraction
+        for fractions in ([w for v in got[2] for w in v.witness], [v.amount for v in got[2]]):
+            assert len({id(f) for f in fractions}) == len(set(fractions))
     assert 0 < violated < len(CORPUS)
 
 
